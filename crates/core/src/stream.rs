@@ -15,10 +15,10 @@
 //!   sparse-vector samples.
 //! * [`StreamingDmcpObjective`] — true out-of-core: retains **no** sample
 //!   data at all, only an 8-byte-per-patient sample-offset index.  Every
-//!   evaluation regenerates and re-featurizes patients shard-by-shard into a
-//!   reused scratch CSR block ([`CsrMatrix::clear_rows`] + `push_row`), so
-//!   peak memory is O(shard), independent of the cohort size, at the cost of
-//!   regenerating the cohort per evaluation.
+//!   evaluation regenerates and re-featurizes the cohort one patient at a
+//!   time into a reused scratch CSR block ([`CsrMatrix::clear_rows`] +
+//!   `push_row`), so peak memory is independent of the cohort size, at the
+//!   cost of regenerating the cohort per evaluation.
 //!
 //! # Determinism contract (the shard fold)
 //!
@@ -517,12 +517,14 @@ fn default_mcp_kind_streaming(config: &CohortConfig, shard_size: usize) -> Featu
 }
 
 /// The out-of-core DMCP objective: regenerates and re-featurizes the cohort
-/// from its seed on **every** evaluation, shard by shard, retaining only an
+/// from its seed on **every** evaluation, patient by patient, retaining only an
 /// 8-byte-per-patient sample-offset index between evaluations.
 ///
-/// Peak memory is O(shard_size) — one patient shard plus one scratch CSR
-/// block per worker thread, reused across shards via
-/// [`CsrMatrix::clear_rows`] — regardless of the cohort size.  The price is
+/// Peak memory is independent of the cohort size: an evaluation holds one
+/// patient and one patient's scratch CSR rows per worker thread, reused via
+/// [`CsrMatrix::clear_rows`]; `shard_size` bounds only the construction
+/// pre-passes (σ, the sample-offset index, the curvature bounds), which hold
+/// one patient shard at a time.  The price is
 /// one cohort generation + featurization per evaluation; this is the
 /// memory-bound end of the trade-off, [`ShardedDmcpObjective`] (retained CSR
 /// blocks) the speed-bound end.  Results are bitwise-identical to both (same
@@ -553,7 +555,9 @@ pub struct StreamingDmcpObjective {
 impl StreamingDmcpObjective {
     /// Build the objective for the cohort of `config`, streaming two
     /// pre-passes (σ, then the sample-offset index) with at most
-    /// `shard_size` patients in memory at a time.
+    /// `shard_size` patients in memory at a time.  `shard_size` bounds only
+    /// these pre-passes and the curvature-bound pass; evaluations hold one
+    /// patient at a time.
     ///
     /// `kind` overrides the feature map; `None` selects the paper default.
     ///
@@ -620,9 +624,11 @@ impl StreamingDmcpObjective {
         self.num_cus + self.num_durations
     }
 
-    /// Regenerate, featurize and fold one global sample chunk, packing at
-    /// most `shard_size`-patient batches of rows into a reused scratch CSR
-    /// block before flushing each through the fused kernel.
+    /// Regenerate, featurize and fold one global sample chunk, one patient at
+    /// a time: each patient's rows are packed into a reused scratch CSR block
+    /// and flushed through the fused kernel before the next patient is
+    /// generated, so the scratch (and the kernel's score block) never holds
+    /// more than one patient's samples.
     fn fold_chunk(&self, theta: &Matrix, chunk: Range<usize>, grad: &mut Matrix) -> f64 {
         let mut loss = 0.0;
         let mut csr = CsrMatrix::with_dim(self.num_features);
@@ -630,7 +636,6 @@ impl StreamingDmcpObjective {
         let mut duration_labels: Vec<u32> = Vec::new();
         // First patient whose sample range ends after the chunk starts.
         let first = self.sample_offsets[1..].partition_point(|&end| end <= chunk.start);
-        let mut patients_in_block = 0usize;
         for p in first..self.config.num_patients {
             let p_range = self.sample_offsets[p]..self.sample_offsets[p + 1];
             if p_range.start >= chunk.end {
@@ -650,44 +655,23 @@ impl StreamingDmcpObjective {
                 }
                 s_idx += 1;
             });
-            patients_in_block += 1;
-            if patients_in_block >= self.shard_size {
-                self.flush_block(theta, &csr, &cu_labels, &duration_labels, grad, &mut loss);
-                csr.clear_rows();
-                cu_labels.clear();
-                duration_labels.clear();
-                patients_in_block = 0;
-            }
+            fused_csr_block(
+                &csr,
+                theta,
+                0..csr.rows(),
+                self.num_cus,
+                self.num_durations,
+                self.total_weight,
+                |i| (cu_labels[i] as usize, duration_labels[i] as usize),
+                |_| 1.0,
+                grad,
+                &mut loss,
+            );
+            csr.clear_rows();
+            cu_labels.clear();
+            duration_labels.clear();
         }
-        self.flush_block(theta, &csr, &cu_labels, &duration_labels, grad, &mut loss);
         loss
-    }
-
-    /// Run the fused kernel over one packed scratch block (no-op when empty).
-    fn flush_block(
-        &self,
-        theta: &Matrix,
-        csr: &CsrMatrix,
-        cu_labels: &[u32],
-        duration_labels: &[u32],
-        grad: &mut Matrix,
-        loss: &mut f64,
-    ) {
-        if csr.rows() == 0 {
-            return;
-        }
-        fused_csr_block(
-            csr,
-            theta,
-            0..csr.rows(),
-            self.num_cus,
-            self.num_durations,
-            self.total_weight,
-            |i| (cu_labels[i] as usize, duration_labels[i] as usize),
-            |_| 1.0,
-            grad,
-            loss,
-        );
     }
 
     fn fold(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
@@ -813,7 +797,8 @@ pub fn train_sharded_warm(
 }
 
 /// Train a [`DmcpModel`] fully out-of-core: the cohort of `cohort_config`
-/// never exists in memory, only `shard_size`-patient windows of it.
+/// never exists in memory, only `shard_size`-patient windows of it during
+/// the pre-passes and single patients during evaluations.
 ///
 /// Reproduces `train(&Dataset::from_cohort(&generate_cohort(cohort_config)),
 /// config)` bitwise at a fixed thread count.

@@ -11,15 +11,16 @@
 //! 1. **Correctness** — the streamed and sharded paths reproduce the
 //!    materialized `train` path *bitwise* (the θ and selection matrices are
 //!    compared element-for-element as bits).
-//! 2. **Bounded memory** — the streaming path's heap high-water mark is
-//!    O(shard), not O(cohort): measured with the counting global allocator
+//! 2. **Bounded memory** — the streaming path's heap high-water mark does
+//!    not grow with the cohort: measured with the counting global allocator
 //!    ([`pfp_bench::mem`]), reset between phases, and recorded to
 //!    `BENCH_scale.json` alongside wall-clock times.
 //!
 //! Phases (each with its own allocator-peak window):
 //!
 //! * `streaming` — [`train_streamed`]: the cohort is regenerated from its
-//!   seed shard-by-shard on every objective evaluation; retained state is an
+//!   seed one patient at a time on every objective evaluation (the shard
+//!   size bounds only the pre-passes); retained state is an
 //!   8-byte-per-patient offset index plus the solver matrices.
 //! * `sharded`   — [`ShardedSamples::stream_cohort`] + [`train_sharded`]:
 //!   CSR shard blocks are built streamingly and retained, so evaluations

@@ -1,13 +1,14 @@
-//! Thread-scaling table for sample-sharded gradient accumulation (the README
-//! "Performance" section is generated from this output).
+//! Thread-scaling table for sample-sharded loss-and-gradient accumulation
+//! (the README "Performance" section is generated from this output).
 //!
 //! ```text
 //! cargo run -p pfp-bench --bin repro_thread_scaling --release -- --scale 0.1
 //! ```
 //!
-//! For each thread count the binary times repeated full-cohort gradient
-//! evaluations and one short training run, and verifies that the sharded
-//! gradient matches the serial one to ≤ 1e-12 (the determinism contract of
+//! For each thread count the binary times repeated full-cohort
+//! `value_and_gradient` evaluations — the fused batched CSR path the solver
+//! runs — and one short training run, and verifies that the sharded loss and
+//! gradient match the serial ones to ≤ 1e-12 (the determinism contract of
 //! `pfp_core::loss`).  Speedups are relative to the 1-thread row and are only
 //! expected to exceed 1× on hardware that actually has that many cores.
 
@@ -21,7 +22,7 @@ use pfp_math::Matrix;
 use pfp_optim::SmoothObjective;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const GRADIENT_REPS: usize = 5;
+const EVAL_REPS: usize = 50;
 
 fn main() {
     let args = Args::parse();
@@ -40,18 +41,19 @@ fn main() {
 
     println!(
         "Thread scaling — {} patients, {} samples, Θ ∈ R^{{{rows}×{cols}}}, \
-         {} gradient reps, host parallelism = {}\n",
+         {} value+gradient reps, host parallelism = {}\n",
         cohort.patients.len(),
         samples.len(),
-        GRADIENT_REPS,
+        EVAL_REPS,
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
 
     let mut grad_serial = Matrix::zeros(rows, cols);
-    DmcpObjective::new(&samples, None, rows, dataset.num_cus, dataset.num_durations)
-        .gradient(&theta, &mut grad_serial);
+    let value_serial =
+        DmcpObjective::new(&samples, None, rows, dataset.num_cus, dataset.num_durations)
+            .value_and_gradient(&theta, &mut grad_serial);
 
-    let mut grad_times = Vec::new();
+    let mut eval_times = Vec::new();
     let mut train_times = Vec::new();
     let mut table_rows = Vec::new();
     for &threads in &THREAD_COUNTS {
@@ -60,13 +62,13 @@ fn main() {
                 .with_threads(threads);
 
         let mut grad = Matrix::zeros(rows, cols);
-        objective.gradient(&theta, &mut grad); // warm-up
+        let mut value = objective.value_and_gradient(&theta, &mut grad); // warm-up
         let start = Instant::now();
-        for _ in 0..GRADIENT_REPS {
-            objective.gradient(&theta, &mut grad);
+        for _ in 0..EVAL_REPS {
+            value = objective.value_and_gradient(&theta, &mut grad);
         }
-        let grad_secs = start.elapsed().as_secs_f64() / GRADIENT_REPS as f64;
-        grad_times.push(grad_secs);
+        let eval_secs = start.elapsed().as_secs_f64() / EVAL_REPS as f64;
+        eval_times.push(eval_secs);
 
         let config = quick.with_threads(threads);
         let start = Instant::now();
@@ -80,10 +82,15 @@ fn main() {
             max_diff <= 1e-12,
             "sharded gradient diverged from serial: {max_diff:e}"
         );
+        let value_diff = (value - value_serial).abs();
+        assert!(
+            value_diff <= 1e-12,
+            "sharded loss diverged from serial: {value_diff:e}"
+        );
         table_rows.push(vec![
             threads.to_string(),
-            format!("{:.1}", grad_secs * 1e3),
-            format!("{:.2}x", grad_times[0] / grad_secs),
+            format!("{:.2}", eval_secs * 1e3),
+            format!("{:.2}x", eval_times[0] / eval_secs),
             format!("{:.2}", train_secs),
             format!("{:.2}x", train_times[0] / train_secs),
             format!("{max_diff:.1e}"),
@@ -92,8 +99,8 @@ fn main() {
 
     let header: Vec<String> = [
         "threads",
-        "gradient (ms)",
-        "grad speedup",
+        "value+gradient (ms)",
+        "speedup",
         "train 2 outer (s)",
         "train speedup",
         "max |Δgrad| vs serial",
@@ -102,5 +109,5 @@ fn main() {
     .map(|s| s.to_string())
     .collect();
     print!("{}", render_table(&header, &table_rows));
-    println!("\nAll sharded gradients match the serial path to ≤ 1e-12.");
+    println!("\nAll sharded losses and gradients match the serial path to ≤ 1e-12.");
 }

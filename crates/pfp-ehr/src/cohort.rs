@@ -21,6 +21,10 @@
 //!    Table 2 proportions, so the features carry recoverable signal for the
 //!    learners while remaining sparse and high-dimensional.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
+
 use pfp_math::rng::{bernoulli, derive_seed, sample_categorical, seeded_rng};
 use pfp_math::SparseVec;
 use rand::rngs::StdRng;
@@ -187,7 +191,7 @@ pub struct CohortConfig {
 
 impl CohortConfig {
     /// A cohort matching the paper's scale (30,685 patients, full feature
-    /// dictionary).  Expensive — intended for `--release` experiment runs.
+    /// dictionary).
     pub fn paper_scale(seed: u64) -> Self {
         Self {
             num_patients: crate::departments::PAPER_NUM_PATIENTS,
@@ -409,9 +413,70 @@ impl Iterator for CohortShards {
 
 impl ExactSizeIterator for CohortShards {}
 
+/// The sampling weights of [`Archetype::MIXTURE`], in the same order.
+const MIXTURE_WEIGHTS: [f64; Archetype::MIXTURE.len()] = {
+    let mut weights = [0.0; Archetype::MIXTURE.len()];
+    let mut k = 0;
+    while k < weights.len() {
+        weights[k] = Archetype::MIXTURE[k].1;
+        k += 1;
+    }
+    weights
+};
+
 fn sample_archetype(rng: &mut StdRng) -> Archetype {
-    let weights: Vec<f64> = Archetype::MIXTURE.iter().map(|&(_, w)| w).collect();
-    Archetype::MIXTURE[sample_categorical(rng, &weights)].0
+    Archetype::MIXTURE[sample_categorical(rng, &MIXTURE_WEIGHTS)].0
+}
+
+/// The signature sets of one `(dictionary, seed)` pair, keyed by
+/// `(domain, key, count)`; [`FeatureDomain::Profile`] stands for
+/// [`FeatureDictionary::profile_signature_indices`].
+struct SignatureMemo {
+    dict: FeatureDictionary,
+    seed: u64,
+    sets: HashMap<(FeatureDomain, u64, usize), Rc<[u32]>>,
+}
+
+/// The memoized form of [`FeatureDictionary::signature_indices`] and
+/// [`FeatureDictionary::profile_signature_indices`], bitwise equal to them.
+///
+/// Each reference call runs a full Fisher–Yates shuffle of the domain to keep
+/// a handful of indices, yet its result depends only on the arguments, and a
+/// cohort asks for the same few hundred sets over and over.  The memo is
+/// thread-local (every pool worker builds its own, once) and holds a single
+/// `(dictionary, seed)` slot, replaced when either changes, so it stays at
+/// tens of KiB however many configs a thread generates in turn.
+fn signature(
+    dict: &FeatureDictionary,
+    seed: u64,
+    domain: FeatureDomain,
+    key: u64,
+    count: usize,
+) -> Rc<[u32]> {
+    thread_local! {
+        static MEMO: RefCell<Option<SignatureMemo>> = const { RefCell::new(None) };
+    }
+    MEMO.with(|cell| {
+        let mut slot = cell.borrow_mut();
+        if !matches!(&*slot, Some(memo) if memo.dict == *dict && memo.seed == seed) {
+            *slot = Some(SignatureMemo {
+                dict: *dict,
+                seed,
+                sets: HashMap::new(),
+            });
+        }
+        let memo = slot.as_mut().expect("slot filled above");
+        memo.sets
+            .entry((domain, key, count))
+            .or_insert_with(|| {
+                match domain {
+                    FeatureDomain::Profile => dict.profile_signature_indices(key, count, seed),
+                    _ => dict.signature_indices(domain, key, count, seed),
+                }
+                .into()
+            })
+            .clone()
+    })
 }
 
 fn generate_patient(
@@ -420,7 +485,6 @@ fn generate_patient(
     config: &CohortConfig,
     rng: &mut StdRng,
 ) -> PatientRecord {
-    let dict = &config.features;
     // Severity in [0.5, 2.0]: scales dwell times and couples (weakly) with the
     // downstream destinations through longer ICU chains.
     let severity = 0.5 + 1.5 * rng.gen::<f64>();
@@ -460,7 +524,6 @@ fn generate_patient(
     // --- profile features ----------------------------------------------------
     let profile = generate_profile_features(archetype, severity, config, rng);
 
-    let _ = dict;
     PatientRecord { id, profile, stays }
 }
 
@@ -535,17 +598,27 @@ fn generate_profile_features(
     let count = ((config.profile_actives as f64) * richness).round() as usize;
     let mut active: Vec<u32> = Vec::new();
     // Archetype signature block: deterministic indices keyed by the archetype.
-    let signature =
-        dict.profile_signature_indices(archetype.index() as u64, count.max(1), config.seed);
-    for &idx in signature.iter() {
+    let archetype_block = signature(
+        dict,
+        config.seed,
+        FeatureDomain::Profile,
+        archetype.index() as u64,
+        count.max(1),
+    );
+    for &idx in archetype_block.iter() {
         if bernoulli(rng, 0.85) {
             active.push(idx);
         }
     }
     // Severity marker block (shared across archetypes).
     if severity > 1.4 {
-        let sev = dict.profile_signature_indices(100, 4, config.seed);
-        active.extend(sev);
+        active.extend_from_slice(&signature(
+            dict,
+            config.seed,
+            FeatureDomain::Profile,
+            100,
+            4,
+        ));
     }
     // A little noise.
     let noise = (count / 5).max(1);
@@ -690,7 +763,7 @@ fn push_signature(
     keep_prob: f64,
     rng: &mut StdRng,
 ) {
-    for idx in dict.signature_indices(domain, key, count, seed) {
+    for &idx in signature(dict, seed, domain, key, count).iter() {
         if bernoulli(rng, keep_prob) {
             active.push(idx);
         }

@@ -9,8 +9,14 @@
 //! from shard `k`, or re-streamed at a different shard size — must be
 //! bit-for-bit the cohort `generate_cohort` materializes, because every
 //! patient derives an independent RNG stream from `(seed, id)`.
+//!
+//! Pinned fingerprints guard the generator's output itself, and the memo
+//! isolation test guards the per-thread signature-set memo inside it.
 
-use patient_flow::ehr::{generate_cohort, CohortConfig, CohortShards, PatientRecord};
+use patient_flow::ehr::{
+    generate_cohort, generate_patient_record, CohortConfig, CohortShards, FeatureDictionary,
+    PatientRecord,
+};
 
 #[test]
 fn tiny_cohort_generation_is_deterministic_for_a_fixed_seed() {
@@ -144,4 +150,116 @@ fn degenerate_stream_shapes() {
     let iter = CohortShards::new(&config, 1);
     assert_eq!(iter.len(), config.num_patients);
     assert_eq!(iter.count(), config.num_patients);
+}
+
+/// FNV-1a over the bits of a cohort that every downstream number depends on:
+/// patient ids, care-unit sequences, dwell-time bits, and the profile and
+/// service feature indices.  Stable across platforms and toolchains (unlike
+/// `std`'s `DefaultHasher`), so the pinned values below are meaningful.
+fn cohort_fingerprint(cohort: &patient_flow::ehr::Cohort) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for p in &cohort.patients {
+        eat(p.id as u64);
+        eat(p.profile.nnz() as u64);
+        for &i in p.profile.indices() {
+            eat(i as u64);
+        }
+        eat(p.stays.len() as u64);
+        for s in &p.stays {
+            eat(s.cu as u64);
+            eat(s.dwell_days.to_bits());
+            eat(s.services.nnz() as u64);
+            for &i in s.services.indices() {
+                eat(i as u64);
+            }
+        }
+    }
+    h
+}
+
+/// Golden fingerprints, computed with the unmemoized generator (every
+/// signature set drawn by a fresh full shuffle).  A generator change that
+/// moves any of these changes every downstream table and benchmark figure.
+#[test]
+fn generated_cohorts_match_their_pinned_fingerprints() {
+    for (name, config, expected) in [
+        ("tiny", CohortConfig::tiny(42), 0xc7be_5519_aece_88fc_u64),
+        ("small", CohortConfig::small(42), 0xb9b9_d3da_6fe9_35dc),
+        (
+            "scaled(0.05)",
+            CohortConfig::scaled(0.05, 42),
+            0x5a54_db00_82c7_2fab,
+        ),
+    ] {
+        let got = cohort_fingerprint(&generate_cohort(&config));
+        assert_eq!(got, expected, "{name}: fingerprint {got:#018x}");
+    }
+}
+
+/// Configs that pairwise share a seed but not a dictionary (`a`/`b`, `a`/`d`,
+/// where `d` differs in one domain size only) or a dictionary but not a seed
+/// (`a`/`c`): the generator's per-thread signature memo must never serve one
+/// of them a set drawn for another.
+fn memo_isolation_configs() -> Vec<CohortConfig> {
+    let a = CohortConfig::tiny(5);
+    let b = CohortConfig {
+        features: FeatureDictionary::scaled(0.01),
+        ..CohortConfig::tiny(5)
+    };
+    let c = CohortConfig::tiny(6);
+    let mut d = CohortConfig::tiny(5);
+    d.features.nursing += 1;
+    vec![a, b, c, d]
+}
+
+const MEMO_ISOLATION_PATIENTS: usize = 40;
+
+/// Each config's patients `0..MEMO_ISOLATION_PATIENTS`, generated alone on a
+/// fresh thread (so with a fresh memo).
+fn fresh_thread_records(config: &CohortConfig) -> Vec<PatientRecord> {
+    let config = config.clone();
+    std::thread::spawn(move || {
+        (0..MEMO_ISOLATION_PATIENTS)
+            .map(|id| generate_patient_record(&config, id).0)
+            .collect()
+    })
+    .join()
+    .expect("reference thread")
+}
+
+/// On the calling thread, for every ordered pair of distinct configs,
+/// generate each patient id of the first and then of the second back to
+/// back, checking every record against the fresh-thread reference.
+fn alternate_and_check(configs: &[CohortConfig], reference: &[Vec<PatientRecord>]) {
+    for first in 0..configs.len() {
+        for second in (0..configs.len()).filter(|&k| k != first) {
+            let pairs = reference[first].iter().zip(&reference[second]);
+            for (id, (expect_first, expect_second)) in pairs.enumerate() {
+                for (k, expected) in [(first, expect_first), (second, expect_second)] {
+                    let (record, _) = generate_patient_record(&configs[k], id);
+                    assert_patients_identical(&record, expected);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn signature_memo_never_leaks_across_dictionaries_or_seeds() {
+    let configs = memo_isolation_configs();
+    let reference: Vec<Vec<PatientRecord>> = configs.iter().map(fresh_thread_records).collect();
+    alternate_and_check(&configs, &reference);
+    // The same on two fresh threads at once (the scope joins them and
+    // re-raises any panic).
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| alternate_and_check(&configs, &reference));
+        }
+    });
 }
