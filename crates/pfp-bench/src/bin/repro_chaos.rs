@@ -93,7 +93,10 @@ impl ChaosArgs {
             phase_secs: extras.get_or("--phase-secs", 1.5),
             serve_threads: extras.get_or("--serve-threads", 2),
             max_batch: extras.get_or("--max-batch", 32),
-            max_wait_us: extras.get_or("--max-wait-us", 200),
+            max_wait_us: extras.get_or(
+                "--max-wait-us",
+                ServeConfig::default().max_wait.as_micros() as u64,
+            ),
             queue_capacity: extras.get_or("--queue-capacity", 64),
             backoff_base_ms: extras.get_or("--backoff-base-ms", 20),
             backoff_max_ms: extras.get_or("--backoff-max-ms", 200),
@@ -719,6 +722,8 @@ mod tests {
         assert_eq!(a.serve_threads, 2);
         assert_eq!(a.queue_capacity, 64);
         assert_eq!(a.serve_config().queue_capacity, 64);
+        // The harness measures the shipping batcher config unless told not to.
+        assert_eq!(a.serve_config().max_wait, ServeConfig::default().max_wait);
         assert_eq!(
             a.serve_config().backoff.base,
             Duration::from_millis(a.backoff_base_ms)
@@ -740,6 +745,8 @@ mod tests {
             "16",
             "--backoff-base-ms",
             "5",
+            "--max-wait-us",
+            "150",
             "--seed",
             "11",
         ]));
@@ -749,6 +756,8 @@ mod tests {
         assert_eq!(a.serve_threads, 3);
         assert_eq!(a.queue_capacity, 16);
         assert_eq!(a.backoff_base_ms, 5);
+        assert_eq!(a.max_wait_us, 150);
+        assert_eq!(a.serve_config().max_wait, Duration::from_micros(150));
         assert_eq!(a.base.seed, 11);
         assert_eq!(a.serve_config().backoff.seed, 11);
     }

@@ -73,7 +73,10 @@ impl RampArgs {
             step_secs: extras.get_or("--step-secs", 2.0),
             clients: extras.get_or("--clients", 4),
             max_batch: extras.get_or("--max-batch", 64),
-            max_wait_us: extras.get_or("--max-wait-us", 200),
+            max_wait_us: extras.get_or(
+                "--max-wait-us",
+                ServeConfig::default().max_wait.as_micros() as u64,
+            ),
         };
         assert!(out.initial_rps > 0.0, "--initial-rps must be positive");
         assert!(out.increment_rps > 0.0, "--increment-rps must be positive");
@@ -438,6 +441,8 @@ mod tests {
         assert_eq!(a.target_rps, 2000.0);
         assert_eq!(a.clients, 4);
         assert_eq!(a.max_batch, 64);
+        // The harness measures the shipping batcher config unless told not to.
+        assert_eq!(a.serve_config().max_wait, ServeConfig::default().max_wait);
     }
 
     #[test]

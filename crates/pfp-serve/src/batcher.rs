@@ -1,20 +1,28 @@
-//! Micro-batch accumulation: gather channel items for at most `max_wait` or
-//! until `max_batch` items are held, whichever comes first.
+//! Micro-batch accumulation with flush-on-idle: gather whatever is already
+//! queued (up to `max_batch`), then wait at most `max_wait` for more.
+//!
+//! With the default `max_wait` of zero the batcher never idles on a timer:
+//! it flushes as soon as the queue runs dry.  Batching is self-clocking —
+//! while the dispatcher is busy scoring one batch, arrivals queue up, and the
+//! next collect drains them as one batch — so a lone request is answered
+//! at once and a backlog still forms full batches.  A positive `max_wait`
+//! additionally holds a partial batch open for late arrivals.
 //!
 //! The batcher is deliberately a pure function over a [`Receiver`] so the
 //! flush policy can be unit-tested without threads: the dispatcher loop in
 //! [`crate::service`] is just `while let Some(batch) = collect_batch(..)`.
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 
 /// Collect the next micro-batch from `rx`.
 ///
 /// Blocks until at least one item arrives — the batching timer only starts
 /// once the batch is non-empty, so a timer flush can never race an empty
-/// queue into a zero-item batch.  After the first item, keeps receiving until
-/// either `max_batch` items are held or `max_wait` has elapsed since the
-/// first item.
+/// queue into a zero-item batch.  After the first item, drains everything
+/// already queued without blocking, up to `max_batch`.  Only once the queue
+/// is empty does it wait for more, until `max_wait` has elapsed since the
+/// first item; a zero `max_wait` flushes as soon as the queue runs dry.
 ///
 /// Returns `None` only when the channel is closed and fully drained (the
 /// shutdown signal).  If the sender disconnects mid-collection, the items
@@ -27,15 +35,21 @@ pub fn collect_batch<T>(rx: &Receiver<T>, max_batch: usize, max_wait: Duration) 
     batch.push(first);
     let deadline = Instant::now() + max_wait;
     while batch.len() < max_batch {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break;
-        }
-        match rx.recv_timeout(remaining) {
+        match rx.try_recv() {
             Ok(item) => batch.push(item),
-            Err(RecvTimeoutError::Timeout) => break,
             // Flush what we hold; the *next* call returns None.
-            Err(RecvTimeoutError::Disconnected) => break,
+            Err(TryRecvError::Disconnected) => break,
+            // The queue ran dry: wait out what is left of `max_wait`.
+            Err(TryRecvError::Empty) => {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                if remaining.is_zero() {
+                    break;
+                }
+                match rx.recv_timeout(remaining) {
+                    Ok(item) => batch.push(item),
+                    Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => break,
+                }
+            }
         }
     }
     Some(batch)
@@ -56,6 +70,52 @@ mod tests {
         assert_eq!(batch, vec![0, 1, 2, 3]);
         let batch = collect_batch(&rx, 4, Duration::from_millis(50)).unwrap();
         assert_eq!(batch, vec![4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn zero_max_wait_drains_a_ready_queue_into_full_batches() {
+        let (tx, rx) = channel();
+        for i in 0..100 {
+            tx.send(i).unwrap();
+        }
+        let batch = collect_batch(&rx, 64, Duration::ZERO).unwrap();
+        assert_eq!(batch, (0..64).collect::<Vec<_>>());
+        let batch = collect_batch(&rx, 64, Duration::ZERO).unwrap();
+        assert_eq!(batch, (64..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn zero_max_wait_flushes_held_items_while_the_sender_idles() {
+        let (tx, rx) = channel();
+        for i in 0..3 {
+            tx.send(i).unwrap();
+        }
+        // `tx` stays connected but sends nothing more: the batcher must not
+        // wait for it.  Collect on a helper thread so a regression fails the
+        // test instead of hanging it.
+        let (done_tx, done_rx) = channel();
+        let collector =
+            std::thread::spawn(move || done_tx.send(collect_batch(&rx, 64, Duration::ZERO)));
+        let batch = done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a zero max_wait must flush without blocking");
+        assert_eq!(batch, Some(vec![0, 1, 2]));
+        collector.join().unwrap().unwrap();
+        drop(tx);
+    }
+
+    #[test]
+    fn positive_max_wait_drains_the_queue_before_consulting_the_timer() {
+        let (tx, rx) = channel();
+        for i in 0..10 {
+            tx.send(i).unwrap();
+        }
+        // The deadline has passed before the first item is even returned,
+        // yet everything already queued still joins the batch.
+        let batch = collect_batch(&rx, 64, Duration::from_nanos(1)).unwrap();
+        assert_eq!(batch, (0..10).collect::<Vec<_>>());
+        drop(tx);
+        assert_eq!(collect_batch(&rx, 64, Duration::from_nanos(1)), None);
     }
 
     #[test]

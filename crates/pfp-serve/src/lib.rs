@@ -10,11 +10,15 @@
 //!
 //! 1. **Clients** ([`ServeClient`], cheaply cloneable) send requests down a
 //!    channel and block on a per-request reply channel.
-//! 2. A single **dispatcher** thread accumulates requests for at most
-//!    `max_wait` or until `max_batch` are held
-//!    ([`batcher::collect_batch`]), packs them into one reused
-//!    [`pfp_math::CsrMatrix`], and scores the whole batch as a single
-//!    register-blocked `CSR × Θ` pass sharded over the pool.
+//! 2. A single **dispatcher** thread takes every request already queued, up
+//!    to `max_batch`, and flushes as soon as the queue runs dry
+//!    ([`batcher::collect_batch`]; a positive [`ServeConfig::max_wait`]
+//!    holds a partial batch open that long for late arrivals).  Batching is
+//!    self-clocking: requests that arrive while one batch is scored form the
+//!    next, so a lone request never waits on a timer and a backlog still
+//!    fills batches.  The dispatcher packs each batch into one reused
+//!    [`pfp_math::CsrMatrix`] and scores it as a single register-blocked
+//!    `CSR × Θ` pass sharded over the pool.
 //! 3. Results fan back in **submission order**; micro-batching is invisible
 //!    to callers except as latency.
 //!

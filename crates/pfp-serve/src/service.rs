@@ -29,7 +29,13 @@ use crate::batcher::collect_batch;
 pub struct ServeConfig {
     /// Flush a batch once it holds this many requests (0 behaves as 1).
     pub max_batch: usize,
-    /// Flush a batch this long after its first request arrived.
+    /// How long a partial batch may wait for more requests once the queue
+    /// has run dry, measured from its first request.  The default of zero is
+    /// *flush-on-idle*: drain whatever is already queued (up to `max_batch`),
+    /// then score at once.  Batches still fill under load, because requests
+    /// that arrive while a batch is being scored queue up for the next one.
+    /// A positive value trades that much extra latency at low load for
+    /// larger batches.
     pub max_wait: Duration,
     /// Scoring threads (`WorkerPool` width).  `1` scores inline on the
     /// dispatcher thread; `0` resolves to the machine's core count.
@@ -54,7 +60,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 64,
-            max_wait: Duration::from_micros(200),
+            max_wait: Duration::ZERO,
             threads: 1,
             queue_capacity: 1024,
             default_deadline: None,
@@ -133,7 +139,9 @@ pub struct Prediction {
     /// `p(d | t, H_t)` over the `D` duration classes.
     pub duration_probs: Vec<f64>,
     /// How many rows were in the micro-batch this request was scored with
-    /// (observability: 1 means the batcher flushed on the timer).
+    /// (observability: 1 means nothing else was queued, or arrived within a
+    /// positive `max_wait`, so the request was flushed alone; `max_batch`
+    /// means a backlog filled the batch).
     pub batch_rows: usize,
     /// `true` when this answer came from the fallback predictor because the
     /// scoring pool was unhealthy — still a valid distribution pair, but not

@@ -18,8 +18,8 @@ use patient_flow::serve::{PredictionService, ServeConfig};
 
 const DIM: usize = 10;
 
-/// The batch sizes the dispatcher actually produces: a timer flush of one,
-/// small partial batches, and a full `max_batch` flush.
+/// The batch sizes the dispatcher actually produces: a lone request flushed
+/// on idle, small partial batches, and a full `max_batch` flush.
 const BATCH_SIZES: [usize; 4] = [1, 2, 7, 64];
 
 /// `(C, D)` pairs hitting each monomorphised column width (4, 8, 16) of
@@ -121,4 +121,51 @@ proptest! {
         }
         service.shutdown();
     }
+}
+
+/// The contract under the shipping config (`ServeConfig::default()`, i.e.
+/// flush-on-idle): a pipelined burst that backs up the queue, then
+/// one-at-a-time requests that each find it empty.  Every answer is bitwise
+/// equal to a direct model call whatever batch it landed in.  Batch sizes
+/// are only range-checked — how a burst splits depends on thread timing.
+#[test]
+fn default_config_answers_are_bitwise_identical_for_bursts_and_sequential_requests() {
+    let raw: Vec<(i64, f64)> = (0..256)
+        .map(|i| (i as i64 * 7 % DIM as i64, ((i % 13) as f64 - 6.0) * 0.3))
+        .collect();
+    let requests = build_requests(&raw);
+    let model = model_for(8, 8, 0.37);
+    let expected: Vec<_> = requests.iter().map(|f| model.probabilities(f)).collect();
+    let config = ServeConfig::default();
+    let max_batch = config.max_batch;
+    let service = PredictionService::start(model, config);
+    let client = service.client();
+    let pending: Vec<_> = requests
+        .iter()
+        .map(|f| {
+            client
+                .submit(f.clone())
+                .expect("burst fits the default queue")
+        })
+        .collect();
+    // Lazy chain: every burst answer is awaited before the first sequential
+    // request is sent.
+    let burst = pending.into_iter().map(|p| p.wait().unwrap());
+    let sequential = requests.iter().map(|f| client.predict(f.clone()).unwrap());
+    let answers: Vec<_> = burst.chain(sequential).collect();
+    for (i, prediction) in answers.iter().enumerate() {
+        let (cu, dur) = &expected[i % requests.len()];
+        assert_eq!(&prediction.cu_probs, cu, "cu probs diverged for answer {i}");
+        assert_eq!(
+            &prediction.duration_probs, dur,
+            "duration probs diverged for answer {i}"
+        );
+        assert!(!prediction.degraded);
+        assert!(
+            (1..=max_batch).contains(&prediction.batch_rows),
+            "answer {i} came from a batch of {} rows",
+            prediction.batch_rows
+        );
+    }
+    service.shutdown();
 }
