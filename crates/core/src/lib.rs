@@ -23,9 +23,10 @@
 //!   maps used by the baselines, so the kernel choice is the only difference).
 //! * [`dataset`] — feature/label pairs extracted from patient records.
 //! * [`loss`] — the cross-entropy loss of Eq. 6, its gradient, and sample
-//!   weighting; the solvers use the fused single-pass
-//!   `value_and_gradient` kernel, and accumulation can be sharded over a
-//!   persistent worker pool ([`loss::DmcpObjective::with_threads`]) with a
+//!   weighting, as one objective ([`loss::Objective`]) generic over where its
+//!   feature rows come from ([`loss::SampleSource`]): every evaluation is one
+//!   fold of the batched kernel, which can be sharded over a persistent
+//!   worker pool ([`loss::Objective::with_threads`]) with a
 //!   bitwise-deterministic result for a fixed thread count.
 //! * [`train`](mod@train) — Algorithm 1: ADMM + group lasso, plus a plain-GD
 //!   path;
@@ -37,8 +38,9 @@
 //! * [`joint`] — the joint `C·D`-class classifier the paper reports as an
 //!   over-fitting straw man.
 //! * [`stream`] — sharded and out-of-core training over streaming cohort
-//!   shards: bounded-memory objectives that reproduce the materialized path
-//!   bitwise ([`stream::train_sharded`], [`stream::train_streamed`]).
+//!   shards: the bounded-memory sample sources of [`loss::Objective`], which
+//!   reproduce the materialized path bitwise ([`stream::train_sharded`],
+//!   [`stream::train_streamed`]).
 
 pub mod dataset;
 pub mod features;

@@ -16,73 +16,56 @@
 //! Optional per-sample weights implement the "weighted data" imbalance
 //! strategy (`w_i = 1 / log(1 + #{(c,d)})`, Section 3.3).
 //!
-//! # Fused, batched evaluation
+//! # One objective, three sample sources
 //!
-//! The ADMM solvers always need the value and the gradient *at the same
-//! point*, so [`DmcpObjective`] overrides
-//! [`SmoothObjective::value_and_gradient`] with a fused kernel: the linear
-//! scores `Θ⊤ f` are accumulated **once** per sample and feed both the
-//! cross-entropy terms and the softmax residuals, instead of the two
-//! separate score passes the `value` + `gradient` pair would pay.
+//! [`Objective`] is the one DMCP objective.  It is generic over a
+//! [`SampleSource`] — where a chunk's feature rows come from — and holds the
+//! weights, the thread pool, the fused fold and the curvature bounds once:
 //!
-//! The fused path is also **batched**: the cohort's feature vectors are
-//! packed once at construction into a sample-major [`CsrMatrix`], and each
-//! evaluation walks a shard as one `CSR × Θ` scores pass, one softmax/
-//! residual sweep over the packed score block, and one `CSRᵀ` scatter —
-//! three linear passes over contiguous arrays instead of per-sample pointer
-//! chasing through `N` tiny sparse vectors, with the row kernels
-//! register-blocked over the `C + D` outputs.  The batched kernel performs
-//! the same floating-point operations in the same order as the per-sample
-//! loop ([`DmcpObjective::value_and_gradient_unbatched`]), which in turn
-//! matches the separate `value` + `gradient` pair, so all three agree
-//! bitwise in serial (property-tested in `tests/parallel_equivalence.rs`).
+//! * [`DmcpObjective`] — the materialized cohort, packed once at
+//!   construction into a single CSR block;
+//! * [`ShardedDmcpObjective`](crate::stream::ShardedDmcpObjective) — retained
+//!   CSR shard blocks ([`ShardedSamples`](crate::stream::ShardedSamples));
+//! * [`StreamingDmcpObjective`](crate::stream::StreamingDmcpObjective) — the cohort regenerated and re-featurized
+//!   one patient at a time on every evaluation.
 //!
-//! # Parallel accumulation and determinism
+//! Every evaluation — `value`, `gradient` or the fused `value_and_gradient`
+//! the solvers call — is one fold of the batched kernel over the source's
+//! rows: one `CSR × Θ` scores pass, one softmax/residual sweep over the packed
+//! score block, and one `CSRᵀ` scatter, with the row kernels register-blocked
+//! over the `C + D` outputs.  The scores are computed once per sample and feed
+//! both the cross-entropy terms and the softmax residuals.
 //!
-//! Both the loss and its gradient are means over independent per-sample
-//! terms, so [`DmcpObjective::with_threads`] shards the sample range into
-//! per-thread chunks ([`pfp_math::parallel::chunk_ranges`]), accumulates each
-//! chunk into a thread-local dense buffer, and combines the partials with a
-//! fixed-order tree reduction ([`pfp_math::parallel::tree_reduce_matrices`]).
-//! The chunk closures are dispatched to a persistent
-//! [`pfp_math::parallel::WorkerPool`] created once per objective (i.e. once
-//! per `train` call / ADMM solve), so repeated evaluations inside a solve pay
-//! a channel send rather than a thread spawn.  The contract:
-//!
-//! * **Fixed thread count ⇒ bitwise-deterministic results.** Chunk
-//!   boundaries and the reduction order are pure functions of
-//!   `(samples.len(), threads)`, and [`pfp_math::parallel::WorkerPool::run`]
-//!   returns chunk results in submission order, so every run performs the
-//!   same floating-point operations in the same order.  `threads == 1` is
-//!   *exactly* the serial path.
-//! * **Across thread counts ⇒ agreement to rounding only.** Different
-//!   shardings sum in different orders; the results agree to ≲1e-12
-//!   (enforced by the `parallel_equivalence` property tests), not bitwise.
+//! [`per_sample_value_and_gradient`] computes the same quantity by a plain
+//! per-sample walk over the sparse feature vectors.  It is the reference the
+//! fold is tested against; solvers never call it.  The determinism contract
+//! — bitwise at a fixed thread count for every source, ≲1e-12 across thread
+//! counts — is stated on [`Objective`].
 
 use std::ops::Range;
 
 use pfp_math::parallel::{chunk_ranges, tree_reduce_matrices, tree_reduce_sums, WorkerPool};
-use pfp_math::softmax::{cross_entropy, softmax, softmax_in_place};
+use pfp_math::softmax::{cross_entropy, softmax_in_place};
 use pfp_math::{CsrMatrix, Matrix};
 use pfp_optim::SmoothObjective;
 
 use crate::dataset::Sample;
+use crate::stream::SampleShard;
 
-/// The fused batched kernel shared by the materialized [`DmcpObjective`] and
-/// the sharded/streaming objectives in [`crate::stream`]: one `CSR × Θ` scores
-/// pass over `rows`, one softmax/residual sweep (accumulating the weighted,
-/// un-normalised cross-entropy into `*loss`), one `CSRᵀ` scatter into `grad`.
+/// The fused batched kernel [`Objective`] folds over its source's blocks: one
+/// `CSR × Θ` scores pass over `rows`, one softmax/residual sweep (accumulating
+/// the weighted, un-normalised cross-entropy into `*loss`), one `CSRᵀ` scatter
+/// into `grad`.
 ///
 /// `rows` indexes into `csr`; `label_of` / `weight_of` map a csr row index to
-/// its `(cu, duration)` labels and sample weight (sharded callers translate
-/// local to global indices in the closures).  Carrying `loss` as an
+/// its `(cu, duration)` labels and sample weight.  Carrying `loss` as an
 /// accumulator — instead of returning it — is what makes a chunk *segmented*
 /// across several shard blocks bitwise-identical to the same chunk evaluated
 /// as one block: the loss additions, each row's softmax, and the scatter
 /// updates happen in the same order either way (per-row score equality across
 /// sub-ranges is property-tested in `pfp-math`'s csr module).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fused_csr_block(
+fn fused_csr_block(
     csr: &CsrMatrix,
     theta: &Matrix,
     rows: Range<usize>,
@@ -135,75 +118,135 @@ pub(crate) fn fused_csr_block(
     })
 }
 
-/// The multinomial two-head cross-entropy objective over featurized samples.
-pub struct DmcpObjective<'a> {
-    samples: &'a [Sample],
+/// Where an [`Objective`]'s feature rows come from.
+///
+/// A source walks a global sample range as `(block, local rows)` segments, in
+/// sample order: `local` indexes rows of `block`, whose row `i` is global
+/// sample `block.start + i`.  Retained sources hand out their own blocks;
+/// the regenerated cohort fills a reused scratch block per patient.
+pub trait SampleSource: Sync {
+    /// Total number of samples.
+    fn total_samples(&self) -> usize;
+
+    /// Call `visit(block, local)` for each segment of `range`, in sample
+    /// order.
+    fn for_each_segment(&self, range: Range<usize>, visit: impl FnMut(&SampleShard, Range<usize>));
+}
+
+impl<S: SampleSource> SampleSource for &S {
+    fn total_samples(&self) -> usize {
+        (**self).total_samples()
+    }
+
+    fn for_each_segment(&self, range: Range<usize>, visit: impl FnMut(&SampleShard, Range<usize>)) {
+        (**self).for_each_segment(range, visit)
+    }
+}
+
+/// The materialized objective: the cohort's samples packed into one CSR block.
+/// See [`Objective`] for the determinism contract.
+pub type DmcpObjective<'a> = Objective<'a, SampleShard>;
+
+/// The normalising constant Σ_i w_i (or the sample count when unweighted).
+fn total_weight(weights: Option<&[f64]>, samples: usize) -> f64 {
+    match weights {
+        Some(w) => w.iter().sum::<f64>().max(1e-12),
+        None => samples as f64,
+    }
+}
+
+/// The multinomial two-head cross-entropy objective, folded over the rows of
+/// a [`SampleSource`].
+///
+/// # Determinism contract
+///
+/// Every evaluation splits the global sample range into per-thread chunks
+/// ([`pfp_math::parallel::chunk_ranges`] over the *total* sample count),
+/// folds each chunk through the fused kernel segment by segment in sample
+/// order, and combines the chunk partials with a fixed-order tree reduction
+/// ([`pfp_math::parallel::tree_reduce_matrices`]).  The chunk closures run on
+/// a persistent [`WorkerPool`] created once in [`with_threads`](Self::with_threads)
+/// (i.e. once per ADMM solve), so repeated evaluations pay a channel send
+/// rather than a thread spawn.
+///
+/// * **Fixed thread count ⇒ bitwise-deterministic results, for every
+///   source.**  Chunk boundaries and the reduction order are pure functions
+///   of `(total_samples, threads)`, and the pool returns chunk results in
+///   submission order.  Within a chunk, the kernel carries its loss
+///   accumulator across segments, so where a source splits the chunk into
+///   blocks (shards, patients) changes no floating-point operation: each
+///   row's scores, softmax, loss addition and scatter happen in the same
+///   order as one un-segmented pass (per-row score equality across CSR
+///   sub-ranges is property-tested in `pfp-math`).  `threads == 1` is
+///   *exactly* the serial path.  The three sources therefore agree bitwise
+///   with each other at any fixed thread count, and on one thread with
+///   [`per_sample_value_and_gradient`] (`tests/shard_equivalence.rs`,
+///   `tests/parallel_equivalence.rs`).
+/// * **Across thread counts ⇒ agreement to rounding only.**  Different
+///   chunkings sum in different orders; the results agree to ≲1e-12, not
+///   bitwise.
+///
+/// `value`, `gradient` and `value_and_gradient` all run the same fold, so
+/// they agree bitwise with each other by construction.
+pub struct Objective<'a, S> {
+    pub(crate) source: S,
     weights: Option<&'a [f64]>,
+    /// Σ_i w_i, cached at construction so evaluations do not pay an O(n) sum.
+    total_weight: f64,
     num_features: usize,
     num_cus: usize,
     num_durations: usize,
     /// Worker threads for loss/gradient accumulation (≥ 1; 1 = serial).
     threads: usize,
-    /// Normalising constant Σ_i w_i (or the sample count when unweighted),
-    /// cached at construction so evaluations do not pay an O(n) sum per call.
-    total_weight: f64,
-    /// Persistent workers for the sharded paths, created once per objective
-    /// (`None` on the serial path) and reused by every evaluation of a solve.
+    /// Persistent workers (`None` on the serial path), reused by every
+    /// evaluation of a solve.
     pool: Option<WorkerPool>,
-    /// Sample-major CSR packing of every sample's feature vector, built once
-    /// at construction; the fused evaluation walks this instead of the
-    /// individual [`pfp_math::SparseVec`]s.
-    csr: CsrMatrix,
 }
 
 impl<'a> DmcpObjective<'a> {
-    /// Build an objective.
+    /// Build an objective over materialized samples, packing them once into
+    /// a CSR block plus label vectors; `samples` is not borrowed beyond this
+    /// call.
     ///
     /// # Panics
     /// Panics if `samples` is empty, a label is out of range, a feature vector
     /// has the wrong dimension, or `weights` (when given) has the wrong length.
     pub fn new(
-        samples: &'a [Sample],
+        samples: &[Sample],
         weights: Option<&'a [f64]>,
         num_features: usize,
         num_cus: usize,
         num_durations: usize,
     ) -> Self {
-        assert!(
-            !samples.is_empty(),
-            "cannot build an objective over zero samples"
-        );
-        assert!(
-            num_cus >= 1 && num_durations >= 1,
-            "need at least one class per head"
-        );
-        for s in samples {
-            assert_eq!(s.features.dim(), num_features, "feature dimension mismatch");
-            assert!(s.cu_label < num_cus, "destination label out of range");
-            assert!(
-                s.duration_label < num_durations,
-                "duration label out of range"
-            );
-        }
+        let block = SampleShard::pack(0, samples, num_features, num_cus, num_durations);
+        Self::from_source(block, weights, num_features, num_cus, num_durations)
+    }
+}
+
+impl<'a, S: SampleSource> Objective<'a, S> {
+    /// Wrap a source, validating the weights against its sample count.
+    pub(crate) fn from_source(
+        source: S,
+        weights: Option<&'a [f64]>,
+        num_features: usize,
+        num_cus: usize,
+        num_durations: usize,
+    ) -> Self {
+        let n = source.total_samples();
+        assert!(n > 0, "cannot build an objective over zero samples");
         if let Some(w) = weights {
-            assert_eq!(w.len(), samples.len(), "weights length mismatch");
+            assert_eq!(w.len(), n, "weights length mismatch");
             assert!(w.iter().all(|&x| x >= 0.0), "weights must be non-negative");
         }
-        let total_weight = match weights {
-            Some(w) => w.iter().sum::<f64>().max(1e-12),
-            None => samples.len() as f64,
-        };
-        let csr = CsrMatrix::from_rows(num_features, samples.iter().map(|s| &s.features));
         Self {
-            samples,
+            source,
             weights,
+            total_weight: total_weight(weights, n),
             num_features,
             num_cus,
             num_durations,
             threads: 1,
-            total_weight,
             pool: None,
-            csr,
         }
     }
 
@@ -213,13 +256,12 @@ impl<'a> DmcpObjective<'a> {
     /// as-is (capped at the sample count — a cohort smaller than the thread
     /// count simply runs one sample per thread).  A sharded objective spawns
     /// its [`WorkerPool`] here, **once**; every subsequent evaluation of the
-    /// ADMM solve reuses the same workers.  See the module docs for the
-    /// determinism contract.
+    /// ADMM solve reuses the same workers.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = pfp_math::parallel::resolve_threads(threads);
-        // A pool wider than the shard count would leave workers permanently
-        // idle: chunk_ranges caps the shards at the sample count.
-        let workers = self.threads.min(self.samples.len());
+        // A pool wider than the chunk count would leave workers permanently
+        // idle: chunk_ranges caps the chunks at the sample count.
+        let workers = self.threads.min(self.total_samples());
         self.pool = (workers > 1).then(|| WorkerPool::new(workers));
         self
     }
@@ -229,259 +271,87 @@ impl<'a> DmcpObjective<'a> {
         self.threads
     }
 
+    /// Total number of samples.
+    pub fn total_samples(&self) -> usize {
+        self.source.total_samples()
+    }
+
     /// Number of output columns `C + D`.
     pub fn num_outputs(&self) -> usize {
         self.num_cus + self.num_durations
     }
 
     fn weight(&self, i: usize) -> f64 {
-        self.weights.map(|w| w[i]).unwrap_or(1.0)
+        self.weights.map_or(1.0, |w| w[i])
     }
 
-    /// Per-sample scores `Θ⊤ f`, split into `(destination, duration)` halves.
-    pub fn scores(&self, theta: &Matrix, sample: &Sample) -> (Vec<f64>, Vec<f64>) {
-        let mut all = vec![0.0; self.num_outputs()];
-        sample.features.accumulate_scores(theta, &mut all);
-        let dur = all.split_off(self.num_cus);
-        (all, dur)
-    }
-
-    /// Weighted loss accumulated over one contiguous sample range (not yet
-    /// divided by the total weight).  Both the serial and the sharded paths
-    /// run exactly this, so `threads == 1` reproduces the serial result
-    /// bitwise.
-    fn value_range(&self, theta: &Matrix, range: Range<usize>) -> f64 {
+    /// Fold the fused kernel over the segments of one global chunk, carrying
+    /// the loss accumulator so the chunk is bitwise-equal to an un-segmented
+    /// pass over the same rows.
+    fn fold_chunk(&self, theta: &Matrix, chunk: Range<usize>, grad: &mut Matrix) -> f64 {
         let mut loss = 0.0;
-        for i in range {
-            let s = &self.samples[i];
-            let (cu_scores, dur_scores) = self.scores(theta, s);
-            let mut l = cross_entropy(&cu_scores, s.cu_label);
-            if self.num_durations > 1 {
-                l += cross_entropy(&dur_scores, s.duration_label);
-            }
-            loss += self.weight(i) * l;
-        }
+        self.source.for_each_segment(chunk, |block, local| {
+            fused_csr_block(
+                &block.csr,
+                theta,
+                local,
+                self.num_cus,
+                self.num_durations,
+                self.total_weight,
+                |i| {
+                    (
+                        block.cu_labels[i] as usize,
+                        block.duration_labels[i] as usize,
+                    )
+                },
+                |i| self.weight(block.start + i),
+                grad,
+                &mut loss,
+            );
+        });
         loss
     }
 
-    /// Gradient contribution of one contiguous sample range, scattered into
-    /// `grad` (which the caller zeroes).  Each sample's softmax residual is
-    /// scaled by `weight_i / total_weight` before the sparse scatter, exactly
-    /// as in the original serial loop.
-    fn gradient_range(&self, theta: &Matrix, range: Range<usize>, grad: &mut Matrix) {
-        let norm = self.total_weight;
-        let mut contrib = vec![0.0; self.num_outputs()];
-        for i in range {
-            let s = &self.samples[i];
-            let (cu_scores, dur_scores) = self.scores(theta, s);
-            let p_cu = softmax(&cu_scores);
-            let w = self.weight(i) / norm;
-            for c in 0..self.num_cus {
-                contrib[c] = w * (p_cu[c] - if c == s.cu_label { 1.0 } else { 0.0 });
-            }
-            if self.num_durations > 1 {
-                let p_dur = softmax(&dur_scores);
-                for d in 0..self.num_durations {
-                    contrib[self.num_cus + d] =
-                        w * (p_dur[d] - if d == s.duration_label { 1.0 } else { 0.0 });
-                }
-            } else {
-                contrib[self.num_cus] = 0.0;
-            }
-            s.features.scatter_gradient(&contrib, grad);
+    /// The one evaluation path: per-thread chunks on the pool, partials
+    /// tree-reduced in chunk order.
+    fn fold(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
+        let n = self.total_samples();
+        let chunks = chunk_ranges(n, self.threads);
+        if chunks.len() <= 1 {
+            grad.fill(0.0);
+            return self.fold_chunk(theta, 0..n, grad) / self.total_weight;
         }
-    }
-
-    /// Fused loss-and-gradient contribution of one contiguous sample range,
-    /// walking the per-sample [`pfp_math::SparseVec`]s.
-    ///
-    /// This is the reference implementation of the fused kernel; the hot path
-    /// is [`Self::value_and_gradient_range_batched`], which performs the same
-    /// floating-point operations in the same order over the CSR packing.
-    /// Computes the linear scores `Θ⊤ f` **once** per sample and feeds them to
-    /// both the cross-entropy terms (returned, weighted, not yet normalised)
-    /// and the softmax residuals scattered into `grad` — where the separate
-    /// [`Self::value_range`] / [`Self::gradient_range`] pair accumulates the
-    /// scores twice.  `scores` and `contrib` are caller-provided scratch
-    /// buffers of length `C + D`, reused across every sample of the range
-    /// (the separate paths allocate two fresh `Vec`s per sample).
-    ///
-    /// Operation order per element is identical to the separate paths, so the
-    /// fused results match them bitwise.
-    fn value_and_gradient_range_per_sample(
-        &self,
-        theta: &Matrix,
-        range: Range<usize>,
-        grad: &mut Matrix,
-        scores: &mut [f64],
-        contrib: &mut [f64],
-    ) -> f64 {
-        let norm = self.total_weight;
-        let mut loss = 0.0;
-        for i in range {
-            let s = &self.samples[i];
-            scores.fill(0.0);
-            s.features.accumulate_scores(theta, scores);
-            let (cu_scores, dur_scores) = scores.split_at_mut(self.num_cus);
-            let w = self.weight(i);
-            let wn = w / norm;
-            let mut l = cross_entropy(cu_scores, s.cu_label);
-            softmax_in_place(cu_scores);
-            for (c, out) in contrib[..self.num_cus].iter_mut().enumerate() {
-                *out = wn * (cu_scores[c] - if c == s.cu_label { 1.0 } else { 0.0 });
-            }
-            if self.num_durations > 1 {
-                l += cross_entropy(dur_scores, s.duration_label);
-                softmax_in_place(dur_scores);
-                for (d, out) in contrib[self.num_cus..].iter_mut().enumerate() {
-                    *out = wn * (dur_scores[d] - if d == s.duration_label { 1.0 } else { 0.0 });
-                }
-            } else {
-                contrib[self.num_cus] = 0.0;
-            }
-            loss += w * l;
-            s.features.scatter_gradient(contrib, grad);
-        }
-        loss
-    }
-
-    /// Fused loss-and-gradient contribution of one contiguous sample range,
-    /// batched over the CSR packing of the cohort — the hot kernel.
-    ///
-    /// Three linear passes instead of `2·range.len()` sparse-vector walks:
-    ///
-    /// 1. **`CSR × Θ`**: [`CsrMatrix::accumulate_scores_range`] fills a packed
-    ///    `range.len() × (C + D)` score block, register-blocked over the
-    ///    outputs.
-    /// 2. **Softmax sweep**: each sample's row of the block is turned in
-    ///    place into its weighted softmax residual, accumulating the
-    ///    cross-entropy loss along the way.
-    /// 3. **`CSRᵀ` scatter**: [`CsrMatrix::scatter_gradient_range`] scatters
-    ///    the whole residual block into `grad`.
-    ///
-    /// Per-element operation order matches
-    /// [`Self::value_and_gradient_range_per_sample`] exactly (each row's
-    /// scores, softmax and scatter happen in the same order; rows are visited
-    /// in the same order), so the batched results are bitwise identical.
-    fn value_and_gradient_range_batched(
-        &self,
-        theta: &Matrix,
-        range: Range<usize>,
-        grad: &mut Matrix,
-    ) -> f64 {
-        let mut loss = 0.0;
-        fused_csr_block(
-            &self.csr,
-            theta,
-            range,
-            self.num_cus,
-            self.num_durations,
-            self.total_weight,
-            |i| {
-                let s = &self.samples[i];
-                (s.cu_label, s.duration_label)
-            },
-            |i| self.weight(i),
-            grad,
-            &mut loss,
-        );
-        loss
-    }
-
-    /// The fused evaluation over the per-sample sparse vectors, bypassing the
-    /// batched CSR kernel — serial only.
-    ///
-    /// This is the reference the batched hot path is verified against
-    /// (bitwise in the property suite) and the "before" side of the batched
-    /// kernel timings in `repro_fused_speedup`; solvers never call it.
-    pub fn value_and_gradient_unbatched(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        grad.fill(0.0);
-        let mut scores = vec![0.0; self.num_outputs()];
-        let mut contrib = vec![0.0; self.num_outputs()];
-        let loss = self.value_and_gradient_range_per_sample(
-            theta,
-            0..self.samples.len(),
-            grad,
-            &mut scores,
-            &mut contrib,
-        );
-        loss / self.total_weight
-    }
-
-    /// The per-thread sample ranges for the current thread count.
-    fn shards(&self) -> Vec<Range<usize>> {
-        chunk_ranges(self.samples.len(), self.threads)
-    }
-
-    /// Run one closure per shard — on the persistent pool when this objective
-    /// is sharded, inline otherwise — returning results in shard order.
-    fn run_sharded<T, F>(&self, shards: Vec<Range<usize>>, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-    {
-        match &self.pool {
+        let (rows, cols) = grad.shape();
+        let task = |chunk: Range<usize>| {
+            let mut partial = Matrix::zeros(rows, cols);
+            let loss = self.fold_chunk(theta, chunk, &mut partial);
+            (loss, partial)
+        };
+        let partials: Vec<(f64, Matrix)> = match &self.pool {
             Some(pool) => {
                 let task = &task;
-                pool.run(shards.into_iter().map(|r| move || task(r)).collect())
+                pool.run(chunks.into_iter().map(|c| move || task(c)).collect())
             }
-            None => shards.into_iter().map(task).collect(),
-        }
+            None => chunks.into_iter().map(task).collect(),
+        };
+        let (losses, grads): (Vec<f64>, Vec<Matrix>) = partials.into_iter().unzip();
+        *grad = tree_reduce_matrices(grads).expect("at least one gradient chunk");
+        tree_reduce_sums(losses) / self.total_weight
     }
 }
 
-impl SmoothObjective for DmcpObjective<'_> {
+impl<S: SampleSource> SmoothObjective for Objective<'_, S> {
     fn value(&self, theta: &Matrix) -> f64 {
-        let shards = self.shards();
-        let loss = if shards.len() <= 1 {
-            self.value_range(theta, 0..self.samples.len())
-        } else {
-            tree_reduce_sums(self.run_sharded(shards, |range| self.value_range(theta, range)))
-        };
-        loss / self.total_weight
+        let mut scratch = Matrix::zeros(self.num_features, self.num_outputs());
+        self.fold(theta, &mut scratch)
     }
 
     fn gradient(&self, theta: &Matrix, grad: &mut Matrix) {
-        let shards = self.shards();
-        if shards.len() <= 1 {
-            grad.fill(0.0);
-            self.gradient_range(theta, 0..self.samples.len(), grad);
-            return;
-        }
-        // Sharded path: thread-local dense partials collected in shard order
-        // from the persistent pool, then a fixed-order tree reduction — see
-        // the module docs for why this is bitwise-deterministic at a fixed
-        // thread count.  The workers were spawned once in `with_threads`, so
-        // the per-evaluation cost is a channel dispatch, not a thread spawn.
-        let (rows, cols) = grad.shape();
-        let partials = self.run_sharded(shards, |range| {
-            let mut partial = Matrix::zeros(rows, cols);
-            self.gradient_range(theta, range, &mut partial);
-            partial
-        });
-        *grad = tree_reduce_matrices(partials).expect("at least one gradient shard");
+        self.fold(theta, grad);
     }
 
     fn value_and_gradient(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        let shards = self.shards();
-        if shards.len() <= 1 {
-            grad.fill(0.0);
-            let loss = self.value_and_gradient_range_batched(theta, 0..self.samples.len(), grad);
-            return loss / self.total_weight;
-        }
-        // Each pool worker runs the batched CSR kernel over its shard's row
-        // range; the scalar and matrix partials are then tree-reduced in the
-        // same fixed shard order the separate paths use, preserving the
-        // determinism contract.
-        let (rows, cols) = grad.shape();
-        let partials = self.run_sharded(shards, |range| {
-            let mut partial = Matrix::zeros(rows, cols);
-            let loss = self.value_and_gradient_range_batched(theta, range, &mut partial);
-            (loss, partial)
-        });
-        let (losses, grads): (Vec<f64>, Vec<Matrix>) = partials.into_iter().unzip();
-        *grad = tree_reduce_matrices(grads).expect("at least one gradient shard");
-        tree_reduce_sums(losses) / self.total_weight
+        self.fold(theta, grad)
     }
 
     fn shape(&self) -> (usize, usize) {
@@ -495,17 +365,72 @@ impl SmoothObjective for DmcpObjective<'_> {
         // step preconditioner is what keeps one learning-rate schedule usable
         // across feature maps whose blocks differ in scale by the day-valued
         // g(t) factor: binary service features keep the full step while the
-        // day-scaled profile rows get proportionally smaller ones.
+        // day-scaled profile rows get proportionally smaller ones.  Samples
+        // are visited in global order, each row's nonzeros in storage order,
+        // so every source yields the same bits.
         let mut sums = vec![0.0; self.num_features];
-        for (i, s) in self.samples.iter().enumerate() {
-            let w = self.weight(i);
-            for (idx, v) in s.features.iter() {
-                sums[idx as usize] += w * v * v;
-            }
-        }
-        let norm = self.total_weight;
-        Some(sums.into_iter().map(|s| 0.5 * s / norm).collect())
+        self.source
+            .for_each_segment(0..self.total_samples(), |block, local| {
+                for i in local {
+                    let w = self.weight(block.start + i);
+                    let (indices, values) = block.csr.row(i);
+                    for (&idx, &v) in indices.iter().zip(values) {
+                        sums[idx as usize] += w * v * v;
+                    }
+                }
+            });
+        Some(
+            sums.into_iter()
+                .map(|s| 0.5 * s / self.total_weight)
+                .collect(),
+        )
     }
+}
+
+/// The loss (returned) and gradient (written into `grad`) of Eq. 6 by a plain
+/// per-sample walk over the sparse feature vectors — no CSR packing, no
+/// chunking, no pool.
+///
+/// This is the reference oracle [`Objective`] is tested against: it performs
+/// the same floating-point operations in the same order as a serial fold, so
+/// the two agree bitwise (`tests/parallel_equivalence.rs`,
+/// `tests/shard_equivalence.rs`).  Solvers never call it.
+pub fn per_sample_value_and_gradient(
+    samples: &[Sample],
+    weights: Option<&[f64]>,
+    num_cus: usize,
+    num_durations: usize,
+    theta: &Matrix,
+    grad: &mut Matrix,
+) -> f64 {
+    let norm = total_weight(weights, samples.len());
+    grad.fill(0.0);
+    let mut scores = vec![0.0; num_cus + num_durations];
+    let mut loss = 0.0;
+    for (i, s) in samples.iter().enumerate() {
+        scores.fill(0.0);
+        s.features.accumulate_scores(theta, &mut scores);
+        let (cu_scores, dur_scores) = scores.split_at_mut(num_cus);
+        let w = weights.map_or(1.0, |w| w[i]);
+        let wn = w / norm;
+        let mut l = cross_entropy(cu_scores, s.cu_label);
+        softmax_in_place(cu_scores);
+        for (c, out) in cu_scores.iter_mut().enumerate() {
+            *out = wn * (*out - if c == s.cu_label { 1.0 } else { 0.0 });
+        }
+        if num_durations > 1 {
+            l += cross_entropy(dur_scores, s.duration_label);
+            softmax_in_place(dur_scores);
+            for (d, out) in dur_scores.iter_mut().enumerate() {
+                *out = wn * (*out - if d == s.duration_label { 1.0 } else { 0.0 });
+            }
+        } else {
+            dur_scores[0] = 0.0;
+        }
+        loss += w * l;
+        s.features.scatter_gradient(&scores, grad);
+    }
+    loss / norm
 }
 
 #[cfg(test)]
@@ -542,6 +467,16 @@ mod tests {
                 duration_label: 1,
             },
         ]
+    }
+
+    fn single_duration_samples() -> Vec<Sample> {
+        toy_samples()
+            .into_iter()
+            .map(|mut s| {
+                s.duration_label = 0;
+                s
+            })
+            .collect()
     }
 
     #[test]
@@ -607,13 +542,7 @@ mod tests {
 
     #[test]
     fn single_class_duration_head_contributes_nothing() {
-        let samples: Vec<Sample> = toy_samples()
-            .into_iter()
-            .map(|mut s| {
-                s.duration_label = 0;
-                s
-            })
-            .collect();
+        let samples = single_duration_samples();
         let obj = DmcpObjective::new(&samples, None, 3, 2, 1);
         let theta = Matrix::zeros(3, 3);
         assert!((obj.value(&theta) - (2.0_f64).ln()).abs() < 1e-12);
@@ -651,24 +580,42 @@ mod tests {
         }
     }
 
+    /// `value`, `gradient` and `value_and_gradient` against the per-sample
+    /// oracle, bitwise.
+    fn assert_matches_oracle_bitwise(
+        samples: &[Sample],
+        weights: Option<&[f64]>,
+        num_durations: usize,
+        theta: &Matrix,
+    ) {
+        let (rows, cols) = theta.shape();
+        let obj = DmcpObjective::new(samples, weights, rows, 2, num_durations);
+        let mut grad_oracle = Matrix::zeros(rows, cols);
+        let value_oracle = per_sample_value_and_gradient(
+            samples,
+            weights,
+            2,
+            num_durations,
+            theta,
+            &mut grad_oracle,
+        );
+        let mut grad_fused = Matrix::zeros(rows, cols);
+        let value_fused = obj.value_and_gradient(theta, &mut grad_fused);
+        assert_eq!(grad_fused, grad_oracle, "fused gradient must match bitwise");
+        assert_eq!(value_fused.to_bits(), value_oracle.to_bits());
+        let mut grad_only = Matrix::zeros(rows, cols);
+        obj.gradient(theta, &mut grad_only);
+        assert_eq!(grad_only, grad_oracle, "gradient must match bitwise");
+        assert_eq!(obj.value(theta).to_bits(), value_oracle.to_bits());
+    }
+
     #[test]
     fn fused_evaluation_matches_separate_calls_bitwise_in_serial() {
         let samples = toy_samples();
         let weights = [1.0, 0.5, 2.0, 0.25];
+        let theta = Matrix::from_fn(3, 4, |r, c| 0.4 * (r as f64) - 0.3 * (c as f64));
         for weights in [None, Some(&weights[..])] {
-            let obj = DmcpObjective::new(&samples, weights, 3, 2, 2);
-            let theta = Matrix::from_fn(3, 4, |r, c| 0.4 * (r as f64) - 0.3 * (c as f64));
-            let mut grad_sep = Matrix::zeros(3, 4);
-            obj.gradient(&theta, &mut grad_sep);
-            let value_sep = obj.value(&theta);
-            let mut grad_fused = Matrix::zeros(3, 4);
-            let value_fused = obj.value_and_gradient(&theta, &mut grad_fused);
-            assert_eq!(grad_fused, grad_sep, "fused gradient must match bitwise");
-            assert_eq!(
-                value_fused.to_bits(),
-                value_sep.to_bits(),
-                "fused value must match bitwise"
-            );
+            assert_matches_oracle_bitwise(&samples, weights, 2, &theta);
         }
     }
 
@@ -676,57 +623,22 @@ mod tests {
     fn batched_csr_evaluation_matches_unbatched_per_sample_bitwise() {
         let samples = toy_samples();
         let weights = [1.0, 0.5, 2.0, 0.25];
+        let theta = Matrix::from_fn(3, 4, |r, c| 0.6 * (r as f64) - 0.1 * (c as f64));
         for weights in [None, Some(&weights[..])] {
-            let obj = DmcpObjective::new(&samples, weights, 3, 2, 2);
-            let theta = Matrix::from_fn(3, 4, |r, c| 0.6 * (r as f64) - 0.1 * (c as f64));
-            let mut grad_batched = Matrix::zeros(3, 4);
-            let value_batched = obj.value_and_gradient(&theta, &mut grad_batched);
-            let mut grad_unbatched = Matrix::zeros(3, 4);
-            let value_unbatched = obj.value_and_gradient_unbatched(&theta, &mut grad_unbatched);
-            assert_eq!(
-                grad_batched, grad_unbatched,
-                "batched CSR gradient must match the per-sample walk bitwise"
-            );
-            assert_eq!(value_batched.to_bits(), value_unbatched.to_bits());
+            assert_matches_oracle_bitwise(&samples, weights, 2, &theta);
         }
     }
 
     #[test]
     fn batched_csr_evaluation_handles_single_class_duration_head() {
-        let samples: Vec<Sample> = toy_samples()
-            .into_iter()
-            .map(|mut s| {
-                s.duration_label = 0;
-                s
-            })
-            .collect();
-        let obj = DmcpObjective::new(&samples, None, 3, 2, 1);
         let theta = Matrix::from_fn(3, 3, |r, c| 0.3 * (r as f64) - 0.2 * (c as f64));
-        let mut grad_batched = Matrix::zeros(3, 3);
-        let value_batched = obj.value_and_gradient(&theta, &mut grad_batched);
-        let mut grad_unbatched = Matrix::zeros(3, 3);
-        let value_unbatched = obj.value_and_gradient_unbatched(&theta, &mut grad_unbatched);
-        assert_eq!(grad_batched, grad_unbatched);
-        assert_eq!(value_batched.to_bits(), value_unbatched.to_bits());
+        assert_matches_oracle_bitwise(&single_duration_samples(), None, 1, &theta);
     }
 
     #[test]
     fn fused_evaluation_handles_single_class_duration_head() {
-        let samples: Vec<Sample> = toy_samples()
-            .into_iter()
-            .map(|mut s| {
-                s.duration_label = 0;
-                s
-            })
-            .collect();
-        let obj = DmcpObjective::new(&samples, None, 3, 2, 1);
         let theta = Matrix::from_fn(3, 3, |r, c| 0.2 * (r as f64) + 0.1 * (c as f64));
-        let mut grad_sep = Matrix::zeros(3, 3);
-        obj.gradient(&theta, &mut grad_sep);
-        let mut grad_fused = Matrix::zeros(3, 3);
-        let value_fused = obj.value_and_gradient(&theta, &mut grad_fused);
-        assert_eq!(grad_fused, grad_sep);
-        assert_eq!(value_fused.to_bits(), obj.value(&theta).to_bits());
+        assert_matches_oracle_bitwise(&single_duration_samples(), None, 1, &theta);
     }
 
     #[test]

@@ -4,59 +4,41 @@
 //! holds the whole cohort several times over: `Vec<PatientRecord>`, the raw
 //! samples (each with its own cloned history), the featurized samples, *and*
 //! the CSR packing.  At paper scale and beyond that is the memory ceiling.
-//! This module replaces the monolithic packing with **shard blocks** fed by
-//! the seeded, resumable [`CohortShards`] generator:
+//! This module supplies the two bounded-memory [`SampleSource`]s of the one
+//! DMCP [`Objective`], fed by the seeded, resumable [`CohortShards`]
+//! generator:
 //!
 //! * [`ShardedSamples`] / [`ShardedDmcpObjective`] — the cohort's featurized
 //!   samples packed into per-shard [`CsrMatrix`] blocks plus label vectors,
 //!   built by streaming patients through the featurizer (peak transient:
-//!   one patient shard).  Evaluation folds `value_and_gradient` over the
-//!   blocks; the retained state is the CSR blocks only, not the patients or
-//!   sparse-vector samples.
-//! * [`StreamingDmcpObjective`] — true out-of-core: retains **no** sample
-//!   data at all, only an 8-byte-per-patient sample-offset index.  Every
-//!   evaluation regenerates and re-featurizes the cohort one patient at a
-//!   time into a reused scratch CSR block ([`CsrMatrix::clear_rows`] +
-//!   `push_row`), so peak memory is independent of the cohort size, at the
-//!   cost of regenerating the cohort per evaluation.
+//!   one patient shard).  The retained state is the CSR blocks only, not the
+//!   patients or sparse-vector samples.
+//! * [`CohortStream`] / [`StreamingDmcpObjective`] — true out-of-core:
+//!   retains **no** sample data at all, only an 8-byte-per-patient
+//!   sample-offset index.  Every evaluation regenerates and re-featurizes the
+//!   cohort one patient at a time into a reused scratch CSR block
+//!   ([`CsrMatrix::clear_rows`] + `push_row`), so peak memory is independent
+//!   of the cohort size, at the cost of regenerating the cohort per
+//!   evaluation.
 //!
-//! # Determinism contract (the shard fold)
-//!
-//! Both objectives reproduce the materialized [`DmcpObjective`](crate::loss::DmcpObjective) **bitwise at
-//! a fixed thread count** and to ≤1e-12 across thread counts, for *any* shard
-//! size (property-tested in `tests/shard_equivalence.rs`).  Why bitwise
-//! holds:
-//!
-//! 1. Per-thread chunks come from the same `chunk_ranges(total_samples,
-//!    threads)` the materialized objective uses — chunk boundaries never
-//!    depend on the shard size.
-//! 2. Within a chunk, the overlapping shard blocks are walked in sample
-//!    order through `fused_csr_block`, which carries the loss accumulator
-//!    across segments: the per-row scores, softmax residuals, loss additions
-//!    and gradient scatters are the same floating-point operations in the
-//!    same order as one un-segmented pass (per-row score equality across CSR
-//!    sub-ranges is property-tested in `pfp-math`).
-//! 3. Partials are combined with the same fixed-order tree reduction.
-//!
-//! Shard size therefore changes *where* the work is segmented but not a
-//! single floating-point operation; only the thread count changes summation
-//! order.
+//! Both reproduce the materialized objective **bitwise at a fixed thread
+//! count** and to ≤1e-12 across thread counts, for *any* shard size: shard
+//! size changes where a chunk is segmented, never a floating-point operation.
+//! The argument is the determinism contract on [`Objective`]; the proof by
+//! test is `tests/shard_equivalence.rs`.
 
 use std::ops::Range;
 
 use pfp_ehr::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
 use pfp_ehr::{CohortConfig, CohortShards, PatientRecord};
-use pfp_math::parallel::{
-    chunk_ranges, intersect_ranges, tree_reduce_matrices, tree_reduce_sums, WorkerPool,
-};
-use pfp_math::{CsrMatrix, Matrix, SparseVec};
+use pfp_math::parallel::intersect_ranges;
+use pfp_math::{CsrMatrix, SparseVec};
 use pfp_optim::admm::{WarmStart, WarmStartError};
-use pfp_optim::SmoothObjective;
 
 use crate::dataset::Sample;
 use crate::features::{FeatureMapKind, HistoryFeaturizer, HistoryStay, EVAL_OFFSET_DAYS};
 use crate::imbalance::ImbalanceStrategy;
-use crate::loss::fused_csr_block;
+use crate::loss::{Objective, SampleSource};
 use crate::model::DmcpModel;
 use crate::train::{solve_for_train, TrainConfig, TrainReport};
 
@@ -101,8 +83,13 @@ pub fn for_each_patient_sample(
     }
 }
 
-/// One featurized shard: a CSR block over the shard's samples plus their
-/// labels.  Row `i` of `csr` is global sample `start + i`.
+/// One block of featurized samples: a CSR block plus their labels.  Row `i`
+/// of `csr` is global sample `start + i`.
+///
+/// This is the unit every [`SampleSource`] hands the objective: a retained
+/// shard of [`ShardedSamples`], the streamed per-patient scratch of
+/// [`CohortStream`], or — as a source on its own, starting at sample 0 —
+/// the whole materialized cohort of [`DmcpObjective`](crate::loss::DmcpObjective).
 #[derive(Debug, Clone)]
 pub struct SampleShard {
     /// Global index of this shard's first sample.
@@ -116,6 +103,39 @@ pub struct SampleShard {
 }
 
 impl SampleShard {
+    /// Pack featurized samples into one block whose first row is global
+    /// sample `start`.
+    ///
+    /// # Panics
+    /// Panics if a label is out of range or a feature vector has the wrong
+    /// dimension.
+    pub(crate) fn pack(
+        start: usize,
+        samples: &[Sample],
+        num_features: usize,
+        num_cus: usize,
+        num_durations: usize,
+    ) -> Self {
+        assert!(
+            num_cus >= 1 && num_durations >= 1,
+            "need at least one class per head"
+        );
+        for s in samples {
+            assert_eq!(s.features.dim(), num_features, "feature dimension mismatch");
+            assert!(s.cu_label < num_cus, "destination label out of range");
+            assert!(
+                s.duration_label < num_durations,
+                "duration label out of range"
+            );
+        }
+        Self {
+            start,
+            csr: CsrMatrix::from_rows(num_features, samples.iter().map(|s| &s.features)),
+            cu_labels: samples.iter().map(|s| s.cu_label as u32).collect(),
+            duration_labels: samples.iter().map(|s| s.duration_label as u32).collect(),
+        }
+    }
+
     /// Number of samples in the shard.
     pub fn len(&self) -> usize {
         self.csr.rows()
@@ -131,6 +151,28 @@ impl SampleShard {
     pub fn range(&self) -> Range<usize> {
         self.start..self.start + self.len()
     }
+
+    fn clear(&mut self) {
+        self.csr.clear_rows();
+        self.cu_labels.clear();
+        self.duration_labels.clear();
+    }
+}
+
+/// One retained block starting at sample 0: the materialized objective's
+/// source.
+impl SampleSource for SampleShard {
+    fn total_samples(&self) -> usize {
+        self.len()
+    }
+
+    fn for_each_segment(
+        &self,
+        range: Range<usize>,
+        mut visit: impl FnMut(&SampleShard, Range<usize>),
+    ) {
+        visit(self, range.start - self.start..range.end - self.start);
+    }
 }
 
 /// A cohort's featurized samples as shard blocks, plus the layout metadata a
@@ -141,7 +183,6 @@ impl SampleShard {
 #[derive(Debug, Clone)]
 pub struct ShardedSamples {
     shards: Vec<SampleShard>,
-    num_features: usize,
     num_cus: usize,
     num_durations: usize,
     total_samples: usize,
@@ -154,7 +195,9 @@ pub struct ShardedSamples {
 
 impl ShardedSamples {
     /// Pack featurized samples into shard blocks of at most `shard_size`
-    /// samples.
+    /// samples.  The features were built with a `profile_dim`-wide profile
+    /// block and a `service_dim`-wide time-varying block (`M` is their sum),
+    /// recorded so [`train_sharded`] builds a model of the right layout.
     ///
     /// # Panics
     /// Panics if `shard_size == 0`, a label is out of range, or a feature
@@ -162,45 +205,33 @@ impl ShardedSamples {
     pub fn from_samples(
         samples: &[Sample],
         shard_size: usize,
-        num_features: usize,
+        profile_dim: usize,
+        service_dim: usize,
         num_cus: usize,
         num_durations: usize,
     ) -> Self {
         assert!(shard_size > 0, "shard_size must be positive");
-        assert!(
-            num_cus >= 1 && num_durations >= 1,
-            "need at least one class per head"
-        );
-        let mut shards = Vec::with_capacity(samples.len().div_ceil(shard_size).max(1));
-        for (block_idx, block) in samples.chunks(shard_size).enumerate() {
-            let mut shard = SampleShard {
-                start: block_idx * shard_size,
-                csr: CsrMatrix::with_dim(num_features),
-                cu_labels: Vec::with_capacity(block.len()),
-                duration_labels: Vec::with_capacity(block.len()),
-            };
-            for s in block {
-                assert_eq!(s.features.dim(), num_features, "feature dimension mismatch");
-                assert!(s.cu_label < num_cus, "destination label out of range");
-                assert!(
-                    s.duration_label < num_durations,
-                    "duration label out of range"
-                );
-                shard.csr.push_row(&s.features);
-                shard.cu_labels.push(s.cu_label as u32);
-                shard.duration_labels.push(s.duration_label as u32);
-            }
-            shards.push(shard);
-        }
+        let shards = samples
+            .chunks(shard_size)
+            .enumerate()
+            .map(|(block_idx, block)| {
+                SampleShard::pack(
+                    block_idx * shard_size,
+                    block,
+                    profile_dim + service_dim,
+                    num_cus,
+                    num_durations,
+                )
+            })
+            .collect();
         Self {
             shards,
-            num_features,
             num_cus,
             num_durations,
             total_samples: samples.len(),
             kind: None,
-            profile_dim: 0,
-            service_dim: 0,
+            profile_dim,
+            service_dim,
         }
     }
 
@@ -245,7 +276,6 @@ impl ShardedSamples {
         }
         Self {
             shards,
-            num_features,
             num_cus: NUM_CARE_UNITS,
             num_durations: NUM_DURATION_CLASSES,
             total_samples,
@@ -267,7 +297,7 @@ impl ShardedSamples {
 
     /// Feature dimension `M`.
     pub fn num_features(&self) -> usize {
-        self.num_features
+        self.profile_dim + self.service_dim
     }
 
     /// Number of destination classes `C`.
@@ -312,28 +342,41 @@ impl ShardedSamples {
         }
         weights
     }
+}
 
-    /// Index of the first shard whose sample range ends after `sample` —
-    /// the entry point of a chunk fold.
-    fn first_shard_overlapping(&self, sample: usize) -> usize {
-        self.shards.partition_point(|s| s.range().end <= sample)
+/// Retained shard blocks, walked in sample order.
+impl SampleSource for ShardedSamples {
+    fn total_samples(&self) -> usize {
+        self.total_samples
+    }
+
+    fn for_each_segment(
+        &self,
+        range: Range<usize>,
+        mut visit: impl FnMut(&SampleShard, Range<usize>),
+    ) {
+        // Skip to the first shard whose sample range ends after the range
+        // starts.
+        let first = self
+            .shards
+            .partition_point(|s| s.range().end <= range.start);
+        for shard in &self.shards[first..] {
+            if shard.start >= range.end {
+                break;
+            }
+            let overlap = intersect_ranges(&range, &shard.range());
+            if !overlap.is_empty() {
+                shard.for_each_segment(overlap, &mut visit);
+            }
+        }
     }
 }
 
-/// The DMCP objective folded over [`ShardedSamples`] blocks.
-///
-/// Drop-in replacement for [`DmcpObjective`](crate::loss::DmcpObjective) on the solver side
-/// ([`solve_group_lasso`](pfp_optim::admm::solve_group_lasso) takes any
-/// [`SmoothObjective`]); reproduces it
-/// bitwise at a fixed thread count for any shard size (see the module docs
-/// for the argument, `tests/shard_equivalence.rs` for the proof-by-test).
-pub struct ShardedDmcpObjective<'a> {
-    samples: &'a ShardedSamples,
-    weights: Option<&'a [f64]>,
-    threads: usize,
-    total_weight: f64,
-    pool: Option<WorkerPool>,
-}
+/// The DMCP [`Objective`] folded over [`ShardedSamples`] blocks: a drop-in
+/// replacement for [`DmcpObjective`](crate::loss::DmcpObjective) on the solver
+/// side that reproduces it bitwise at a fixed thread count for any shard size
+/// (see [`Objective`] for the contract).
+pub type ShardedDmcpObjective<'a> = Objective<'a, &'a ShardedSamples>;
 
 impl<'a> ShardedDmcpObjective<'a> {
     /// Build an objective over shard blocks.
@@ -342,156 +385,13 @@ impl<'a> ShardedDmcpObjective<'a> {
     /// Panics if there are zero samples, or `weights` (when given) has the
     /// wrong length or a negative entry.
     pub fn new(samples: &'a ShardedSamples, weights: Option<&'a [f64]>) -> Self {
-        assert!(
-            samples.total_samples > 0,
-            "cannot build an objective over zero samples"
-        );
-        if let Some(w) = weights {
-            assert_eq!(w.len(), samples.total_samples, "weights length mismatch");
-            assert!(w.iter().all(|&x| x >= 0.0), "weights must be non-negative");
-        }
-        let total_weight = match weights {
-            Some(w) => w.iter().sum::<f64>().max(1e-12),
-            None => samples.total_samples as f64,
-        };
-        Self {
+        Objective::from_source(
             samples,
             weights,
-            threads: 1,
-            total_weight,
-            pool: None,
-        }
-    }
-
-    /// Shard loss/gradient accumulation over `threads` worker threads, with
-    /// the same semantics as [`DmcpObjective::with_threads`](crate::loss::DmcpObjective::with_threads) (same chunk
-    /// boundaries, same pool-width cap, same determinism contract).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = pfp_math::parallel::resolve_threads(threads);
-        let workers = self.threads.min(self.samples.total_samples);
-        self.pool = (workers > 1).then(|| WorkerPool::new(workers));
-        self
-    }
-
-    /// Number of output columns `C + D`.
-    pub fn num_outputs(&self) -> usize {
-        self.samples.num_cus + self.samples.num_durations
-    }
-
-    /// Fold the fused kernel over the shard blocks a global chunk crosses,
-    /// carrying the loss accumulator so the chunk is bitwise-equal to an
-    /// un-segmented evaluation of the same sample range.
-    fn fold_chunk(&self, theta: &Matrix, chunk: Range<usize>, grad: &mut Matrix) -> f64 {
-        let mut loss = 0.0;
-        let first = self.samples.first_shard_overlapping(chunk.start);
-        for shard in &self.samples.shards[first..] {
-            if shard.start >= chunk.end {
-                break;
-            }
-            let overlap = intersect_ranges(&chunk, &shard.range());
-            if overlap.is_empty() {
-                continue;
-            }
-            let local = overlap.start - shard.start..overlap.end - shard.start;
-            let base = shard.start;
-            fused_csr_block(
-                &shard.csr,
-                theta,
-                local,
-                self.samples.num_cus,
-                self.samples.num_durations,
-                self.total_weight,
-                |i| {
-                    (
-                        shard.cu_labels[i] as usize,
-                        shard.duration_labels[i] as usize,
-                    )
-                },
-                |i| self.weights.map(|w| w[base + i]).unwrap_or(1.0),
-                grad,
-                &mut loss,
-            );
-        }
-        loss
-    }
-
-    /// The per-thread global sample chunks — the same pure function of
-    /// `(total_samples, threads)` the materialized objective uses.
-    fn chunks(&self) -> Vec<Range<usize>> {
-        chunk_ranges(self.samples.total_samples, self.threads)
-    }
-
-    fn run_sharded<T, F>(&self, chunks: Vec<Range<usize>>, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-    {
-        match &self.pool {
-            Some(pool) => {
-                let task = &task;
-                pool.run(chunks.into_iter().map(|r| move || task(r)).collect())
-            }
-            None => chunks.into_iter().map(task).collect(),
-        }
-    }
-
-    /// Fused fold shared by all three trait entry points: the fused kernel's
-    /// loss is bitwise-identical to the separate value pass and its gradient
-    /// to the separate gradient pass (established for [`DmcpObjective`](crate::loss::DmcpObjective) by
-    /// the `parallel_equivalence` suite), so one fold serves `value`,
-    /// `gradient` and `value_and_gradient` alike.
-    fn fold(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        let chunks = self.chunks();
-        if chunks.len() <= 1 {
-            grad.fill(0.0);
-            let loss = self.fold_chunk(theta, 0..self.samples.total_samples, grad);
-            return loss / self.total_weight;
-        }
-        let (rows, cols) = grad.shape();
-        let partials = self.run_sharded(chunks, |chunk| {
-            let mut partial = Matrix::zeros(rows, cols);
-            let loss = self.fold_chunk(theta, chunk, &mut partial);
-            (loss, partial)
-        });
-        let (losses, grads): (Vec<f64>, Vec<Matrix>) = partials.into_iter().unzip();
-        *grad = tree_reduce_matrices(grads).expect("at least one gradient chunk");
-        tree_reduce_sums(losses) / self.total_weight
-    }
-}
-
-impl SmoothObjective for ShardedDmcpObjective<'_> {
-    fn value(&self, theta: &Matrix) -> f64 {
-        let mut scratch = Matrix::zeros(self.samples.num_features, self.num_outputs());
-        self.fold(theta, &mut scratch)
-    }
-
-    fn gradient(&self, theta: &Matrix, grad: &mut Matrix) {
-        self.fold(theta, grad);
-    }
-
-    fn value_and_gradient(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        self.fold(theta, grad)
-    }
-
-    fn shape(&self) -> (usize, usize) {
-        (self.samples.num_features, self.num_outputs())
-    }
-
-    fn row_curvature_bounds(&self) -> Option<Vec<f64>> {
-        // Same accumulation order as the materialized objective: samples in
-        // global order, each row's nonzeros in storage order.
-        let mut sums = vec![0.0; self.samples.num_features];
-        for shard in &self.samples.shards {
-            for local in 0..shard.len() {
-                let w = self.weights.map(|w| w[shard.start + local]).unwrap_or(1.0);
-                let (indices, values) = shard.csr.row(local);
-                for (&idx, &v) in indices.iter().zip(values) {
-                    sums[idx as usize] += w * v * v;
-                }
-            }
-        }
-        let norm = self.total_weight;
-        Some(sums.into_iter().map(|s| 0.5 * s / norm).collect())
+            samples.num_features(),
+            samples.num_cus,
+            samples.num_durations,
+        )
     }
 }
 
@@ -516,48 +416,90 @@ fn default_mcp_kind_streaming(config: &CohortConfig, shard_size: usize) -> Featu
     }
 }
 
-/// The out-of-core DMCP objective: regenerates and re-featurizes the cohort
-/// from its seed on **every** evaluation, patient by patient, retaining only an
-/// 8-byte-per-patient sample-offset index between evaluations.
+/// The regenerated sample source: the cohort of a [`CohortConfig`],
+/// regenerated from its seed and re-featurized on every walk, patient by
+/// patient, retaining only an 8-byte-per-patient sample-offset index.
 ///
-/// Peak memory is independent of the cohort size: an evaluation holds one
-/// patient and one patient's scratch CSR rows per worker thread, reused via
-/// [`CsrMatrix::clear_rows`]; `shard_size` bounds only the construction
-/// pre-passes (σ, the sample-offset index, the curvature bounds), which hold
-/// one patient shard at a time.  The price is
-/// one cohort generation + featurization per evaluation; this is the
-/// memory-bound end of the trade-off, [`ShardedDmcpObjective`] (retained CSR
-/// blocks) the speed-bound end.  Results are bitwise-identical to both (same
-/// chunks, same segmented fused kernel, same reductions; segment boundaries —
-/// here at patient granularity — do not change the operation order).
-///
-/// Per-sample weights are not supported (they would require a per-evaluation
-/// streaming re-count); train with [`ImbalanceStrategy::None`].
-pub struct StreamingDmcpObjective {
+/// A walk holds one patient and that patient's rows in a reused scratch CSR
+/// block ([`CsrMatrix::clear_rows`]), flushing them through the visitor
+/// before the next patient is generated.
+pub struct CohortStream {
     config: CohortConfig,
     featurizer: HistoryFeaturizer,
     kind: FeatureMapKind,
-    shard_size: usize,
     /// `sample_offsets[p]` = number of samples contributed by patients
     /// `0..p`; length `num_patients + 1`.  The only retained per-patient
     /// state.
     sample_offsets: Vec<usize>,
-    num_features: usize,
-    num_cus: usize,
-    num_durations: usize,
-    threads: usize,
-    total_weight: f64,
-    pool: Option<WorkerPool>,
     profile_dim: usize,
     service_dim: usize,
 }
+
+impl SampleSource for CohortStream {
+    fn total_samples(&self) -> usize {
+        *self.sample_offsets.last().expect("non-empty offsets")
+    }
+
+    fn for_each_segment(
+        &self,
+        range: Range<usize>,
+        mut visit: impl FnMut(&SampleShard, Range<usize>),
+    ) {
+        let mut block = SampleShard {
+            start: range.start,
+            csr: CsrMatrix::with_dim(self.profile_dim + self.service_dim),
+            cu_labels: Vec::new(),
+            duration_labels: Vec::new(),
+        };
+        // First patient whose sample range ends after the range starts.
+        let first = self.sample_offsets[1..].partition_point(|&end| end <= range.start);
+        for p in first..self.config.num_patients {
+            let p_range = self.sample_offsets[p]..self.sample_offsets[p + 1];
+            if p_range.start >= range.end {
+                break;
+            }
+            let overlap = intersect_ranges(&range, &p_range);
+            if overlap.is_empty() {
+                continue;
+            }
+            let (record, _) = pfp_ehr::generate_patient_record(&self.config, p);
+            let mut s_idx = p_range.start;
+            for_each_patient_sample(&record, &self.featurizer, |features, cu, dur| {
+                if overlap.contains(&s_idx) {
+                    block.csr.push_row(&features);
+                    block.cu_labels.push(cu as u32);
+                    block.duration_labels.push(dur as u32);
+                }
+                s_idx += 1;
+            });
+            block.start = overlap.start;
+            visit(&block, 0..block.len());
+            block.clear();
+        }
+    }
+}
+
+/// The out-of-core DMCP [`Objective`]: regenerates and re-featurizes the
+/// cohort from its seed on **every** evaluation ([`CohortStream`]).
+///
+/// Peak memory is independent of the cohort size: an evaluation holds one
+/// patient and one patient's scratch CSR rows per worker thread.  The price is
+/// one cohort generation + featurization per evaluation; this is the
+/// memory-bound end of the trade-off, [`ShardedDmcpObjective`] (retained CSR
+/// blocks) the speed-bound end.  Results are bitwise-identical to both (see
+/// [`Objective`] for the contract; segment boundaries — here at patient
+/// granularity — do not change the operation order).
+///
+/// Per-sample weights are not supported (they would require a per-evaluation
+/// streaming re-count); train with [`ImbalanceStrategy::None`].
+pub type StreamingDmcpObjective = Objective<'static, CohortStream>;
 
 impl StreamingDmcpObjective {
     /// Build the objective for the cohort of `config`, streaming two
     /// pre-passes (σ, then the sample-offset index) with at most
     /// `shard_size` patients in memory at a time.  `shard_size` bounds only
-    /// these pre-passes and the curvature-bound pass; evaluations hold one
-    /// patient at a time.
+    /// these pre-passes; evaluations and the curvature pass hold one patient
+    /// at a time.
     ///
     /// `kind` overrides the feature map; `None` selects the paper default.
     ///
@@ -569,7 +511,6 @@ impl StreamingDmcpObjective {
         let kind = kind.unwrap_or_else(|| default_mcp_kind_streaming(config, shard_size));
         let profile_dim = config.features.profile;
         let service_dim = config.features.time_varying_dim();
-        let featurizer = HistoryFeaturizer::new(kind, profile_dim, service_dim);
         let mut sample_offsets = Vec::with_capacity(config.num_patients + 1);
         sample_offsets.push(0);
         let mut total = 0usize;
@@ -579,167 +520,26 @@ impl StreamingDmcpObjective {
                 sample_offsets.push(total);
             }
         }
-        assert!(
-            total > 0,
-            "cannot build an objective over zero samples (cohort has no transitions)"
-        );
-        Self {
+        let source = CohortStream {
             config: config.clone(),
-            featurizer,
+            featurizer: HistoryFeaturizer::new(kind, profile_dim, service_dim),
             kind,
-            shard_size,
             sample_offsets,
-            num_features: profile_dim + service_dim,
-            num_cus: NUM_CARE_UNITS,
-            num_durations: NUM_DURATION_CLASSES,
-            threads: 1,
-            total_weight: total as f64,
-            pool: None,
             profile_dim,
             service_dim,
-        }
-    }
-
-    /// Shard accumulation over `threads` workers (same contract as
-    /// [`DmcpObjective::with_threads`](crate::loss::DmcpObjective::with_threads)).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = pfp_math::parallel::resolve_threads(threads);
-        let workers = self.threads.min(self.total_samples());
-        self.pool = (workers > 1).then(|| WorkerPool::new(workers));
-        self
-    }
-
-    /// Total number of transition samples in the cohort.
-    pub fn total_samples(&self) -> usize {
-        *self.sample_offsets.last().expect("non-empty offsets")
+        };
+        Objective::from_source(
+            source,
+            None,
+            profile_dim + service_dim,
+            NUM_CARE_UNITS,
+            NUM_DURATION_CLASSES,
+        )
     }
 
     /// The feature map in use (needed to build the matching [`DmcpModel`]).
     pub fn kind(&self) -> FeatureMapKind {
-        self.kind
-    }
-
-    /// Number of output columns `C + D`.
-    pub fn num_outputs(&self) -> usize {
-        self.num_cus + self.num_durations
-    }
-
-    /// Regenerate, featurize and fold one global sample chunk, one patient at
-    /// a time: each patient's rows are packed into a reused scratch CSR block
-    /// and flushed through the fused kernel before the next patient is
-    /// generated, so the scratch (and the kernel's score block) never holds
-    /// more than one patient's samples.
-    fn fold_chunk(&self, theta: &Matrix, chunk: Range<usize>, grad: &mut Matrix) -> f64 {
-        let mut loss = 0.0;
-        let mut csr = CsrMatrix::with_dim(self.num_features);
-        let mut cu_labels: Vec<u32> = Vec::new();
-        let mut duration_labels: Vec<u32> = Vec::new();
-        // First patient whose sample range ends after the chunk starts.
-        let first = self.sample_offsets[1..].partition_point(|&end| end <= chunk.start);
-        for p in first..self.config.num_patients {
-            let p_range = self.sample_offsets[p]..self.sample_offsets[p + 1];
-            if p_range.start >= chunk.end {
-                break;
-            }
-            let overlap = intersect_ranges(&chunk, &p_range);
-            if overlap.is_empty() {
-                continue;
-            }
-            let (record, _) = pfp_ehr::generate_patient_record(&self.config, p);
-            let mut s_idx = p_range.start;
-            for_each_patient_sample(&record, &self.featurizer, |features, cu, dur| {
-                if overlap.contains(&s_idx) {
-                    csr.push_row(&features);
-                    cu_labels.push(cu as u32);
-                    duration_labels.push(dur as u32);
-                }
-                s_idx += 1;
-            });
-            fused_csr_block(
-                &csr,
-                theta,
-                0..csr.rows(),
-                self.num_cus,
-                self.num_durations,
-                self.total_weight,
-                |i| (cu_labels[i] as usize, duration_labels[i] as usize),
-                |_| 1.0,
-                grad,
-                &mut loss,
-            );
-            csr.clear_rows();
-            cu_labels.clear();
-            duration_labels.clear();
-        }
-        loss
-    }
-
-    fn fold(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        let chunks = chunk_ranges(self.total_samples(), self.threads);
-        if chunks.len() <= 1 {
-            grad.fill(0.0);
-            let loss = self.fold_chunk(theta, 0..self.total_samples(), grad);
-            return loss / self.total_weight;
-        }
-        let (rows, cols) = grad.shape();
-        let partials = match &self.pool {
-            Some(pool) => {
-                let task = |chunk: Range<usize>| {
-                    let mut partial = Matrix::zeros(rows, cols);
-                    let loss = self.fold_chunk(theta, chunk, &mut partial);
-                    (loss, partial)
-                };
-                let task = &task;
-                pool.run(chunks.into_iter().map(|r| move || task(r)).collect())
-            }
-            None => chunks
-                .into_iter()
-                .map(|chunk| {
-                    let mut partial = Matrix::zeros(rows, cols);
-                    let loss = self.fold_chunk(theta, chunk, &mut partial);
-                    (loss, partial)
-                })
-                .collect(),
-        };
-        let (losses, grads): (Vec<f64>, Vec<Matrix>) = partials.into_iter().unzip();
-        *grad = tree_reduce_matrices(grads).expect("at least one gradient chunk");
-        tree_reduce_sums(losses) / self.total_weight
-    }
-}
-
-impl SmoothObjective for StreamingDmcpObjective {
-    fn value(&self, theta: &Matrix) -> f64 {
-        let mut scratch = Matrix::zeros(self.num_features, self.num_outputs());
-        self.fold(theta, &mut scratch)
-    }
-
-    fn gradient(&self, theta: &Matrix, grad: &mut Matrix) {
-        self.fold(theta, grad);
-    }
-
-    fn value_and_gradient(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        self.fold(theta, grad)
-    }
-
-    fn shape(&self) -> (usize, usize) {
-        (self.num_features, self.num_outputs())
-    }
-
-    fn row_curvature_bounds(&self) -> Option<Vec<f64>> {
-        // One more streaming pass, same accumulation order as the
-        // materialized objective.
-        let mut sums = vec![0.0; self.num_features];
-        for shard in CohortShards::new(&self.config, self.shard_size) {
-            for p in &shard.patients {
-                for_each_patient_sample(p, &self.featurizer, |features, _, _| {
-                    for (idx, v) in features.iter() {
-                        sums[idx as usize] += v * v;
-                    }
-                });
-            }
-        }
-        let norm = self.total_weight;
-        Some(sums.into_iter().map(|s| 0.5 * s / norm).collect())
+        self.source.kind
     }
 }
 
@@ -834,17 +634,17 @@ pub fn train_streamed_warm(
     );
     let objective = StreamingDmcpObjective::new(cohort_config, config.feature_map, shard_size)
         .with_threads(config.threads);
-    let kind = objective.kind();
     let result = solve_for_train(&objective, config, warm)?;
+    let source = &objective.source;
     Ok(TrainReport::from_solve(result, |theta, selection| {
         DmcpModel {
             theta,
             selection,
-            kind,
-            profile_dim: objective.profile_dim,
-            service_dim: objective.service_dim,
-            num_cus: objective.num_cus,
-            num_durations: objective.num_durations,
+            kind: source.kind,
+            profile_dim: source.profile_dim,
+            service_dim: source.service_dim,
+            num_cus: NUM_CARE_UNITS,
+            num_durations: NUM_DURATION_CLASSES,
         }
     }))
 }
@@ -855,6 +655,8 @@ mod tests {
     use crate::dataset::Dataset;
     use crate::loss::DmcpObjective;
     use pfp_ehr::generate_cohort;
+    use pfp_math::Matrix;
+    use pfp_optim::SmoothObjective;
 
     fn fixture() -> (Dataset, Vec<Sample>) {
         let cohort = generate_cohort(&CohortConfig::tiny(17));
@@ -920,8 +722,14 @@ mod tests {
         let mut grad_ref = Matrix::zeros(m, ds.num_cus + ds.num_durations);
         let value_ref = reference.value_and_gradient(&theta, &mut grad_ref);
         for shard_size in [1usize, 7, samples.len(), samples.len() + 1] {
-            let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, m, ds.num_cus, ds.num_durations);
+            let sharded = ShardedSamples::from_samples(
+                &samples,
+                shard_size,
+                ds.profile_dim,
+                ds.service_dim,
+                ds.num_cus,
+                ds.num_durations,
+            );
             let obj = ShardedDmcpObjective::new(&sharded, None);
             let mut grad = Matrix::zeros(m, ds.num_cus + ds.num_durations);
             let value = obj.value_and_gradient(&theta, &mut grad);
@@ -968,8 +776,14 @@ mod tests {
     #[test]
     fn sharded_weights_match_imbalance_module() {
         let (ds, samples) = fixture();
-        let m = ds.total_feature_dim();
-        let sharded = ShardedSamples::from_samples(&samples, 7, m, ds.num_cus, ds.num_durations);
+        let sharded = ShardedSamples::from_samples(
+            &samples,
+            7,
+            ds.profile_dim,
+            ds.service_dim,
+            ds.num_cus,
+            ds.num_durations,
+        );
         let expected = crate::imbalance::sample_weights(&samples, ds.num_cus, ds.num_durations);
         let got = sharded.sample_weights();
         assert_eq!(got.len(), expected.len());
@@ -988,8 +802,14 @@ mod tests {
         // shard of single-stay patients).
         let (ds, samples) = fixture();
         let m = ds.total_feature_dim();
-        let mut sharded =
-            ShardedSamples::from_samples(&samples, samples.len(), m, ds.num_cus, ds.num_durations);
+        let mut sharded = ShardedSamples::from_samples(
+            &samples,
+            samples.len(),
+            ds.profile_dim,
+            ds.service_dim,
+            ds.num_cus,
+            ds.num_durations,
+        );
         // Split shard 0 into [0..k), an empty shard, [k..n).
         let only = sharded.shards.remove(0);
         let k = samples.len() / 2;
@@ -1032,9 +852,32 @@ mod tests {
     }
 
     #[test]
+    fn models_trained_on_from_samples_shards_predict() {
+        // `from_samples` must record the profile/service split, or the
+        // trained model reports zero features and the first predict panics.
+        let (ds, samples) = fixture();
+        let sharded = ShardedSamples::from_samples(
+            &samples,
+            7,
+            ds.profile_dim,
+            ds.service_dim,
+            ds.num_cus,
+            ds.num_durations,
+        );
+        let config = TrainConfig::fast().with_feature_map(ds.default_mcp_kind());
+        let model = train_sharded(&sharded, &config);
+        assert_eq!(model.num_features(), ds.total_feature_dim());
+        assert_eq!(model.theta.rows(), model.num_features());
+        for s in &samples {
+            let (cu, dur) = model.predict(&s.features);
+            assert!(cu < ds.num_cus && dur < ds.num_durations);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "zero samples")]
     fn sharded_objective_rejects_zero_samples() {
-        let sharded = ShardedSamples::from_samples(&[], 4, 3, 2, 2);
+        let sharded = ShardedSamples::from_samples(&[], 4, 3, 0, 2, 2);
         let _ = ShardedDmcpObjective::new(&sharded, None);
     }
 

@@ -6,10 +6,10 @@
 //!
 //! Four things, in order:
 //!
-//! 1. **Equivalence** — asserts that the fused
-//!    `SmoothObjective::value_and_gradient` (batched over the cohort CSR)
-//!    matches the separate `value` + `gradient` calls *and* the per-sample
-//!    unbatched fused walk bitwise in serial, and to ≤ 1e-12 pooled.
+//! 1. **Equivalence** — asserts that the objective's `value`, `gradient` and
+//!    fused `value_and_gradient` (one batched fold over the cohort CSR) match
+//!    the per-sample oracle `per_sample_value_and_gradient` bitwise in
+//!    serial, and to ≤ 1e-12 pooled.
 //! 2. **Convergence (before/after)** — runs the legacy fixed-budget solver
 //!    and the adaptive time-to-tolerance solver (adaptive ρ, over-relaxation
 //!    and the accelerated line-search Θ-update) on the same cohort, printing
@@ -19,8 +19,8 @@
 //!    fixed-budget final objective (within 1e-6) with strictly fewer passes —
 //!    the CI regression gate — and with ≥ 2× fewer passes-to-tolerance on
 //!    non-`--fast` runs.
-//! 3. **Timings** — fused vs separate vs unbatched evaluation wall time,
-//!    serial and pooled.
+//! 3. **Timings** — the batched fold, serial and pooled, against the
+//!    per-sample oracle.
 //! 4. **Machine-readable record** — everything above plus the requested
 //!    thread count and the host's `available_parallelism` goes to
 //!    `BENCH_admm.json`, so pooled-slower-than-serial numbers from a 1-core
@@ -29,7 +29,7 @@
 use std::time::Instant;
 
 use pfp_bench::{render_table, Args, CountingObjective};
-use pfp_core::loss::DmcpObjective;
+use pfp_core::loss::{per_sample_value_and_gradient, DmcpObjective};
 use pfp_core::{Dataset, SolverMode};
 use pfp_ehr::generate_cohort;
 use pfp_math::Matrix;
@@ -82,29 +82,38 @@ fn main() {
         samples.len(),
     );
 
-    // --- 1. Equivalence: batched fused must match every other path. ---
+    // --- 1. Equivalence: the batched fold must match the per-sample oracle. ---
+    let oracle = |grad: &mut Matrix| {
+        per_sample_value_and_gradient(
+            &samples,
+            None,
+            dataset.num_cus,
+            dataset.num_durations,
+            &theta,
+            grad,
+        )
+    };
+    let mut grad_oracle = Matrix::zeros(rows, cols);
+    let value_oracle = oracle(&mut grad_oracle);
     let serial = DmcpObjective::new(&samples, None, rows, dataset.num_cus, dataset.num_durations);
-    let mut grad_sep = Matrix::zeros(rows, cols);
-    serial.gradient(&theta, &mut grad_sep);
-    let value_sep = serial.value(&theta);
     let mut grad_fused = Matrix::zeros(rows, cols);
     let value_fused = serial.value_and_gradient(&theta, &mut grad_fused);
     assert_eq!(
-        grad_fused, grad_sep,
-        "batched fused serial gradient must match the separate path bitwise"
+        grad_fused, grad_oracle,
+        "batched CSR gradient must match the per-sample oracle bitwise"
+    );
+    assert_eq!(value_fused.to_bits(), value_oracle.to_bits());
+    let mut grad_only = Matrix::zeros(rows, cols);
+    serial.gradient(&theta, &mut grad_only);
+    assert_eq!(
+        grad_only, grad_oracle,
+        "gradient() must match the oracle bitwise"
     );
     assert_eq!(
-        value_fused.to_bits(),
-        value_sep.to_bits(),
-        "batched fused serial value must match the separate path bitwise"
+        serial.value(&theta).to_bits(),
+        value_oracle.to_bits(),
+        "value() must match the oracle bitwise"
     );
-    let mut grad_unbatched = Matrix::zeros(rows, cols);
-    let value_unbatched = serial.value_and_gradient_unbatched(&theta, &mut grad_unbatched);
-    assert_eq!(
-        grad_fused, grad_unbatched,
-        "batched CSR gradient must match the per-sample walk bitwise"
-    );
-    assert_eq!(value_fused.to_bits(), value_unbatched.to_bits());
     let pooled = DmcpObjective::new(&samples, None, rows, dataset.num_cus, dataset.num_durations)
         .with_threads(pooled_threads);
     let mut grad_pooled = Matrix::zeros(rows, cols);
@@ -116,7 +125,7 @@ fn main() {
         "pooled fused evaluation diverged: grad {pooled_grad_diff:e}, value {pooled_value_diff:e}"
     );
     println!(
-        "Equivalence: batched fused == separate == unbatched bitwise (serial); \
+        "Equivalence: value, gradient and fused == per-sample oracle bitwise (serial); \
          pooled fused within {pooled_grad_diff:.1e} of serial.\n"
     );
 
@@ -254,34 +263,28 @@ fn main() {
     );
     assert_eq!(gd_calls, gd.iterations + 1);
 
-    // --- 3. Timings: batched vs unbatched vs separate, serial and pooled. ---
+    // --- 3. Timings: the batched fold, serial and pooled, vs the oracle. ---
     let mut grad = Matrix::zeros(rows, cols);
-    let separate_serial = time(reps, || {
-        serial.gradient(&theta, &mut grad);
-        std::hint::black_box(serial.value(&theta));
-    });
-    let unbatched_serial = time(reps, || {
-        std::hint::black_box(serial.value_and_gradient_unbatched(&theta, &mut grad));
+    let oracle_serial = time(reps, || {
+        std::hint::black_box(oracle(&mut grad));
     });
     let fused_serial = time(reps, || {
         std::hint::black_box(serial.value_and_gradient(&theta, &mut grad));
     });
-    let separate_pooled = time(reps, || {
-        pooled.gradient(&theta, &mut grad);
-        std::hint::black_box(pooled.value(&theta));
-    });
     let fused_pooled = time(reps, || {
         std::hint::black_box(pooled.value_and_gradient(&theta, &mut grad));
     });
-    let header: Vec<String> = ["path", "value+gradient (ms)", "speedup vs separate serial"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let header: Vec<String> = [
+        "path",
+        "value+gradient (ms)",
+        "speedup vs per-sample oracle",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
     let timing_rows: Vec<Vec<String>> = [
-        ("separate serial", separate_serial),
-        ("fused unbatched serial", unbatched_serial),
+        ("per-sample oracle serial", oracle_serial),
         ("fused batched CSR serial", fused_serial),
-        ("separate pooled", separate_pooled),
         ("fused batched CSR pooled", fused_pooled),
     ]
     .iter()
@@ -289,7 +292,7 @@ fn main() {
         vec![
             label.to_string(),
             format!("{:.2}", secs * 1e3),
-            format!("{:.2}x", separate_serial / secs),
+            format!("{:.2}x", oracle_serial / secs),
         ]
     })
     .collect();
@@ -302,12 +305,10 @@ fn main() {
          \"features\": {rows},\n  \"outputs\": {cols},\n  \
          \"pooled_threads\": {pooled_threads},\n  \
          \"available_parallelism\": {available},\n  \
-         \"fused_matches_separate_bitwise_serial\": true,\n  \
-         \"batched_matches_unbatched_bitwise_serial\": true,\n  \
+         \"matches_per_sample_oracle_bitwise_serial\": true,\n  \
          \"pooled_max_abs_grad_diff\": {pooled_grad_diff:e},\n  \
-         \"eval_ms\": {{\"separate_serial\": {:.4}, \"fused_unbatched_serial\": {:.4}, \
-         \"fused_batched_serial\": {:.4}, \"separate_pooled\": {:.4}, \
-         \"fused_batched_pooled\": {:.4}}},\n  \
+         \"eval_ms\": {{\"per_sample_oracle_serial\": {:.4}, \
+         \"fused_batched_serial\": {:.4}, \"fused_batched_pooled\": {:.4}}},\n  \
          \"convergence\": {{\n    \
          \"fixed_budget\": {{\"outer_iterations\": {}, \"inner_iterations\": {}, \
          \"passes\": {fixed_passes}, \"solve_seconds\": {fixed_secs:.4}, \
@@ -319,10 +320,8 @@ fn main() {
          \"objective_gap\": {gap:.3e},\n    \"passes_ratio\": {passes_ratio:.4}\n  }}\n}}\n",
         cohort.patients.len(),
         samples.len(),
-        separate_serial * 1e3,
-        unbatched_serial * 1e3,
+        oracle_serial * 1e3,
         fused_serial * 1e3,
-        separate_pooled * 1e3,
         fused_pooled * 1e3,
         fixed.outer_iterations,
         fixed.inner_iterations,

@@ -156,7 +156,8 @@ fn sharded_solve_retraces_the_materialized_solve_bitwise() {
             let sharded = ShardedSamples::from_samples(
                 &samples,
                 shard_size,
-                rows,
+                dataset.profile_dim,
+                dataset.service_dim,
                 dataset.num_cus,
                 dataset.num_durations,
             );

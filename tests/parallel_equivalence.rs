@@ -3,22 +3,17 @@
 //! any thread count, including the degenerate case of more threads than
 //! samples, and must be bitwise-reproducible for a fixed thread count.
 //!
-//! The fused evaluation path (`SmoothObjective::value_and_gradient`) carries
-//! the same contract plus one stronger clause: **fused serial must match the
-//! separate serial `value` + `gradient` calls bitwise**, because it performs
-//! the identical floating-point operations in the identical order and merely
-//! skips the duplicated score pass.
-//!
-//! The fused path is batched over the cohort's CSR packing
-//! (`pfp_math::CsrMatrix`); the same bitwise clause binds it to the
-//! per-sample `SparseVec` walk (`value_and_gradient_unbatched`), because the
-//! batched kernels visit the same nonzeros in the same order and only change
-//! the memory layout.
+//! The serial evaluation carries one stronger clause: `value`, `gradient` and
+//! the fused `value_and_gradient` — all one batched fold over the cohort's CSR
+//! packing (`pfp_math::CsrMatrix`) — **must match the per-sample `SparseVec`
+//! oracle (`per_sample_value_and_gradient`) bitwise**, because the batched
+//! kernels perform the identical floating-point operations in the identical
+//! order and only change the memory layout.
 
 use proptest::prelude::*;
 
 use patient_flow::core::dataset::Sample;
-use patient_flow::core::loss::DmcpObjective;
+use patient_flow::core::loss::{per_sample_value_and_gradient, DmcpObjective};
 use patient_flow::core::{train, Dataset, TrainConfig};
 use patient_flow::ehr::{generate_cohort, CohortConfig};
 use patient_flow::math::parallel::chunk_ranges;
@@ -107,8 +102,8 @@ proptest! {
         prop_assert!(b.sub(&a).max_abs() <= 1e-12);
     }
 
-    /// Fused serial evaluation == separate serial `value` + `gradient`,
-    /// **bitwise**, with and without per-sample weights.
+    /// Serial `value`, `gradient` and fused `value_and_gradient` == the
+    /// per-sample oracle, **bitwise**, with and without per-sample weights.
     #[test]
     fn fused_serial_matches_separate_serial_bitwise(
         raw in proptest::collection::vec((0i64..DIM as i64, 0.1f64..2.0, 0i64..16, 0i64..16), 1..40),
@@ -121,6 +116,11 @@ proptest! {
         let theta = Matrix::from_fn(DIM, cols, |r, c| 0.03 * (r as f64) - 0.05 * (c as f64));
 
         let obj = DmcpObjective::new(&samples, weights, DIM, NUM_CUS, NUM_DURATIONS);
+        let mut grad_oracle = Matrix::zeros(DIM, cols);
+        let value_oracle = per_sample_value_and_gradient(
+            &samples, weights, NUM_CUS, NUM_DURATIONS, &theta, &mut grad_oracle,
+        );
+
         let mut grad_sep = Matrix::zeros(DIM, cols);
         obj.gradient(&theta, &mut grad_sep);
         let value_sep = obj.value(&theta);
@@ -129,8 +129,10 @@ proptest! {
         let value_fused = obj.value_and_gradient(&theta, &mut grad_fused);
 
         // Bitwise: same floating-point ops in the same order.
-        prop_assert_eq!(grad_fused, grad_sep);
-        prop_assert_eq!(value_fused.to_bits(), value_sep.to_bits());
+        prop_assert_eq!(&grad_fused, &grad_oracle);
+        prop_assert_eq!(value_fused.to_bits(), value_oracle.to_bits());
+        prop_assert_eq!(&grad_sep, &grad_oracle);
+        prop_assert_eq!(value_sep.to_bits(), value_oracle.to_bits());
     }
 
     /// The batched CSR kernel matches the per-sample fused walk **bitwise**
@@ -150,7 +152,9 @@ proptest! {
         let mut grad_batched = Matrix::zeros(DIM, cols);
         let value_batched = obj.value_and_gradient(&theta, &mut grad_batched);
         let mut grad_unbatched = Matrix::zeros(DIM, cols);
-        let value_unbatched = obj.value_and_gradient_unbatched(&theta, &mut grad_unbatched);
+        let value_unbatched = per_sample_value_and_gradient(
+            &samples, weights, NUM_CUS, NUM_DURATIONS, &theta, &mut grad_unbatched,
+        );
 
         prop_assert_eq!(grad_batched, grad_unbatched);
         prop_assert_eq!(value_batched.to_bits(), value_unbatched.to_bits());
@@ -168,9 +172,10 @@ proptest! {
         let cols = NUM_CUS + NUM_DURATIONS;
         let theta = Matrix::from_fn(DIM, cols, |r, c| 0.07 * (r as f64) - 0.01 * (c as f64));
 
-        let serial = DmcpObjective::new(&samples, None, DIM, NUM_CUS, NUM_DURATIONS);
         let mut grad_serial = Matrix::zeros(DIM, cols);
-        let value_serial = serial.value_and_gradient_unbatched(&theta, &mut grad_serial);
+        let value_serial = per_sample_value_and_gradient(
+            &samples, None, NUM_CUS, NUM_DURATIONS, &theta, &mut grad_serial,
+        );
 
         let pooled = DmcpObjective::new(&samples, None, DIM, NUM_CUS, NUM_DURATIONS)
             .with_threads(threads as usize);

@@ -17,11 +17,15 @@
 //! generic fallback.  The fully out-of-core objective (regenerate +
 //! re-featurize per evaluation) is held to the same bitwise clause against
 //! the materialized pipeline on a real generated cohort.
+//!
+//! All three objectives share one fold, so each property also checks the
+//! result against the per-sample oracle (`per_sample_value_and_gradient`),
+//! which shares no code with it: bitwise on one thread, ≤ 1e-12 pooled.
 
 use proptest::prelude::*;
 
 use patient_flow::core::dataset::Sample;
-use patient_flow::core::loss::DmcpObjective;
+use patient_flow::core::loss::{per_sample_value_and_gradient, DmcpObjective};
 use patient_flow::core::stream::{ShardedDmcpObjective, ShardedSamples, StreamingDmcpObjective};
 use patient_flow::core::Dataset;
 use patient_flow::ehr::{generate_cohort, CohortConfig};
@@ -67,6 +71,21 @@ fn shard_sizes(n: usize) -> [usize; 4] {
     [1, 7, n, n + 1]
 }
 
+/// Check an evaluation at `threads` against the per-sample oracle: bitwise
+/// on one thread, ≤ 1e-12 across thread counts (only the reduction order
+/// differs).
+fn matches_oracle(
+    threads: usize,
+    (value, grad): (f64, &Matrix),
+    (value_oracle, grad_oracle): (f64, &Matrix),
+) -> bool {
+    if threads == 1 {
+        value.to_bits() == value_oracle.to_bits() && grad == grad_oracle
+    } else {
+        (value - value_oracle).abs() <= 1e-12 && grad.sub(grad_oracle).max_abs() <= 1e-12
+    }
+}
+
 proptest! {
     /// For every column-width regime and shard size, the sharded objective
     /// matches the materialized objective **bitwise** at the same fixed
@@ -88,10 +107,14 @@ proptest! {
             .with_threads(threads);
         let mut grad_ref = Matrix::zeros(DIM, cols);
         let value_ref = reference.value_and_gradient(&theta, &mut grad_ref);
+        let mut grad_oracle = Matrix::zeros(DIM, cols);
+        let value_oracle = per_sample_value_and_gradient(
+            &samples, None, num_cus, num_durations, &theta, &mut grad_oracle,
+        );
 
         for shard_size in shard_sizes(samples.len()) {
             let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, DIM, num_cus, num_durations);
+                ShardedSamples::from_samples(&samples, shard_size, DIM, 0, num_cus, num_durations);
             let obj = ShardedDmcpObjective::new(&sharded, None).with_threads(threads);
 
             let mut grad = Matrix::zeros(DIM, cols);
@@ -101,6 +124,10 @@ proptest! {
                 "fused value, shard={} threads={}", shard_size, threads
             );
             prop_assert_eq!(&grad, &grad_ref);
+            prop_assert!(
+                matches_oracle(threads, (value, &grad), (value_oracle, &grad_oracle)),
+                "oracle, shard={} threads={}", shard_size, threads
+            );
 
             prop_assert_eq!(obj.value(&theta).to_bits(), value_ref.to_bits());
             let mut grad_only = Matrix::zeros(DIM, cols);
@@ -131,10 +158,14 @@ proptest! {
             .with_threads(threads);
         let mut grad_ref = Matrix::zeros(DIM, cols);
         let value_ref = reference.value_and_gradient(&theta, &mut grad_ref);
+        let mut grad_oracle = Matrix::zeros(DIM, cols);
+        let value_oracle = per_sample_value_and_gradient(
+            &samples, Some(&weights), num_cus, num_durations, &theta, &mut grad_oracle,
+        );
 
         for shard_size in shard_sizes(samples.len()) {
             let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, DIM, num_cus, num_durations);
+                ShardedSamples::from_samples(&samples, shard_size, DIM, 0, num_cus, num_durations);
             let obj = ShardedDmcpObjective::new(&sharded, Some(&weights)).with_threads(threads);
             let mut grad = Matrix::zeros(DIM, cols);
             let value = obj.value_and_gradient(&theta, &mut grad);
@@ -143,6 +174,10 @@ proptest! {
                 "shard={}", shard_size
             );
             prop_assert_eq!(&grad, &grad_ref);
+            prop_assert!(
+                matches_oracle(threads, (value, &grad), (value_oracle, &grad_oracle)),
+                "oracle, shard={} threads={}", shard_size, threads
+            );
         }
     }
 
@@ -162,7 +197,7 @@ proptest! {
 
         for shard_size in shard_sizes(samples.len()) {
             let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, DIM, num_cus, num_durations);
+                ShardedSamples::from_samples(&samples, shard_size, DIM, 0, num_cus, num_durations);
             let serial = ShardedDmcpObjective::new(&sharded, None);
             let pooled = ShardedDmcpObjective::new(&sharded, None).with_threads(threads as usize);
 
@@ -199,7 +234,7 @@ proptest! {
 
         for shard_size in shard_sizes(samples.len()) {
             let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, DIM, num_cus, num_durations);
+                ShardedSamples::from_samples(&samples, shard_size, DIM, 0, num_cus, num_durations);
             let got = ShardedDmcpObjective::new(&sharded, weights)
                 .row_curvature_bounds()
                 .expect("bounds available");
@@ -225,6 +260,15 @@ fn streaming_objective_matches_materialized_bitwise_at_fixed_thread_counts() {
     let m = ds.total_feature_dim();
     let cols = ds.num_cus + ds.num_durations;
     let theta = Matrix::from_fn(m, cols, |r, c| 0.01 * ((r % 9) as f64) - 0.02 * (c as f64));
+    let mut grad_oracle = Matrix::zeros(m, cols);
+    let value_oracle = per_sample_value_and_gradient(
+        &samples,
+        None,
+        ds.num_cus,
+        ds.num_durations,
+        &theta,
+        &mut grad_oracle,
+    );
 
     for threads in [1usize, 2, 8] {
         let reference = DmcpObjective::new(&samples, None, m, ds.num_cus, ds.num_durations)
@@ -244,6 +288,10 @@ fn streaming_objective_matches_materialized_bitwise_at_fixed_thread_counts() {
                 "threads={threads} shard={shard_size}"
             );
             assert_eq!(grad, grad_ref, "threads={threads} shard={shard_size}");
+            assert!(
+                matches_oracle(threads, (value, &grad), (value_oracle, &grad_oracle)),
+                "oracle, threads={threads} shard={shard_size}"
+            );
         }
     }
 }
@@ -266,7 +314,7 @@ fn sharded_fold_is_bitwise_reproducible_at_a_fixed_thread_count() {
     );
     let cols = 8;
     let theta = Matrix::from_fn(DIM, cols, |r, c| 0.6 * (r as f64) - 0.2 * (c as f64));
-    let sharded = ShardedSamples::from_samples(&samples, 2, DIM, 4, 4);
+    let sharded = ShardedSamples::from_samples(&samples, 2, DIM, 0, 4, 4);
     let run = || {
         let obj = ShardedDmcpObjective::new(&sharded, None).with_threads(3);
         let mut grad = Matrix::zeros(DIM, cols);
