@@ -32,20 +32,24 @@
 //! Every evaluation — `value`, `gradient` or the fused `value_and_gradient`
 //! the solvers call — is one fold of the batched kernel over the source's
 //! rows: one `CSR × Θ` scores pass, one softmax/residual sweep over the packed
-//! score block, and one `CSRᵀ` scatter, with the row kernels register-blocked
-//! over the `C + D` outputs.  The scores are computed once per sample and feed
-//! both the cross-entropy terms and the softmax residuals.
+//! score block, and one `CSRᵀ` scatter, with both row kernels
+//! register-blocked over the `C + D` outputs (and run as their AVX2
+//! instantiation when the CPU has it; `pfp_math::csr` states the contract
+//! that keeps every bit the same).  The scores are computed once per sample
+//! and feed both the cross-entropy terms and the softmax residuals; each head
+//! takes one log-sum-exp for both ([`cross_entropy_softmax_in_place`]).
 //!
 //! [`per_sample_value_and_gradient`] computes the same quantity by a plain
-//! per-sample walk over the sparse feature vectors.  It is the reference the
-//! fold is tested against; solvers never call it.  The determinism contract
-//! — bitwise at a fixed thread count for every source, ≲1e-12 across thread
-//! counts — is stated on [`Objective`].
+//! per-sample walk over the sparse feature vectors, with the two-call
+//! `cross_entropy` + `softmax_in_place` form of each head.  It is the
+//! reference the fold is tested against; solvers never call it.  The
+//! determinism contract — bitwise at a fixed thread count for every source,
+//! ≲1e-12 across thread counts — is stated on [`Objective`].
 
 use std::ops::Range;
 
 use pfp_math::parallel::{chunk_ranges, tree_reduce_matrices, tree_reduce_sums, WorkerPool};
-use pfp_math::softmax::{cross_entropy, softmax_in_place};
+use pfp_math::softmax::{cross_entropy, cross_entropy_softmax_in_place, softmax_in_place};
 use pfp_math::{CsrMatrix, Matrix};
 use pfp_optim::SmoothObjective;
 
@@ -98,14 +102,12 @@ fn fused_csr_block(
             let (cu_scores, dur_scores) = row.split_at_mut(num_cus);
             let w = weight_of(i);
             let wn = w / norm;
-            let mut l = cross_entropy(cu_scores, cu_label);
-            softmax_in_place(cu_scores);
+            let mut l = cross_entropy_softmax_in_place(cu_scores, cu_label);
             for (c, out) in cu_scores.iter_mut().enumerate() {
                 *out = wn * (*out - if c == cu_label { 1.0 } else { 0.0 });
             }
             if num_durations > 1 {
-                l += cross_entropy(dur_scores, duration_label);
-                softmax_in_place(dur_scores);
+                l += cross_entropy_softmax_in_place(dur_scores, duration_label);
                 for (d, out) in dur_scores.iter_mut().enumerate() {
                     *out = wn * (*out - if d == duration_label { 1.0 } else { 0.0 });
                 }

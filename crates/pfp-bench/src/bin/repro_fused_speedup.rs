@@ -22,9 +22,10 @@
 //! 3. **Timings** — the batched fold, serial and pooled, against the
 //!    per-sample oracle.
 //! 4. **Machine-readable record** — everything above plus the requested
-//!    thread count and the host's `available_parallelism` goes to
+//!    thread count, the host's `available_parallelism` and the CSR kernel
+//!    instantiation that ran (`pfp_math::csr::kernel_path`) goes to
 //!    `BENCH_admm.json`, so pooled-slower-than-serial numbers from a 1-core
-//!    host are attributable from the JSON alone.
+//!    host, or portable-kernel numbers, are attributable from the JSON alone.
 
 use std::time::Instant;
 
@@ -73,11 +74,13 @@ fn main() {
     let theta = Matrix::from_fn(rows, cols, |r, k| 1e-3 * (r as f64) - 1e-2 * (k as f64));
     let pooled_threads = args.resolved_threads();
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let kernel_path = pfp_math::csr::kernel_path();
     let reps = if args.fast { 3 } else { 10 };
 
     println!(
         "ADMM solver benchmark — {} patients, {} samples, Θ ∈ R^{{{rows}×{cols}}}, \
-         pool = {pooled_threads} workers, host parallelism = {available}\n",
+         pool = {pooled_threads} workers, host parallelism = {available}, \
+         CSR kernels = {kernel_path}\n",
         cohort.patients.len(),
         samples.len(),
     );
@@ -305,6 +308,7 @@ fn main() {
          \"features\": {rows},\n  \"outputs\": {cols},\n  \
          \"pooled_threads\": {pooled_threads},\n  \
          \"available_parallelism\": {available},\n  \
+         \"kernel_path\": \"{kernel_path}\",\n  \
          \"matches_per_sample_oracle_bitwise_serial\": true,\n  \
          \"pooled_max_abs_grad_diff\": {pooled_grad_diff:e},\n  \
          \"eval_ms\": {{\"per_sample_oracle_serial\": {:.4}, \

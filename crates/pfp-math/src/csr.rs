@@ -5,13 +5,31 @@
 //! [`SparseVec`] per sample, each walk chases a separate pair of heap
 //! allocations; packing the cohort into one CSR matrix once per solve makes
 //! each evaluation two linear passes over three contiguous arrays — one
-//! `CSR × Θ` scores pass and one `CSRᵀ` scatter — with the row kernels
+//! `CSR × Θ` scores pass and one `CSRᵀ` scatter — with both row kernels
 //! register-blocked over the output columns.
 //!
-//! The kernels perform **exactly the same floating-point operations in the
-//! same order** as the per-[`SparseVec`] kernels
-//! ([`SparseVec::accumulate_scores`] / [`SparseVec::scatter_gradient`]) on
-//! the same rows, so batched results match the per-sample path bitwise.
+//! # Kernel determinism contract
+//!
+//! The batched kernels ([`CsrMatrix::accumulate_scores_range`],
+//! [`CsrMatrix::scatter_gradient_range`]) perform **exactly the same
+//! floating-point operations in the same order** as the per-[`SparseVec`]
+//! kernels ([`SparseVec::accumulate_scores`] /
+//! [`SparseVec::scatter_gradient`]) on the same rows, so batched results
+//! match the per-sample path bitwise:
+//!
+//! * **Multiply, then add.**  Every update is `x += v · y` as one rounded
+//!   multiply followed by one rounded add.  No FMA contraction: the kernels
+//!   never call `mul_add`, and no instantiation enables the `fma` target
+//!   feature (Rust never contracts `a * b + c` on its own).
+//! * **Per-column accumulation in storage order.**  Each output column
+//!   accumulates independently, over a row's nonzeros in the order they are
+//!   stored, and rows are visited in increasing order.  Vectorizing across
+//!   the columns therefore changes no column's summation order.
+//! * **The dispatch choice changes no bit.**  Each kernel has one body,
+//!   compiled twice: portably, and inside an `avx2`-enabled function chosen
+//!   at run time when the CPU supports it ([`kernel_path`] reports which).
+//!   By the two rules above, both instantiations produce the same bits; the
+//!   unit tests here call each one directly and compare them bitwise.
 
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -162,12 +180,35 @@ impl CsrMatrix {
     /// small-cohort `K = 4` / `K = 8` shapes) the accumulator lives in a
     /// fixed-size stack array across a row's whole nonzero walk, so scores
     /// stay in registers instead of round-tripping through `out` per entry.
+    /// See the [module docs](self) for the determinism contract.
     ///
     /// # Panics
     /// Panics (debug) on shape mismatches.
     pub fn accumulate_scores_range(&self, theta: &Matrix, range: Range<usize>, out: &mut [f64]) {
         debug_assert_eq!(theta.rows(), self.dim);
         debug_assert_eq!(out.len(), range.len() * theta.cols());
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            if avx2_detected() {
+                // SAFETY: the running CPU supports AVX2.
+                return unsafe { self.scores_avx2(theta, range, out) };
+            }
+        }
+        self.scores_body(theta, range, out)
+    }
+
+    /// [`Self::scores_body`] compiled with AVX2 enabled.
+    ///
+    /// # Safety
+    /// The running CPU must support AVX2.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    unsafe fn scores_avx2(&self, theta: &Matrix, range: Range<usize>, out: &mut [f64]) {
+        self.scores_body(theta, range, out)
+    }
+
+    #[inline(always)]
+    fn scores_body(&self, theta: &Matrix, range: Range<usize>, out: &mut [f64]) {
         match theta.cols() {
             4 => self.scores_blocked::<4>(theta, range, out),
             8 => self.scores_blocked::<8>(theta, range, out),
@@ -176,24 +217,24 @@ impl CsrMatrix {
         }
     }
 
+    #[inline(always)]
     fn scores_blocked<const K: usize>(&self, theta: &Matrix, range: Range<usize>, out: &mut [f64]) {
         let data = theta.as_slice();
         for (local, i) in range.enumerate() {
             let (indices, values) = self.row(i);
             let mut acc = [0.0f64; K];
             for (&col, &v) in indices.iter().zip(values) {
-                let row = &data[col as usize * K..col as usize * K + K];
-                for k in 0..K {
-                    acc[k] += v * row[k];
+                for (a, &t) in acc.iter_mut().zip(tile::<K>(data, col as usize * K)) {
+                    *a += v * t;
                 }
             }
-            let dst = &mut out[local * K..(local + 1) * K];
-            for (o, a) in dst.iter_mut().zip(acc) {
+            for (o, a) in tile_mut::<K>(out, local * K).iter_mut().zip(acc) {
                 *o += a;
             }
         }
     }
 
+    #[inline(always)]
     fn scores_generic(&self, theta: &Matrix, range: Range<usize>, out: &mut [f64]) {
         let cols = theta.cols();
         let data = theta.as_slice();
@@ -214,15 +255,69 @@ impl CsrMatrix {
     /// residual` half of a log-linear gradient, one contiguous walk over the
     /// whole range.
     ///
+    /// Register-blocked like the scores pass: for `K ∈ {4, 8, 16}` a row's
+    /// `contrib` slice is held in a fixed-size array across its nonzero walk.
     /// Rows are processed in increasing order and each row's updates land in
     /// the same order as [`SparseVec::scatter_gradient`] would produce, so
-    /// the batched gradient is bitwise identical to the per-sample loop.
+    /// the batched gradient is bitwise identical to the per-sample loop (see
+    /// the [module docs](self)).
     ///
     /// # Panics
     /// Panics (debug) on shape mismatches.
     pub fn scatter_gradient_range(&self, contrib: &[f64], range: Range<usize>, grad: &mut Matrix) {
         debug_assert_eq!(grad.rows(), self.dim);
         debug_assert_eq!(contrib.len(), range.len() * grad.cols());
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            if avx2_detected() {
+                // SAFETY: the running CPU supports AVX2.
+                return unsafe { self.scatter_avx2(contrib, range, grad) };
+            }
+        }
+        self.scatter_body(contrib, range, grad)
+    }
+
+    /// [`Self::scatter_body`] compiled with AVX2 enabled.
+    ///
+    /// # Safety
+    /// The running CPU must support AVX2.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    unsafe fn scatter_avx2(&self, contrib: &[f64], range: Range<usize>, grad: &mut Matrix) {
+        self.scatter_body(contrib, range, grad)
+    }
+
+    #[inline(always)]
+    fn scatter_body(&self, contrib: &[f64], range: Range<usize>, grad: &mut Matrix) {
+        match grad.cols() {
+            4 => self.scatter_blocked::<4>(contrib, range, grad),
+            8 => self.scatter_blocked::<8>(contrib, range, grad),
+            16 => self.scatter_blocked::<16>(contrib, range, grad),
+            _ => self.scatter_generic(contrib, range, grad),
+        }
+    }
+
+    #[inline(always)]
+    fn scatter_blocked<const K: usize>(
+        &self,
+        contrib: &[f64],
+        range: Range<usize>,
+        grad: &mut Matrix,
+    ) {
+        let data = grad.as_mut_slice();
+        for (local, i) in range.enumerate() {
+            let (indices, values) = self.row(i);
+            let c = tile::<K>(contrib, local * K);
+            for (&col, &v) in indices.iter().zip(values) {
+                for (g, &ck) in tile_mut::<K>(data, col as usize * K).iter_mut().zip(c) {
+                    *g += v * ck;
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn scatter_generic(&self, contrib: &[f64], range: Range<usize>, grad: &mut Matrix) {
         let cols = grad.cols();
         let data = grad.as_mut_slice();
         for (local, i) in range.enumerate() {
@@ -236,6 +331,49 @@ impl CsrMatrix {
             }
         }
     }
+}
+
+/// The `K` entries of `data` from `at` on, as a fixed-width row the
+/// blocked kernels keep in registers.
+#[inline(always)]
+fn tile<const K: usize>(data: &[f64], at: usize) -> &[f64; K] {
+    data[at..at + K].try_into().expect("a slice of K entries")
+}
+
+/// Mutable [`tile`].
+#[inline(always)]
+fn tile_mut<const K: usize>(data: &mut [f64], at: usize) -> &mut [f64; K] {
+    (&mut data[at..at + K])
+        .try_into()
+        .expect("a slice of K entries")
+}
+
+/// Whether the running CPU supports AVX2 (detected once, then cached by
+/// `std`).
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[inline]
+fn avx2_detected() -> bool {
+    is_x86_feature_detected!("avx2")
+}
+
+/// Which instantiation of the batched kernels this process runs: `"avx2"`
+/// when the CPU supports AVX2, `"portable"` otherwise.
+///
+/// The choice changes no bit of any kernel result (see the
+/// [module docs](self)); it is reported so a timing can name the code that
+/// produced it.
+///
+/// ```
+/// assert!(["avx2", "portable"].contains(&pfp_math::csr::kernel_path()));
+/// ```
+pub fn kernel_path() -> &'static str {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    {
+        if avx2_detected() {
+            return "avx2";
+        }
+    }
+    "portable"
 }
 
 #[cfg(test)]
@@ -304,6 +442,112 @@ mod tests {
             }
             assert_eq!(grad_batched, grad_per_sample, "cols={cols}");
         }
+    }
+
+    type ScoresKernel = fn(&CsrMatrix, &Matrix, Range<usize>, &mut [f64]);
+    type ScatterKernel = fn(&CsrMatrix, &[f64], Range<usize>, &mut Matrix);
+
+    /// Every instantiation this CPU can run, called directly: the portable
+    /// body, plus the AVX2 one when the CPU supports it.  (The public entry
+    /// points only ever reach one of them.)
+    fn kernel_instantiations() -> Vec<(&'static str, ScoresKernel, ScatterKernel)> {
+        let mut paths: Vec<(&'static str, ScoresKernel, ScatterKernel)> =
+            vec![("portable", CsrMatrix::scores_body, CsrMatrix::scatter_body)];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            if avx2_detected() {
+                paths.push((
+                    "avx2",
+                    // SAFETY: the running CPU supports AVX2.
+                    |m, theta, range, out| unsafe { m.scores_avx2(theta, range, out) },
+                    |m, contrib, range, grad| unsafe { m.scatter_avx2(contrib, range, grad) },
+                ));
+            }
+        }
+        paths
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    const EDGE_DIM: usize = 6;
+
+    /// Empty rows (first, middle, last) and ±∞ feature values.  (−0.0 cannot
+    /// be stored in a `SparseVec`, so it enters through `theta` / `contrib`.)
+    fn edge_rows() -> Vec<SparseVec> {
+        let pairs = |p: &[(u32, f64)]| SparseVec::from_pairs(EDGE_DIM, p.to_vec());
+        vec![
+            SparseVec::new(EDGE_DIM),
+            pairs(&[(0, 1.5), (3, -2.0), (5, 0.25)]),
+            SparseVec::new(EDGE_DIM),
+            pairs(&[(1, f64::INFINITY), (2, 1.0)]),
+            pairs(&[(2, -0.5), (4, f64::NEG_INFINITY)]),
+            pairs(&[(0, 3.0), (1, -1.0), (2, 0.5), (3, 2.0), (4, -4.0), (5, 1.0)]),
+            SparseVec::new(EDGE_DIM),
+        ]
+    }
+
+    /// Both instantiations, on every dispatch width (the blocked 4/8/16 and
+    /// the generic rest), agree bitwise with the per-`SparseVec` kernels —
+    /// and so with each other — on empty rows, ±∞ and −0.0 entries, and any
+    /// split of the row range into two sub-ranges.
+    #[test]
+    fn every_kernel_instantiation_matches_the_per_sample_kernels_bitwise() {
+        let rows = edge_rows();
+        let n = rows.len();
+        let csr = CsrMatrix::from_rows(EDGE_DIM, rows.iter());
+        for cols in [1usize, 3, 4, 7, 8, 16, 17] {
+            let theta = Matrix::from_fn(EDGE_DIM, cols, |r, c| match (r * cols + c) % 5 {
+                0 => -0.0,
+                _ if (r, c) == (5, cols - 1) => f64::NEG_INFINITY,
+                _ => 0.37 * (r as f64 + 1.0) - 0.21 * (c as f64 + 1.0),
+            });
+            let contrib: Vec<f64> = (0..n * cols)
+                .map(|k| match k % 6 {
+                    0 => -0.0,
+                    _ if k == 3 * cols + 1 => f64::INFINITY,
+                    _ => 0.11 * (k as f64) - 0.4,
+                })
+                .collect();
+            let mut scores_oracle = vec![0.0; n * cols];
+            let mut grad_oracle = Matrix::zeros(EDGE_DIM, cols);
+            for (i, r) in rows.iter().enumerate() {
+                let span = i * cols..(i + 1) * cols;
+                r.accumulate_scores(&theta, &mut scores_oracle[span.clone()]);
+                r.scatter_gradient(&contrib[span], &mut grad_oracle);
+            }
+            assert!(scores_oracle.iter().any(|s| !s.is_finite()));
+            assert!(scores_oracle.iter().any(|s| s.is_finite() && *s != 0.0));
+            for (path, scores, scatter) in kernel_instantiations() {
+                for split in [0, 1, 3, n] {
+                    let mut out = vec![0.0; n * cols];
+                    let (head, tail) = out.split_at_mut(split * cols);
+                    scores(&csr, &theta, 0..split, head);
+                    scores(&csr, &theta, split..n, tail);
+                    assert_eq!(
+                        bits(&out),
+                        bits(&scores_oracle),
+                        "{path} scores, cols={cols}, split={split}"
+                    );
+                    let mut grad = Matrix::zeros(EDGE_DIM, cols);
+                    let (head, tail) = contrib.split_at(split * cols);
+                    scatter(&csr, head, 0..split, &mut grad);
+                    scatter(&csr, tail, split..n, &mut grad);
+                    assert_eq!(
+                        bits(grad.as_slice()),
+                        bits(grad_oracle.as_slice()),
+                        "{path} scatter, cols={cols}, split={split}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_path_names_the_instantiation_the_entry_points_run() {
+        let detected = kernel_instantiations().len() == 2;
+        assert_eq!(kernel_path(), if detected { "avx2" } else { "portable" });
     }
 
     #[test]

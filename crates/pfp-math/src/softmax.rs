@@ -23,6 +23,11 @@ pub fn log_sum_exp(scores: &[f64]) -> f64 {
 /// The result sums to 1 (up to floating error) and every entry is in `[0, 1]`.
 pub fn softmax_in_place(scores: &mut [f64]) {
     let lse = log_sum_exp(scores);
+    normalize_in_place(scores, lse);
+}
+
+/// Replace `scores` with `exp(scores_i − lse)`, given `lse = log_sum_exp(scores)`.
+fn normalize_in_place(scores: &mut [f64], lse: f64) {
     if !lse.is_finite() {
         // All scores were -inf (or the slice is empty): fall back to uniform.
         let n = scores.len().max(1) as f64;
@@ -30,6 +35,33 @@ pub fn softmax_in_place(scores: &mut [f64]) {
         return;
     }
     scores.iter_mut().for_each(|x| *x = (*x - lse).exp());
+}
+
+/// Return the cross-entropy of `target` and replace `scores` with
+/// `softmax(scores)`, from one log-sum-exp.
+///
+/// The same bits as [`cross_entropy`]`(scores, target)` followed by
+/// [`softmax_in_place`]`(scores)`, which compute the same log-sum-exp twice:
+/// the loss is `-(scores[target] − lse)` and each probability is
+/// `exp(scores_i − lse)`, with the same uniform fallback when `lse` is not
+/// finite.  An all-`-∞` row thus still gives a NaN loss and uniform
+/// probabilities.  This is one softmax head of the DMCP objective's fused
+/// kernel.
+///
+/// ```
+/// use pfp_math::softmax::{cross_entropy, cross_entropy_softmax_in_place, softmax};
+///
+/// let scores = [0.5, -1.0, 2.0];
+/// let mut probs = scores;
+/// let loss = cross_entropy_softmax_in_place(&mut probs, 2);
+/// assert_eq!(loss.to_bits(), cross_entropy(&scores, 2).to_bits());
+/// assert_eq!(probs.to_vec(), softmax(&scores));
+/// ```
+pub fn cross_entropy_softmax_in_place(scores: &mut [f64], target: usize) -> f64 {
+    let lse = log_sum_exp(scores);
+    let loss = -(scores[target] - lse);
+    normalize_in_place(scores, lse);
+    loss
 }
 
 /// Softmax into a freshly-allocated vector.
@@ -114,6 +146,59 @@ mod tests {
     fn cross_entropy_of_uniform_is_log_k() {
         let ce = cross_entropy(&[0.0, 0.0, 0.0, 0.0], 2);
         assert!((ce - (4.0_f64).ln()).abs() < 1e-12);
+    }
+
+    /// `cross_entropy` then `softmax_in_place`: the two-call form the fused
+    /// head must reproduce bit for bit.
+    fn two_call(scores: &[f64], target: usize) -> (f64, Vec<f64>) {
+        let loss = cross_entropy(scores, target);
+        let mut probs = scores.to_vec();
+        softmax_in_place(&mut probs);
+        (loss, probs)
+    }
+
+    fn assert_fused_matches_two_call(scores: &[f64], target: usize) {
+        let (loss, probs) = two_call(scores, target);
+        let mut fused = scores.to_vec();
+        let fused_loss = cross_entropy_softmax_in_place(&mut fused, target);
+        assert_eq!(fused_loss.to_bits(), loss.to_bits(), "loss of {scores:?}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fused), bits(&probs), "probabilities of {scores:?}");
+    }
+
+    #[test]
+    fn fused_head_matches_two_call_form_bitwise() {
+        let rows: [&[f64]; 5] = [
+            &[0.1, -2.3, 4.7, 0.0, -0.0, 1e-300],
+            &[3.0, 3.0, 3.0],
+            &[700.0, -700.0, 699.5, -699.9],
+            &[-700.0, -700.0, -701.0],
+            &[f64::NEG_INFINITY, 1.5, f64::NEG_INFINITY],
+        ];
+        for row in rows {
+            for target in 0..row.len() {
+                assert_fused_matches_two_call(row, target);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_head_of_one_class_is_zero_loss_and_certainty() {
+        assert_fused_matches_two_call(&[-3.25], 0);
+        let mut one = [42.0];
+        assert_eq!(cross_entropy_softmax_in_place(&mut one, 0), 0.0);
+        assert_eq!(one, [1.0]);
+    }
+
+    /// An all-`-∞` row has no finite log-sum-exp: the loss is NaN and the
+    /// probabilities fall back to uniform, exactly as the two-call form.
+    #[test]
+    fn fused_head_of_all_neg_infinity_is_nan_loss_and_uniform() {
+        let row = [f64::NEG_INFINITY; 4];
+        assert_fused_matches_two_call(&row, 1);
+        let mut probs = row;
+        assert!(cross_entropy_softmax_in_place(&mut probs, 1).is_nan());
+        assert_eq!(probs, [0.25; 4]);
     }
 
     #[test]

@@ -5,7 +5,9 @@ use proptest::prelude::*;
 use patient_flow::core::features::{FeatureMapKind, HistoryFeaturizer, HistoryStay};
 use patient_flow::ehr::departments::{duration_class, NUM_DURATION_CLASSES};
 use patient_flow::math::dense::solve_linear_system;
-use patient_flow::math::softmax::{argmax, cross_entropy, softmax};
+use patient_flow::math::softmax::{
+    argmax, cross_entropy, cross_entropy_softmax_in_place, softmax, softmax_in_place,
+};
 use patient_flow::math::{Matrix, SparseVec};
 use patient_flow::optim::prox::{group_soft_threshold, prox_group_lasso};
 
@@ -46,6 +48,39 @@ proptest! {
         prop_assert!(ce >= -1e-12);
         let shifted: Vec<f64> = scores.iter().map(|s| s + shift).collect();
         prop_assert!((cross_entropy(&shifted, target) - ce).abs() < 1e-8);
+    }
+
+    /// The fused softmax head (one log-sum-exp) gives the same bits as
+    /// `cross_entropy` followed by `softmax_in_place`, on random rows of up
+    /// to ±700 magnitude, one-class heads, rows with some `-∞` scores and
+    /// all-`-∞` rows (NaN loss, uniform probabilities).
+    #[test]
+    fn fused_softmax_head_matches_the_two_call_form_bitwise(
+        scores in proptest::collection::vec(-700.0f64..700.0, 1..20),
+        target_seed in 0usize..1000,
+        shape in 0u8..4,
+    ) {
+        let mut scores = scores;
+        match shape {
+            1 => scores.truncate(1),
+            2 => scores.iter_mut().step_by(2).for_each(|s| *s = f64::NEG_INFINITY),
+            3 => scores.iter_mut().for_each(|s| *s = f64::NEG_INFINITY),
+            _ => {}
+        }
+        let target = target_seed % scores.len();
+        let loss = cross_entropy(&scores, target);
+        let mut probs = scores.clone();
+        softmax_in_place(&mut probs);
+        let mut fused = scores.clone();
+        let fused_loss = cross_entropy_softmax_in_place(&mut fused, target);
+        prop_assert_eq!(fused_loss.to_bits(), loss.to_bits());
+        for (f, p) in fused.iter().zip(&probs) {
+            prop_assert_eq!(f.to_bits(), p.to_bits());
+        }
+        if shape == 3 {
+            prop_assert!(fused_loss.is_nan());
+            prop_assert!(fused.iter().all(|&p| p == 1.0 / scores.len() as f64));
+        }
     }
 
     /// The group soft-threshold never increases the norm and zeroes small rows.
