@@ -34,7 +34,7 @@ pub enum SolverMode {
     /// The legacy fixed-budget solver: fixed-schedule inner gradient descent
     /// with static ρ, running `max_outer_iters` outer iterations unless the
     /// relative-change criterion fires.  Kept for baselines and
-    /// convergence-rate comparisons (`repro_fused_speedup`).
+    /// convergence-rate comparisons (`tests/admm_convergence.rs`).
     FixedBudget,
 }
 

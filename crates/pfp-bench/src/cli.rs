@@ -9,10 +9,7 @@
 //!   iterations); intended for smoke tests.
 //! * `--threads <usize>` — worker threads for training and the pooled
 //!   evaluation paths (default 1 = serial, the historical behaviour of every
-//!   repro binary; `0` = all available parallelism).  Benchmark binaries
-//!   record the requested count *and* the host's `available_parallelism` in
-//!   their JSON output so single-core-host numbers are attributable after
-//!   the fact.
+//!   repro binary; `0` = all available parallelism).
 
 use pfp_ehr::CohortConfig;
 
@@ -41,59 +38,13 @@ impl Default for Args {
     }
 }
 
-/// Binary-specific flags collected alongside the shared [`Args`] by
-/// [`Args::parse_from_with_extras`].  A binary declares its extra flag names
-/// up front, so typos are still rejected instead of silently ignored, and
-/// reads the values back with typed accessors.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExtraArgs {
-    values: std::collections::BTreeMap<String, String>,
-    flags: std::collections::BTreeSet<String>,
-}
-
-impl ExtraArgs {
-    /// The parsed value of a declared value flag (e.g. `"--clients"`), if it
-    /// was given.  Panics on an unparseable value — same fail-loud policy as
-    /// the shared flags.
-    pub fn get<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
-        self.values.get(flag).map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{flag} got unparseable value {v:?}"))
-        })
-    }
-
-    /// [`get`](Self::get) with a default for absent flags.
-    pub fn get_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
-        self.get(flag).unwrap_or(default)
-    }
-
-    /// Whether a declared boolean flag was given.
-    pub fn flag(&self, flag: &str) -> bool {
-        self.flags.contains(flag)
-    }
-}
-
 impl Args {
     /// Parse from an iterator of argument strings (excluding the program name).
     ///
     /// Unknown flags are rejected with a panic so typos don't silently run the
     /// default experiment.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
-        Self::parse_from_with_extras(args, &[], &[]).0
-    }
-
-    /// [`parse_from`](Self::parse_from) plus binary-specific flags: the
-    /// caller declares its extra `--flag <value>` names in `value_flags` and
-    /// its extra boolean `--flag` names in `bool_flags`.  Shared flags are
-    /// parsed as usual; declared extras land in the returned [`ExtraArgs`];
-    /// anything else still panics, listing every accepted flag.
-    pub fn parse_from_with_extras<I: IntoIterator<Item = String>>(
-        args: I,
-        value_flags: &[&str],
-        bool_flags: &[&str],
-    ) -> (Self, ExtraArgs) {
         let mut out = Args::default();
-        let mut extras = ExtraArgs::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
@@ -114,34 +65,12 @@ impl Args {
                     let v = iter.next().expect("--threads requires a value");
                     out.threads = v.parse().expect("--threads must be an integer");
                 }
-                other if value_flags.contains(&other) => {
-                    let v = iter
-                        .next()
-                        .unwrap_or_else(|| panic!("{other} requires a value"));
-                    extras.values.insert(other.to_string(), v);
-                }
-                other if bool_flags.contains(&other) => {
-                    extras.flags.insert(other.to_string());
-                }
-                other => {
-                    let mut known: Vec<&str> = vec!["--scale", "--seed", "--fast", "--threads"];
-                    known.extend(value_flags);
-                    known.extend(bool_flags);
-                    panic!("unknown argument: {other} (expected {})", known.join(", "));
-                }
+                other => panic!(
+                    "unknown argument: {other} (expected --scale, --seed, --fast, --threads)"
+                ),
             }
         }
-        (out, extras)
-    }
-
-    /// Parse the process arguments with binary-specific extras declared.
-    pub fn parse_with_extras(value_flags: &[&str], bool_flags: &[&str]) -> (Self, ExtraArgs) {
-        Self::parse_from_with_extras(std::env::args().skip(1), value_flags, bool_flags)
-    }
-
-    /// The resolved worker-thread count (`--threads 0` → all available).
-    pub fn resolved_threads(&self) -> usize {
-        pfp_math::parallel::resolve_threads(self.threads)
+        out
     }
 
     /// Parse from the process arguments.
@@ -198,7 +127,6 @@ mod tests {
         assert_eq!(a.seed, 7);
         assert!(a.fast);
         assert_eq!(a.threads, 2);
-        assert_eq!(a.resolved_threads(), 2);
         assert_eq!(a.train_config().threads, 2, "--threads must reach training");
         assert!(
             a.train_config().max_outer_iters
@@ -209,8 +137,8 @@ mod tests {
     #[test]
     fn threads_zero_resolves_to_available_parallelism() {
         let a = Args::parse_from(strings(&["--threads", "0"]));
-        assert_eq!(a.threads, 0);
-        assert!(a.resolved_threads() >= 1);
+        assert_eq!(a.train_config().threads, 0);
+        assert!(pfp_math::parallel::resolve_threads(a.train_config().threads) >= 1);
     }
 
     #[test]
@@ -230,42 +158,5 @@ mod tests {
         let a = Args::parse_from(strings(&["--scale", "0.01"]));
         let c = a.cohort_config();
         assert!(c.num_patients < 1000);
-    }
-
-    #[test]
-    fn declared_extras_are_collected_with_shared_flags() {
-        let (a, extras) = Args::parse_from_with_extras(
-            strings(&[
-                "--seed",
-                "9",
-                "--clients",
-                "3",
-                "--rps",
-                "250.5",
-                "--verbose",
-            ]),
-            &["--clients", "--rps"],
-            &["--verbose"],
-        );
-        assert_eq!(a.seed, 9);
-        assert_eq!(extras.get::<usize>("--clients"), Some(3));
-        assert_eq!(extras.get_or("--rps", 100.0), 250.5);
-        assert_eq!(extras.get_or("--absent", 7u64), 7);
-        assert!(extras.flag("--verbose"));
-        assert!(!extras.flag("--quiet"));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown argument: --bogus")]
-    fn undeclared_extras_are_still_rejected() {
-        let _ = Args::parse_from_with_extras(strings(&["--bogus"]), &["--clients"], &[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unparseable value")]
-    fn extras_fail_loud_on_bad_values() {
-        let (_, extras) =
-            Args::parse_from_with_extras(strings(&["--clients", "many"]), &["--clients"], &[]);
-        let _ = extras.get::<usize>("--clients");
     }
 }

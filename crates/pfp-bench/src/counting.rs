@@ -1,5 +1,5 @@
 //! A counting decorator over [`SmoothObjective`], shared by the convergence
-//! regression tests and the `repro_fused_speedup` binary.
+//! and warm-start integration tests.
 
 use std::cell::Cell;
 

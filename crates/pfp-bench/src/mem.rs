@@ -1,8 +1,8 @@
-//! Heap accounting for the bounded-memory reproduction binaries.
+//! Heap accounting for the bounded-memory test (`tests/bounded_memory.rs`).
 //!
 //! [`TrackingAllocator`] wraps the system allocator with two atomic
 //! counters: live bytes and the high-water mark since the last
-//! [`reset_peak`].  Binaries that want the numbers install it as their
+//! [`reset_peak`].  A test binary that wants the numbers installs it as its
 //! global allocator:
 //!
 //! ```ignore
@@ -11,10 +11,9 @@
 //! ```
 //!
 //! The counters track *requested* allocation sizes (`Layout::size`), not
-//! allocator-internal overhead, so they under-count RSS slightly —
-//! [`vm_hwm_kb`] reads the kernel's process-lifetime high-water mark as a
-//! cross-check.  Library tests and the other binaries never install the
-//! allocator, so the counters cost nothing there.
+//! allocator-internal overhead, so they under-count RSS slightly.  Library
+//! tests and the binaries never install the allocator, so the counters cost
+//! nothing there.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,11 +33,6 @@ pub fn record_dealloc(size: usize) {
     CURRENT.fetch_sub(size, Ordering::Relaxed);
 }
 
-/// Bytes currently live on the heap.
-pub fn current_bytes() -> usize {
-    CURRENT.load(Ordering::Relaxed)
-}
-
 /// High-water mark of live bytes since the last [`reset_peak`] (or process
 /// start).
 pub fn peak_bytes() -> usize {
@@ -49,16 +43,6 @@ pub fn peak_bytes() -> usize {
 /// measurement phases.
 pub fn reset_peak() {
     PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-/// The kernel's peak-RSS figure (`VmHWM` from `/proc/self/status`), in KiB.
-/// `None` off Linux or if the field is missing.  Process-lifetime — it cannot
-/// be reset between phases, which is why the per-phase numbers come from the
-/// allocator counters instead.
-pub fn vm_hwm_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// A counting wrapper around the system allocator.  Zero-sized; install with
@@ -107,17 +91,18 @@ mod tests {
     // harness runs tests concurrently.
     #[test]
     fn counters_track_live_and_peak_bytes() {
-        let base = current_bytes();
+        let live = || CURRENT.load(Ordering::Relaxed);
+        let base = live();
         reset_peak();
         assert_eq!(peak_bytes(), base);
 
         record_alloc(1000);
-        assert_eq!(current_bytes(), base + 1000);
+        assert_eq!(live(), base + 1000);
         assert_eq!(peak_bytes(), base + 1000);
 
         record_alloc(500);
         record_dealloc(1200);
-        assert_eq!(current_bytes(), base + 300);
+        assert_eq!(live(), base + 300);
         assert_eq!(peak_bytes(), base + 1500, "peak survives frees");
 
         reset_peak();
@@ -125,14 +110,6 @@ mod tests {
         record_alloc(100);
         assert_eq!(peak_bytes(), base + 400);
         record_dealloc(400);
-        assert_eq!(current_bytes(), base);
-    }
-
-    #[test]
-    fn vm_hwm_parses_on_linux() {
-        if cfg!(target_os = "linux") {
-            let hwm = vm_hwm_kb().expect("VmHWM present on Linux");
-            assert!(hwm > 0);
-        }
+        assert_eq!(live(), base);
     }
 }

@@ -414,7 +414,7 @@ pub struct AdmmResult {
     pub evaluations: usize,
     /// Objective evaluations attributable to each outer iteration (excludes
     /// the single initial evaluation).  Summing a prefix gives the
-    /// passes-to-reach-a-trace-entry accounting used by `repro_fused_speedup`.
+    /// passes-to-reach-a-trace-entry accounting used by the warm-start tests.
     pub evaluations_by_outer: Vec<usize>,
     /// Accepted accelerated-Θ-update step size at exit (`0.0` under the
     /// fixed-step Θ-update, which carries no step history).

@@ -1,14 +1,20 @@
 //! End-to-end integration tests spanning every crate: cohort generation →
 //! dataset extraction → training → prediction → evaluation → census
-//! simulation.
+//! simulation and closed-loop what-if forecasting.
 
-use patient_flow::baselines::{DmcpPredictor, FlowPredictor, MarkovPredictor, MethodId};
+use patient_flow::baselines::{
+    DmcpPredictor, FlowPredictor, GenerativePredictor, MarkovPredictor, MethodId,
+};
 use patient_flow::core::{DmcpModel, TrainConfig};
 use patient_flow::ehr::departments::CareUnit;
 use patient_flow::ehr::{generate_cohort, CohortConfig};
-use patient_flow::eval::census::simulate_census;
+use patient_flow::eval::census::{census_errors_f64, simulate_census, CENSUS_DAYS};
 use patient_flow::eval::dataset::build_dataset;
 use patient_flow::eval::metrics::{evaluate, overall_cu_accuracy};
+use patient_flow::eval::scenario::{
+    actual_census, evaluate_scenarios, forecast_census, AdmissionModel, ForecastConfig,
+    Perturbation, Scenario,
+};
 
 #[test]
 fn full_pipeline_beats_the_majority_class_baseline() {
@@ -96,6 +102,70 @@ fn census_simulation_runs_for_trained_and_count_based_models() {
             assert!(total <= test.patients.len());
         }
     }
+}
+
+#[test]
+fn closed_loop_census_beats_markov_and_the_what_if_suite_is_deterministic() {
+    let cohort = generate_cohort(&CohortConfig::scaled(0.01, 42));
+    let dataset = build_dataset(&cohort);
+    let (train, test) = dataset.split_holdout(0.2, 42);
+    let config = TrainConfig {
+        seed: 42,
+        ..TrainConfig::fast()
+    };
+    let dmcp = DmcpPredictor::train(&train, &config, MethodId::Sdmcp);
+    let markov = MarkovPredictor::train(&train);
+
+    // Forecast skill: replay the held-out admissions (the paper's census
+    // setting) and score against the actual census.
+    let replay = ForecastConfig {
+        rollouts: 8,
+        seed: 42,
+        ..ForecastConfig::default()
+    };
+    let actual: Vec<Vec<f64>> = actual_census(&test, CENSUS_DAYS)
+        .iter()
+        .map(|row| row.iter().map(|&v| v as f64).collect())
+        .collect();
+    let err_c = |p: &dyn GenerativePredictor| {
+        let forecast = forecast_census(p, &test, &Scenario::baseline(), &replay);
+        census_errors_f64(&actual, &forecast.mean).1
+    };
+    let (err_dmcp, err_markov) = (err_c(&dmcp), err_c(&markov));
+    assert!(
+        err_dmcp < err_markov,
+        "SDMCP baseline Err_C {err_dmcp:.3} must beat Markov's {err_markov:.3}"
+    );
+
+    // The what-if suite, with a Hawkes admission stream so surges have
+    // something to scale, reproduces exactly at a fixed seed.
+    let suite = [
+        Scenario::named("surge-2x").with(Perturbation::AdmissionSurge { scale: 2.0 }),
+        Scenario::named("micu-closed").with(Perturbation::UnitClosure {
+            cu: CareUnit::Micu.index(),
+        }),
+        Scenario::named("nicu-slow-discharge").with(Perturbation::LosShift {
+            cu: CareUnit::Nicu.index(),
+            factor: 1.5,
+        }),
+        Scenario::named("winter-crunch")
+            .with(Perturbation::AdmissionSurge { scale: 1.5 })
+            .with(Perturbation::UnitClosure {
+                cu: CareUnit::Ccu.index(),
+            })
+            .with(Perturbation::LosShift {
+                cu: CareUnit::Gw.index(),
+                factor: 1.25,
+            }),
+    ];
+    let with_admissions = ForecastConfig {
+        admissions: Some(AdmissionModel::for_cohort(test.patients.len(), CENSUS_DAYS)),
+        ..replay
+    };
+    let run = || evaluate_scenarios(&dmcp, &test, &suite, &with_admissions);
+    let report = run();
+    assert_eq!(report.scenarios.len(), suite.len());
+    assert!(report == run(), "what-if suite differs across two runs");
 }
 
 #[test]

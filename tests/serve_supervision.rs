@@ -10,7 +10,7 @@ use patient_flow::math::parallel::PoolError;
 use patient_flow::math::{Matrix, SparseVec};
 use patient_flow::optim::WarmStartError;
 use patient_flow::serve::{
-    FallbackPredictor, PredictionService, RetryPolicy, ServeConfig, ServeError,
+    FallbackPredictor, Prediction, PredictionService, RetryPolicy, ServeConfig, ServeError,
 };
 
 /// A deterministic non-trivial model: 6 features, 3 CUs, 2 durations.
@@ -140,6 +140,105 @@ fn kill_all_heals_back_to_bitwise_correct_answers() {
     }
     assert!(health.is_full());
     assert!(health.respawned_total >= 2);
+    service.shutdown();
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Under faults every outcome must be the model's exact answer, a tagged
+/// degraded answer, or a retryable error; `ShutDown` would mean the
+/// dispatcher died while the service was up.
+fn check_outcome(outcome: Result<Prediction, ServeError>, expected: &(Vec<f64>, Vec<f64>)) {
+    match outcome {
+        Ok(p) if p.degraded => {}
+        Ok(p) => {
+            assert_eq!(bits(&p.cu_probs), bits(&expected.0), "wrong CU answer");
+            assert_eq!(
+                bits(&p.duration_probs),
+                bits(&expected.1),
+                "wrong LOS answer"
+            );
+        }
+        Err(ServeError::ShutDown) => panic!("a client saw ShutDown while the service was up"),
+        Err(err) => assert!(err.is_retryable(), "unexpected error: {err:?}"),
+    }
+}
+
+#[test]
+fn kill_storms_under_load_never_answer_wrong_and_heal() {
+    let model = test_model();
+    let requests: Vec<SparseVec> = (0..16).map(request).collect();
+    let expected: Vec<_> = requests.iter().map(|r| model.probabilities(r)).collect();
+    let service = PredictionService::start_with_fallback(
+        model,
+        ServeConfig {
+            max_batch: 32,
+            threads: 2,
+            queue_capacity: 64,
+            ..Default::default()
+        },
+        Some(Box::new(StubFallback::instant())),
+    );
+
+    // Four closed-loop clients for 300 ms while both workers are killed
+    // every 20 ms, so respawned workers keep dying.
+    let storm = Duration::from_millis(300);
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for client_id in 0..4 {
+            let client = service.client();
+            let (requests, expected) = (&requests, &expected);
+            scope.spawn(move || {
+                let mut i = client_id;
+                while start.elapsed() < storm {
+                    let idx = i % requests.len();
+                    check_outcome(client.predict(requests[idx].clone()), &expected[idx]);
+                    i += 4;
+                }
+            });
+        }
+        while start.elapsed() < storm {
+            std::thread::sleep(Duration::from_millis(20));
+            service.inject_worker_failure();
+            service.inject_worker_failure();
+        }
+    });
+
+    // A pipelined burst with kills landing inside assembling batches.
+    let client = service.client();
+    let mut pending = Vec::new();
+    for i in 0..128 {
+        if i == 42 || i == 64 {
+            service.inject_worker_failure();
+        }
+        let idx = i % requests.len();
+        match client.submit(requests[idx].clone()) {
+            Ok(p) => pending.push((idx, p)),
+            Err(err) => check_outcome(Err(err), &expected[idx]),
+        }
+    }
+    for (idx, p) in pending {
+        check_outcome(p.wait(), &expected[idx]);
+    }
+
+    // The supervisor heals back to exact answers from a full-strength pool.
+    let healed_by = Instant::now() + Duration::from_secs(10);
+    loop {
+        let answer = client.predict(requests[0].clone());
+        let exact = matches!(&answer, Ok(p) if !p.degraded);
+        check_outcome(answer, &expected[0]);
+        if exact && service.health().is_full() {
+            break;
+        }
+        assert!(
+            Instant::now() < healed_by,
+            "service did not heal within 10 s"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(service.health().respawned_total >= 2);
     service.shutdown();
 }
 
