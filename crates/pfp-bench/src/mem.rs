@@ -1,8 +1,10 @@
-//! Heap accounting for the bounded-memory test (`tests/bounded_memory.rs`).
+//! Heap accounting for the bounded-memory and serve-allocation tests
+//! (`tests/bounded_memory.rs`, `tests/serve_allocations.rs`).
 //!
-//! [`TrackingAllocator`] wraps the system allocator with two atomic
-//! counters: live bytes and the high-water mark since the last
-//! [`reset_peak`].  A test binary that wants the numbers installs it as its
+//! [`TrackingAllocator`] wraps the system allocator with atomic counters:
+//! live bytes, the high-water mark since the last [`reset_peak`], and the
+//! cumulative bytes and number of allocations since process start.  A test
+//! binary that wants the numbers installs it as its
 //! global allocator:
 //!
 //! ```ignore
@@ -20,12 +22,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 /// Record `size` bytes allocated.  Public so the bookkeeping is unit-testable
 /// without installing the allocator.
 pub fn record_alloc(size: usize) {
     let now = CURRENT.fetch_add(size, Ordering::Relaxed) + size;
     PEAK.fetch_max(now, Ordering::Relaxed);
+    ALLOCATED.fetch_add(size, Ordering::Relaxed);
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Record `size` bytes freed.
@@ -37,6 +43,17 @@ pub fn record_dealloc(size: usize) {
 /// start).
 pub fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)
+}
+
+/// Bytes allocated since process start, frees not subtracted (a `realloc`
+/// counts its new size).  Difference two readings to cost a phase.
+pub fn allocated_bytes() -> usize {
+    ALLOCATED.load(Ordering::Relaxed)
+}
+
+/// Allocations since process start (a `realloc` counts as one).
+pub fn allocations() -> usize {
+    ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 /// Restart peak tracking from the current live size — call between
@@ -93,6 +110,7 @@ mod tests {
     fn counters_track_live_and_peak_bytes() {
         let live = || CURRENT.load(Ordering::Relaxed);
         let base = live();
+        let (bytes0, count0) = (allocated_bytes(), allocations());
         reset_peak();
         assert_eq!(peak_bytes(), base);
 
@@ -111,5 +129,8 @@ mod tests {
         assert_eq!(peak_bytes(), base + 400);
         record_dealloc(400);
         assert_eq!(live(), base);
+
+        assert_eq!(allocated_bytes() - bytes0, 1600, "frees never subtract");
+        assert_eq!(allocations() - count0, 3);
     }
 }

@@ -9,7 +9,9 @@
 //! the workspace's existing [`pfp_math::WorkerPool`]:
 //!
 //! 1. **Clients** ([`ServeClient`], cheaply cloneable) send requests down a
-//!    channel and block on a per-request reply channel.
+//!    bounded channel and block on a one-value reply slot: one `Arc` with a
+//!    mutex-guarded answer and a condition variable, notified only when the
+//!    caller is actually parked.
 //! 2. A single **dispatcher** thread takes every request already queued, up
 //!    to `max_batch`, and flushes as soon as the queue runs dry
 //!    ([`batcher::collect_batch`]; a positive [`ServeConfig::max_wait`]
@@ -84,6 +86,7 @@
 //! ```
 
 pub mod batcher;
+mod reply;
 pub mod service;
 
 pub use pfp_core::DmcpModel;
@@ -98,7 +101,8 @@ mod tests {
     use super::*;
     use pfp_core::FeatureMapKind;
     use pfp_math::{Matrix, PoolError, SparseVec};
-    use std::time::Duration;
+    use std::sync::{mpsc, Arc, Barrier};
+    use std::time::{Duration, Instant};
 
     /// A deterministic non-trivial model: 6 features, 3 CUs, 2 durations
     /// (theta is 6×5, exercising the generic-column kernel path).
@@ -326,6 +330,93 @@ mod tests {
             client.predict(request(2)).unwrap_err(),
             ServeError::ShutDown
         );
+    }
+
+    #[test]
+    fn dropped_pending_predictions_leave_later_answers_bitwise_correct() {
+        let model = test_model();
+        let expected: Vec<_> = (0..32).map(|i| model.probabilities(&request(i))).collect();
+        let service = PredictionService::start(model, ServeConfig::default());
+        let client = service.client();
+        // Abandon every other request while it is queued or being scored.
+        let pending: Vec<_> = (0..32)
+            .map(|i| client.submit(request(i)).unwrap())
+            .collect();
+        let kept: Vec<_> = pending
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| i % 2 == 1)
+            .collect();
+        for (i, pending) in kept {
+            let prediction = pending.wait().unwrap();
+            assert_eq!(prediction.cu_probs, expected[i].0, "request {i}");
+            assert_eq!(prediction.duration_probs, expected[i].1, "request {i}");
+        }
+        for (i, (cu, dur)) in expected.iter().enumerate() {
+            let prediction = client.predict(request(i)).unwrap();
+            assert_eq!(&prediction.cu_probs, cu, "later request {i}");
+            assert_eq!(&prediction.duration_probs, dur, "later request {i}");
+        }
+        service.shutdown();
+    }
+
+    #[test]
+    fn shutdown_racing_pipelined_submits_answers_each_request_or_shuts_it_down() {
+        const CLIENTS: usize = 4;
+        const PER_CLIENT: usize = 256;
+        let model = test_model();
+        let expected: Vec<_> = (0..CLIENTS * PER_CLIENT)
+            .map(|i| model.probabilities(&request(i)))
+            .collect();
+        for round in 0..10 {
+            let service = PredictionService::start(
+                model.clone(),
+                ServeConfig {
+                    // Room for every request and the shutdown sentinel, so
+                    // none is shed.
+                    queue_capacity: CLIENTS * PER_CLIENT + 1,
+                    ..Default::default()
+                },
+            );
+            let start = Arc::new(Barrier::new(CLIENTS + 1));
+            let (done_tx, done_rx) = mpsc::channel();
+            for t in 0..CLIENTS {
+                let client = service.client();
+                let start = Arc::clone(&start);
+                let done_tx = done_tx.clone();
+                std::thread::spawn(move || {
+                    start.wait();
+                    let pending: Vec<_> = (t * PER_CLIENT..(t + 1) * PER_CLIENT)
+                        .map(|i| (i, client.submit(request(i))))
+                        .collect();
+                    let answers: Vec<_> = pending
+                        .into_iter()
+                        .map(|(i, p)| (i, p.and_then(PendingPrediction::wait)))
+                        .collect();
+                    let _ = done_tx.send(answers);
+                });
+            }
+            start.wait();
+            service.shutdown();
+            // Watchdog: a reply that is never sent nor closed hangs its
+            // client, which must fail the test rather than stall it.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            for _ in 0..CLIENTS {
+                let answers = done_rx
+                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                    .unwrap_or_else(|_| panic!("round {round}: a client hung after shutdown"));
+                for (i, answer) in answers {
+                    match answer {
+                        Ok(prediction) => {
+                            assert_eq!(prediction.cu_probs, expected[i].0, "request {i}");
+                            assert_eq!(prediction.duration_probs, expected[i].1);
+                        }
+                        Err(ServeError::ShutDown) => {}
+                        Err(other) => panic!("round {round}, request {i}: got {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`FallbackPredictor`] answers (tagged [`Prediction::degraded`]) while the
 //! pool is below its health threshold.
 
-use std::sync::mpsc::{channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -22,6 +22,7 @@ use pfp_math::supervise::{BackoffConfig, PoolHealth, Supervisor};
 use pfp_math::{CsrMatrix, PoolError, SparseVec};
 
 use crate::batcher::collect_batch;
+use crate::reply::{reply_slot, ReplyReceiver, ReplySender};
 
 /// Tuning knobs for the micro-batcher, the scoring pool, and the service's
 /// failure policy.
@@ -166,7 +167,7 @@ enum Msg {
         /// Absolute expiry, pre-computed at submission; checked at dequeue
         /// and again immediately before scoring.
         deadline: Option<Instant>,
-        reply: Sender<Result<Prediction, ServeError>>,
+        reply: ReplySender<Result<Prediction, ServeError>>,
     },
     /// Test/bench hook: kill one scoring worker (fault injection).
     InjectWorkerFailure,
@@ -181,7 +182,7 @@ enum Msg {
 struct PendingRow {
     /// Taken (set to `None`) once the row has been answered — e.g. by the
     /// pre-scoring deadline pass.
-    reply: Option<Sender<Result<Prediction, ServeError>>>,
+    reply: Option<ReplySender<Result<Prediction, ServeError>>>,
     deadline: Option<Instant>,
     /// Retained so the fallback predictor can re-score the row without
     /// unpacking the CSR block.
@@ -210,16 +211,19 @@ pub struct ServeClient {
 }
 
 /// An in-flight request submitted with [`ServeClient::submit`]: call
-/// [`wait`](PendingPrediction::wait) for the answer.  Dropping it abandons
-/// the request (the dispatcher's reply is discarded).
+/// [`wait`](PendingPrediction::wait) for the answer.  The answer arrives
+/// through a one-value reply slot shared with the dispatcher.  Dropping the
+/// handle abandons the request: it is still scored, and its answer is freed
+/// with the slot.
 pub struct PendingPrediction {
-    rx: Receiver<Result<Prediction, ServeError>>,
+    reply: ReplyReceiver<Result<Prediction, ServeError>>,
 }
 
 impl PendingPrediction {
-    /// Block for this request's answer.
+    /// Block for this request's answer.  [`ServeError::ShutDown`] if the
+    /// service stopped before answering it.
     pub fn wait(self) -> Result<Prediction, ServeError> {
-        self.rx.recv().map_err(|_| ServeError::ShutDown)?
+        self.reply.wait().unwrap_or(Err(ServeError::ShutDown))
     }
 }
 
@@ -308,14 +312,14 @@ impl PredictionService {
                                 reply,
                             } => {
                                 if features.dim() != model.num_features() {
-                                    let _ = reply.send(Err(ServeError::FeatureDim {
+                                    reply.send(Err(ServeError::FeatureDim {
                                         expected: model.num_features(),
                                         got: features.dim(),
                                     }));
                                 } else if deadline.is_some_and(|d| Instant::now() > d) {
                                     // Dequeue-time deadline check: the
                                     // request aged out while queued.
-                                    let _ = reply.send(Err(ServeError::DeadlineExceeded));
+                                    reply.send(Err(ServeError::DeadlineExceeded));
                                 } else {
                                     block.push_row(&features);
                                     pending.push(PendingRow {
@@ -329,8 +333,9 @@ impl PredictionService {
                                 supervisor.pool().inject_worker_failure();
                             }
                             // Finish answering the batch in flight, then
-                            // exit; replies queued after the sentinel drop,
-                            // surfacing as `ShutDown` at the callers.
+                            // exit; requests queued after the sentinel drop
+                            // with the queue, and each dropped reply sender
+                            // closes its slot: the callers get `ShutDown`.
                             Msg::Shutdown => stop = true,
                         }
                     }
@@ -355,7 +360,7 @@ impl PredictionService {
                     for row in pending.iter_mut() {
                         if row.deadline.is_some_and(|d| now > d) {
                             if let Some(reply) = row.reply.take() {
-                                let _ = reply.send(Err(ServeError::DeadlineExceeded));
+                                reply.send(Err(ServeError::DeadlineExceeded));
                             }
                         } else {
                             alive += 1;
@@ -407,7 +412,7 @@ impl PredictionService {
                                     .next()
                                     .expect("shard fan-in lost a prediction row");
                                 if let Some(reply) = row.reply {
-                                    let _ = reply.send(Ok(prediction));
+                                    reply.send(Ok(prediction));
                                 }
                             }
                         }
@@ -422,7 +427,7 @@ impl PredictionService {
                             } else {
                                 for row in pending.drain(..) {
                                     if let Some(reply) = row.reply {
-                                        let _ = reply.send(Err(ServeError::Pool(err.clone())));
+                                        reply.send(Err(ServeError::Pool(err.clone())));
                                     }
                                 }
                             }
@@ -449,7 +454,7 @@ impl PredictionService {
         for row in pending.drain(..) {
             if let Some(reply) = row.reply {
                 let (cu_probs, duration_probs) = fallback.probabilities(&row.features);
-                let _ = reply.send(Ok(Prediction {
+                reply.send(Ok(Prediction {
                     cu_probs,
                     duration_probs,
                     batch_rows,
@@ -543,13 +548,13 @@ impl ServeClient {
         features: SparseVec,
         deadline: Option<Instant>,
     ) -> Result<PendingPrediction, ServeError> {
-        let (reply_tx, reply_rx) = channel();
+        let (reply_tx, reply_rx) = reply_slot();
         match self.tx.try_send(Msg::Predict {
             features,
             deadline,
             reply: reply_tx,
         }) {
-            Ok(()) => Ok(PendingPrediction { rx: reply_rx }),
+            Ok(()) => Ok(PendingPrediction { reply: reply_rx }),
             Err(TrySendError::Full(_)) => Err(ServeError::Overloaded {
                 capacity: self.queue_capacity,
             }),
