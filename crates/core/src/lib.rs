@@ -28,8 +28,7 @@
 //!   fold of the batched kernel, which can be sharded over a persistent
 //!   worker pool ([`loss::Objective::with_threads`]) with a
 //!   bitwise-deterministic result for a fixed thread count.
-//! * [`train`](mod@train) — Algorithm 1: ADMM + group lasso, plus a plain-GD
-//!   path;
+//! * [`train`](mod@train) — Algorithm 1: ADMM + group lasso;
 //!   [`TrainConfig::threads`] selects the sample-parallel accumulation width.
 //! * [`model`] — the trained [`DmcpModel`]: conditional probabilities,
 //!   prediction, intensity evaluation, census simulation hooks.
@@ -60,4 +59,4 @@ pub use stream::{
     train_sharded, train_sharded_warm, train_streamed, train_streamed_warm, ShardedDmcpObjective,
     ShardedSamples, StreamingDmcpObjective,
 };
-pub use train::{initial_theta, train, train_warm, SolverMode, TrainConfig, TrainReport};
+pub use train::{initial_theta, train, train_warm, TrainConfig, TrainReport};

@@ -5,16 +5,15 @@
 //! 1. featurize every transition sample under the chosen feature map,
 //! 2. apply the imbalance pre-processing (none / weighted / synthetic),
 //! 3. minimise the two-head cross-entropy plus the row-wise group lasso with
-//!    ADMM (inner gradient descent for the Θ-update, group soft-threshold for
-//!    the X-update, dual ascent for Y).
+//!    ADMM (an accelerated line-search gradient solve for the Θ-update, group
+//!    soft-threshold for the X-update, dual ascent for Y).
 
 use pfp_math::rng::seeded_rng;
 use pfp_math::Matrix;
 use pfp_optim::admm::{
-    solve_group_lasso, solve_group_lasso_warm, AdaptiveRho, AdmmConfig, AdmmResult, PlateauStop,
-    ThetaUpdate, WarmStart, WarmStartError,
+    solve_group_lasso, solve_group_lasso_warm, AdmmConfig, AdmmResult, PlateauStop, WarmStart,
+    WarmStartError,
 };
-use pfp_optim::gd::{AcceleratedConfig, LearningRate};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -23,20 +22,6 @@ use crate::features::FeatureMapKind;
 use crate::imbalance::ImbalanceStrategy;
 use crate::loss::DmcpObjective;
 use crate::model::DmcpModel;
-
-/// Which ADMM solver the trainer runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SolverMode {
-    /// Time-to-tolerance solver (default): residual-balancing adaptive ρ,
-    /// over-relaxation, residual stopping, and the Nesterov-accelerated
-    /// Armijo line-search Θ-update.  `max_outer_iters` is a cap.
-    Adaptive,
-    /// The legacy fixed-budget solver: fixed-schedule inner gradient descent
-    /// with static ρ, running `max_outer_iters` outer iterations unless the
-    /// relative-change criterion fires.  Kept for baselines and
-    /// convergence-rate comparisons (`tests/admm_convergence.rs`).
-    FixedBudget,
-}
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -48,20 +33,13 @@ pub struct TrainConfig {
     pub gamma: f64,
     /// ADMM augmented-Lagrangian weight ρ.
     pub rho: f64,
-    /// Learning rate of the fixed-budget inner gradient descent.  Only used
-    /// by [`SolverMode::FixedBudget`]; the default adaptive solver's Armijo
-    /// line search finds its own step and ignores this field.
-    pub learning_rate: LearningRate,
     /// Maximum inner (Θ-update) iterations per outer iteration.
     pub max_inner_iters: usize,
     /// Maximum outer ADMM iterations.
     pub max_outer_iters: usize,
-    /// Convergence tolerance ε: the relative-change criterion of the
-    /// fixed-budget solver, and the relative residual tolerance `eps_rel` of
-    /// the adaptive solver.
+    /// Convergence tolerance ε, mapped to the relative residual tolerance
+    /// `eps_rel` of the ADMM solve (see [`TrainConfig::admm_config`]).
     pub tolerance: f64,
-    /// Which ADMM solver to run (see [`SolverMode`]).
-    pub solver: SolverMode,
     /// Imbalance pre-processing strategy.
     pub imbalance: ImbalanceStrategy,
     /// Seed for parameter initialisation and synthetic-data generation.
@@ -97,14 +75,9 @@ impl TrainConfig {
             feature_map: None,
             gamma: 1e-3,
             rho: 1.0,
-            learning_rate: LearningRate::InverseDecay {
-                initial: 0.5,
-                decay: 0.05,
-            },
             max_inner_iters: 40,
             max_outer_iters: 30,
             tolerance: 1e-2,
-            solver: SolverMode::Adaptive,
             imbalance: ImbalanceStrategy::None,
             seed: 0,
             init_scale: 1e-3,
@@ -118,7 +91,6 @@ impl TrainConfig {
         Self {
             max_inner_iters: 25,
             max_outer_iters: 8,
-            learning_rate: LearningRate::Constant(0.5),
             ..Self::paper_default()
         }
     }
@@ -147,21 +119,6 @@ impl TrainConfig {
         self
     }
 
-    /// Switch the ADMM solver mode, keeping everything else.
-    pub fn with_solver(mut self, solver: SolverMode) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// The legacy fixed-budget configuration (the pre-adaptive solver):
-    /// paper defaults with [`SolverMode::FixedBudget`].
-    pub fn fixed_budget() -> Self {
-        Self {
-            solver: SolverMode::FixedBudget,
-            ..Self::paper_default()
-        }
-    }
-
     /// Switch the accumulation thread count, keeping everything else
     /// (`0` = all available parallelism, `1` = serial).
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -176,45 +133,21 @@ impl TrainConfig {
         self
     }
 
-    /// The equivalent [`AdmmConfig`].
-    ///
-    /// [`SolverMode::Adaptive`] maps `tolerance` to the relative residual
-    /// tolerance `eps_rel` and disables the legacy relative-change criterion
-    /// (θ can stall for an outer iteration while X is still moving);
-    /// [`SolverMode::FixedBudget`] reproduces the pre-adaptive solver
-    /// exactly.
+    /// The equivalent [`AdmmConfig`]: `tolerance` becomes the relative
+    /// residual tolerance `eps_rel`.
     pub fn admm_config(&self) -> AdmmConfig {
-        match self.solver {
-            SolverMode::FixedBudget => AdmmConfig {
-                plateau: self.plateau,
-                ..AdmmConfig::fixed_budget(
-                    self.gamma,
-                    self.rho,
-                    self.learning_rate,
-                    self.max_inner_iters,
-                    self.max_outer_iters,
-                    self.tolerance,
-                )
-            },
-            SolverMode::Adaptive => AdmmConfig {
-                gamma: self.gamma,
-                rho: self.rho,
-                theta_update: ThetaUpdate::Accelerated {
-                    config: AcceleratedConfig::default(),
-                },
-                max_inner_iters: self.max_inner_iters,
-                max_outer_iters: self.max_outer_iters,
-                tolerance: 0.0,
-                over_relaxation: 1.6,
-                adaptive_rho: Some(AdaptiveRho::default()),
-                eps_abs: 1e-8,
-                // The paper's ε is a relative-change tolerance; the residual
-                // criteria are stricter per unit, so map it one decade down —
-                // tuned so the adaptive solve reaches (and slightly beats)
-                // the fixed-budget final objective before stopping.
-                eps_rel: 0.1 * self.tolerance,
-                plateau: self.plateau,
-            },
+        AdmmConfig {
+            gamma: self.gamma,
+            rho: self.rho,
+            max_inner_iters: self.max_inner_iters,
+            max_outer_iters: self.max_outer_iters,
+            eps_abs: 1e-8,
+            // The paper's ε is a relative-change tolerance; the residual
+            // criteria are stricter per unit, so map it one decade down —
+            // tuned so the solve reaches (and slightly beats) the
+            // fixed-budget solver's final objective before stopping.
+            eps_rel: 0.1 * self.tolerance,
+            plateau: self.plateau,
         }
     }
 }

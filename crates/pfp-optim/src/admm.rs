@@ -4,9 +4,8 @@
 //! alternating:
 //!
 //! 1. **Θ-update** — minimise the augmented Lagrangian
-//!    `L(Θ) + (ρ/2)‖Θ − X + Y‖²_F` (Eq. 8), either by the legacy
-//!    fixed-schedule gradient descent or (default) by the
-//!    Nesterov-accelerated Armijo line-search solver in [`crate::gd`],
+//!    `L(Θ) + (ρ/2)‖Θ − X + Y‖²_F` (Eq. 8) with the Nesterov-accelerated
+//!    Armijo line-search solver in [`crate::gd`],
 //! 2. **X-update** — the row-wise group soft-threshold `prox_{γ/ρ}` (Eq. 10)
 //!    applied to the over-relaxed point `αΘ + (1−α)X_prev + Y`,
 //! 3. **Y-update** — dual ascent `Y ← Y + (Θ̂ − X)` (Eq. 11).
@@ -16,25 +15,25 @@
 //! The driver stops on the standard primal/dual residual criteria
 //! (`‖Θ − X‖ ≤ ε_pri`, `ρ‖X − X_prev‖ ≤ ε_dual`, Boyd et al. §3.3), so
 //! `max_outer_iters` is a **cap**, not a schedule.  Three convergence-rate
-//! levers are on by default and individually configurable:
+//! levers are always on:
 //!
 //! * **Residual-balancing adaptive ρ** ([`AdaptiveRho`]): grow ρ when the
 //!   primal residual dominates, shrink it when the dual one does, rescaling
 //!   the scaled dual `Y` and the diagonal step preconditioner in step.
-//! * **Over-relaxation** (`α ≈ 1.6`): the X/Y updates see
+//! * **Over-relaxation** (`α = 1.6`): the X/Y updates see
 //!   `Θ̂ = αΘ + (1−α)X_prev` instead of Θ.
-//! * **Accelerated Θ-update** ([`ThetaUpdate::Accelerated`]): Nesterov
-//!   momentum + Armijo backtracking with the accepted step warm-started
-//!   across outer iterations, and a gradient-norm early exit.
+//! * **Accelerated Θ-update** ([`crate::gd::minimize_matrix_accelerated`]
+//!   with [`AcceleratedConfig::default`]): Nesterov momentum + Armijo
+//!   backtracking with the accepted step warm-started across outer
+//!   iterations, and a gradient-norm early exit.
 //!
 //! # Evaluation accounting
 //!
 //! The driver is written against the fused
-//! [`SmoothObjective::value_and_gradient`].  The accelerated path performs
-//! *only* fused evaluations: the last accepted line-search evaluation already
-//! sits at the outer iteration's final Θ, so its smooth value extends the
-//! objective trace and its gradient seeds the next Θ-update — no separate
-//! trailing pass.  The trace is extended every outer iteration, including
+//! [`SmoothObjective::value_and_gradient`] and performs *only* fused
+//! evaluations: the last accepted line-search evaluation already sits at the
+//! outer iteration's final Θ, so its smooth value extends the objective trace
+//! and its gradient seeds the next Θ-update — no separate trailing pass.  The trace is extended every outer iteration, including
 //! early-stop ones (the carried value is bitwise what a fresh evaluation at
 //! that Θ would return, because the objective is deterministic).
 
@@ -43,7 +42,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::gd::{
     minimize_matrix_accelerated, AcceleratedConfig, AcceleratedState, AcceleratedWorkspace,
-    LearningRate,
 };
 use crate::prox::prox_group_lasso_in_place;
 
@@ -78,8 +76,8 @@ pub trait SmoothObjective {
     /// Parameter shape `(rows, cols)`.
     fn shape(&self) -> (usize, usize);
     /// Per-row curvature bounds `L_r` (one per parameter row), if cheap to
-    /// compute. The Θ-update caps (fixed-step) or preconditions (accelerated)
-    /// row `r`'s step at `1 / (L_r + ρ)`: a schedule tuned for well-scaled
+    /// compute. The Θ-update preconditions row `r`'s step with
+    /// `1 / (L_r + ρ)`: a schedule tuned for well-scaled
     /// features cannot diverge on rows whose features carry physical units
     /// (e.g. the day-scaled `g(t) = t − t_I` block of the mutually-correcting
     /// map), while well-scaled rows keep the full step.  The caps are
@@ -89,35 +87,30 @@ pub trait SmoothObjective {
     }
 }
 
-/// Residual-balancing adaptive-ρ policy (Boyd et al. §3.4.1).
+/// Residual-balancing adaptive-ρ policy (Boyd et al. §3.4.1), which the
+/// driver applies after every outer iteration that did not stop.
 ///
-/// After each outer iteration: if `‖r‖ > mu·‖s‖` the penalty grows
-/// (`ρ ← τρ`, `Y ← Y/τ`), if `‖s‖ > mu·‖r‖` it shrinks (`ρ ← ρ/τ`,
-/// `Y ← τY`); the scaled dual is rescaled so the true dual `ρY` is
-/// unchanged, and the diagonal preconditioner caps `1/(L_r + ρ)` are
+/// If `‖r‖ > μ‖s‖` the penalty grows (`ρ ← τρ`, `Y ← Y/τ`), if `‖s‖ > μ‖r‖`
+/// it shrinks (`ρ ← ρ/τ`, `Y ← τY`), with the standard `μ = 10`, `τ = 2` and
+/// ρ kept within `[1e-6, 1e6]`.  The scaled dual is rescaled so the true dual
+/// `ρY` is unchanged, and the diagonal preconditioner caps `1/(L_r + ρ)` are
 /// recomputed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveRho {
-    /// Imbalance factor triggering an adaptation (10 is standard).
-    pub mu: f64,
-    /// Multiplicative ρ change per adaptation (2 is standard).
-    pub tau: f64,
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct AdaptiveRho;
+
+impl AdaptiveRho {
+    /// Imbalance factor μ triggering an adaptation.
+    const MU: f64 = 10.0;
+    /// Multiplicative ρ change τ per adaptation.
+    const TAU: f64 = 2.0;
     /// Lower clamp on ρ.
-    pub min: f64,
+    const MIN: f64 = 1e-6;
     /// Upper clamp on ρ.
-    pub max: f64,
+    const MAX: f64 = 1e6;
 }
 
-impl Default for AdaptiveRho {
-    fn default() -> Self {
-        Self {
-            mu: 10.0,
-            tau: 2.0,
-            min: 1e-6,
-            max: 1e6,
-        }
-    }
-}
+/// Over-relaxation factor α: the X/Y updates see `αΘ + (1−α)X_prev`.
+const OVER_RELAXATION: f64 = 1.6;
 
 /// Objective-plateau stopping criterion for the weakly-determined regimes
 /// (small γ, flat small-eigenvalue directions) where the residual criteria
@@ -167,52 +160,22 @@ impl PlateauStop {
     }
 }
 
-/// How the Θ-update minimises the augmented Lagrangian.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ThetaUpdate {
-    /// Legacy fixed-schedule gradient descent with per-row step caps: one
-    /// gradient pass per inner step, inner relative-change early exit, one
-    /// trailing fused evaluation per outer iteration.
-    FixedStep {
-        /// Learning-rate schedule of the inner loop.
-        schedule: LearningRate,
-    },
-    /// Nesterov-accelerated gradient descent with Armijo backtracking
-    /// (preconditioned by the per-row curvature caps, step warm-started
-    /// across outer iterations, gradient-norm early exit).
-    Accelerated {
-        /// Line-search and early-exit parameters.
-        config: AcceleratedConfig,
-    },
-}
-
 /// ADMM hyper-parameters.
 ///
-/// [`Default`] is the time-to-tolerance configuration (accelerated Θ-update,
-/// adaptive ρ, over-relaxation, residual stopping);
-/// [`AdmmConfig::fixed_budget`] reproduces the legacy fixed-schedule solver
-/// exactly, for baselines and before/after comparisons.
+/// The Θ-update ([`AcceleratedConfig::default`]), residual-balancing
+/// adaptive ρ ([`AdaptiveRho`]) and the over-relaxation factor `α = 1.6` are
+/// fixed; these fields set the problem, the caps and the stopping criteria.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AdmmConfig {
     /// Group-lasso weight γ.
     pub gamma: f64,
     /// Initial augmented-Lagrangian weight ρ.
     pub rho: f64,
-    /// Θ-update strategy.
-    pub theta_update: ThetaUpdate,
     /// Maximum inner (Θ-update) iterations per outer iteration.
     pub max_inner_iters: usize,
     /// Maximum outer ADMM iterations (a cap; residual stopping usually fires
     /// first).
     pub max_outer_iters: usize,
-    /// Legacy outer stopping criterion: relative change of Θ across one outer
-    /// iteration (`0` disables).  Also the inner relative-change tolerance of
-    /// the fixed-step Θ-update.
-    pub tolerance: f64,
-    /// Over-relaxation factor α ∈ [1, 2); `1` disables, `≈1.6` is standard.
-    pub over_relaxation: f64,
-    /// Residual-balancing adaptive ρ (`None` keeps ρ fixed).
-    pub adaptive_rho: Option<AdaptiveRho>,
     /// Absolute residual tolerance ε_abs (with `eps_rel == 0` too, residual
     /// stopping is disabled).
     pub eps_abs: f64,
@@ -228,44 +191,10 @@ impl Default for AdmmConfig {
         Self {
             gamma: 1.0,
             rho: 1.0,
-            theta_update: ThetaUpdate::Accelerated {
-                config: AcceleratedConfig::default(),
-            },
             max_inner_iters: 30,
             max_outer_iters: 50,
-            tolerance: 0.0,
-            over_relaxation: 1.6,
-            adaptive_rho: Some(AdaptiveRho::default()),
             eps_abs: 1e-8,
             eps_rel: 1e-4,
-            plateau: None,
-        }
-    }
-}
-
-impl AdmmConfig {
-    /// The legacy fixed-budget configuration: fixed-schedule inner GD, static
-    /// ρ, no over-relaxation, no residual stopping — exactly the pre-adaptive
-    /// solver, for baselines and convergence comparisons.
-    pub fn fixed_budget(
-        gamma: f64,
-        rho: f64,
-        schedule: LearningRate,
-        max_inner_iters: usize,
-        max_outer_iters: usize,
-        tolerance: f64,
-    ) -> Self {
-        Self {
-            gamma,
-            rho,
-            theta_update: ThetaUpdate::FixedStep { schedule },
-            max_inner_iters,
-            max_outer_iters,
-            tolerance,
-            over_relaxation: 1.0,
-            adaptive_rho: None,
-            eps_abs: 0.0,
-            eps_rel: 0.0,
             plateau: None,
         }
     }
@@ -295,8 +224,8 @@ pub struct WarmStart {
     /// value, not the configured one).
     pub rho: f64,
     /// Accepted accelerated-Θ-update step size at exit; `0.0` means "no step
-    /// history" (e.g. recorded from a fixed-step solve) and falls back to the
-    /// configured initial step.
+    /// history" (e.g. a hand-built state) and falls back to the configured
+    /// initial step.
     pub step: f64,
 }
 
@@ -416,8 +345,7 @@ pub struct AdmmResult {
     /// the single initial evaluation).  Summing a prefix gives the
     /// passes-to-reach-a-trace-entry accounting used by the warm-start tests.
     pub evaluations_by_outer: Vec<usize>,
-    /// Accepted accelerated-Θ-update step size at exit (`0.0` under the
-    /// fixed-step Θ-update, which carries no step history).
+    /// Accepted accelerated-Θ-update step size at exit.
     pub final_step: f64,
     /// Whether the solve stopped on the [`PlateauStop`] criterion (implies
     /// `converged`; residual stopping had not yet fired).
@@ -470,8 +398,6 @@ fn caps_for_rho(curvature: &[f64], rho: f64) -> Vec<f64> {
 /// when solves run under sustained serve load).  Buffers are overwritten
 /// before every read, so reuse never changes a trajectory.
 struct SolveWorkspace {
-    /// Θ at the start of the outer iteration (legacy relative-change stop).
-    theta_prev_outer: Matrix,
     /// Over-relaxed point `Θ̂ = αΘ + (1−α)X`.
     theta_hat: Matrix,
     /// X before the current X-update (dual residual).
@@ -480,8 +406,6 @@ struct SolveWorkspace {
     g_phi0: Matrix,
     /// Smooth-gradient stash of the accelerated carry (see the eval closure).
     smooth_grad_stash: Matrix,
-    /// Previous inner iterate of the legacy fixed-step Θ-update.
-    inner_prev: Matrix,
     /// The accelerated Θ-update solver's six scratch matrices.
     accel: AcceleratedWorkspace,
 }
@@ -489,12 +413,10 @@ struct SolveWorkspace {
 impl SolveWorkspace {
     fn new(rows: usize, cols: usize) -> Self {
         Self {
-            theta_prev_outer: Matrix::zeros(rows, cols),
             theta_hat: Matrix::zeros(rows, cols),
             x_prev: Matrix::zeros(rows, cols),
             g_phi0: Matrix::zeros(rows, cols),
             smooth_grad_stash: Matrix::zeros(rows, cols),
-            inner_prev: Matrix::zeros(rows, cols),
             accel: AcceleratedWorkspace::new(rows, cols),
         }
     }
@@ -556,10 +478,6 @@ fn solve_impl<O: SmoothObjective>(
     assert_eq!(theta0.shape(), objective.shape(), "theta0 shape mismatch");
     assert!(config.gamma >= 0.0, "gamma must be non-negative");
     assert!(rho0 > 0.0, "rho must be positive");
-    assert!(
-        config.over_relaxation >= 1.0 && config.over_relaxation < 2.0,
-        "over_relaxation must be in [1, 2)"
-    );
 
     let (rows, cols) = objective.shape();
     let sqrt_n = ((rows * cols) as f64).sqrt();
@@ -586,13 +504,11 @@ fn solve_impl<O: SmoothObjective>(
     }
     let mut caps = curvature.as_deref().map(|ls| caps_for_rho(ls, rho));
 
-    let mut ls_state = match &config.theta_update {
-        // `with_step(0.0, ..)` falls back to the configured initial step, so
-        // the cold path is unchanged and fixed-step-emitted warm starts
-        // degrade gracefully instead of stalling the line search.
-        ThetaUpdate::Accelerated { config: acc } => AcceleratedState::with_step(step0, acc),
-        ThetaUpdate::FixedStep { .. } => AcceleratedState { step: 0.0 },
-    };
+    let acc = AcceleratedConfig::default();
+    // `with_step(0.0, ..)` falls back to the configured initial step, so the
+    // cold path is unchanged and warm starts without step history degrade
+    // gracefully instead of stalling the line search.
+    let mut ls_state = AcceleratedState::with_step(step0, &acc);
     let residual_stopping = config.eps_abs > 0.0 || config.eps_rel > 0.0;
 
     let mut converged = false;
@@ -604,110 +520,70 @@ fn solve_impl<O: SmoothObjective>(
     let mut ws = SolveWorkspace::new(rows, cols);
 
     for _outer in 0..config.max_outer_iters {
-        ws.theta_prev_outer.copy_from(&theta);
         let mut outer_evals = 0usize;
 
         // --- Θ-update: minimise L(Θ) + (ρ/2)‖Θ − X + Y‖²_F ---
-        match &config.theta_update {
-            ThetaUpdate::FixedStep { schedule } => {
-                // Legacy loop: the first inner step reuses the gradient of the
-                // carried fused evaluation (Θ is untouched by the X/Y
-                // updates); later steps pay one separate gradient pass each.
-                let mut grad_is_current = true;
-                ws.inner_prev.copy_from(&theta);
-                for inner in 0..config.max_inner_iters {
-                    if !grad_is_current {
-                        objective.gradient(&theta, &mut grad);
-                        outer_evals += 1;
-                    }
-                    grad_is_current = false;
-                    let schedule_step = schedule.at(inner);
-                    for r in 0..rows {
-                        let step = match &caps {
-                            Some(caps) => schedule_step.min(caps[r]),
-                            None => schedule_step,
-                        };
-                        for c in 0..cols {
-                            let aug = rho * (theta.get(r, c) - x.get(r, c) + y.get(r, c));
-                            theta.add_at(r, c, -step * (grad.get(r, c) + aug));
-                        }
-                    }
-                    inner_total += 1;
-                    let rel = theta.relative_change(&ws.inner_prev);
-                    if rel < config.tolerance {
-                        break;
-                    }
-                    ws.inner_prev.copy_from(&theta);
-                }
-            }
-            ThetaUpdate::Accelerated { config: acc } => {
-                // Build φ/∇φ at the entry point from the carried smooth value
-                // and gradient plus a fresh (cheap, dense) penalty term.
-                let phi0 = smooth_value + augmented_value(rho, &theta, &x, &y);
-                ws.g_phi0.copy_from(&grad);
-                add_augmented_gradient(&mut ws.g_phi0, rho, &theta, &x, &y);
+        // Build φ/∇φ at the entry point from the carried smooth value and
+        // gradient plus a fresh (cheap, dense) penalty term.
+        let phi0 = smooth_value + augmented_value(rho, &theta, &x, &y);
+        ws.g_phi0.copy_from(&grad);
+        add_augmented_gradient(&mut ws.g_phi0, rho, &theta, &x, &y);
 
-                // The eval closure stashes the smooth half of every fused
-                // evaluation so the final one can be carried into the trace
-                // and the next outer iteration without re-evaluating.
-                let mut carried_smooth = smooth_value;
-                ws.smooth_grad_stash.copy_from(&grad);
-                let stats = {
-                    let x_ref = &x;
-                    let y_ref = &y;
-                    let carried = &mut carried_smooth;
-                    let stash = &mut ws.smooth_grad_stash;
-                    minimize_matrix_accelerated(
-                        &mut theta,
-                        phi0,
-                        &ws.g_phi0,
-                        |point, g_out| {
-                            let s = objective.value_and_gradient(point, g_out);
-                            *carried = s;
-                            stash.as_mut_slice().copy_from_slice(g_out.as_slice());
-                            add_augmented_gradient(g_out, rho, point, x_ref, y_ref);
-                            s + augmented_value(rho, point, x_ref, y_ref)
-                        },
-                        caps.as_deref(),
-                        config.max_inner_iters,
-                        &mut ls_state,
-                        &mut ws.accel,
-                        acc,
-                    )
-                };
-                outer_evals += stats.evaluations;
-                inner_total += stats.iterations;
-                if stats.evaluations > 0 {
-                    if stats.last_eval_at_result {
-                        smooth_value = carried_smooth;
-                        std::mem::swap(&mut grad, &mut ws.smooth_grad_stash);
-                    } else {
-                        // Rare: the line search bailed with its last
-                        // evaluation at a rejected trial — restore the carry
-                        // with one fused pass at the actual iterate.
-                        smooth_value = objective.value_and_gradient(&theta, &mut grad);
-                        outer_evals += 1;
-                    }
-                }
-                // stats.evaluations == 0: Θ never moved and never was
-                // evaluated, so the carried (smooth_value, grad) still hold.
+        // The eval closure stashes the smooth half of every fused evaluation
+        // so the final one can be carried into the trace and the next outer
+        // iteration without re-evaluating.
+        let mut carried_smooth = smooth_value;
+        ws.smooth_grad_stash.copy_from(&grad);
+        let stats = {
+            let x_ref = &x;
+            let y_ref = &y;
+            let carried = &mut carried_smooth;
+            let stash = &mut ws.smooth_grad_stash;
+            minimize_matrix_accelerated(
+                &mut theta,
+                phi0,
+                &ws.g_phi0,
+                |point, g_out| {
+                    let s = objective.value_and_gradient(point, g_out);
+                    *carried = s;
+                    stash.as_mut_slice().copy_from_slice(g_out.as_slice());
+                    add_augmented_gradient(g_out, rho, point, x_ref, y_ref);
+                    s + augmented_value(rho, point, x_ref, y_ref)
+                },
+                caps.as_deref(),
+                config.max_inner_iters,
+                &mut ls_state,
+                &mut ws.accel,
+                &acc,
+            )
+        };
+        outer_evals += stats.evaluations;
+        inner_total += stats.iterations;
+        if stats.evaluations > 0 {
+            if stats.last_eval_at_result {
+                smooth_value = carried_smooth;
+                std::mem::swap(&mut grad, &mut ws.smooth_grad_stash);
+            } else {
+                // Rare: the line search bailed with its last evaluation at a
+                // rejected trial — restore the carry with one fused pass at
+                // the actual iterate.
+                smooth_value = objective.value_and_gradient(&theta, &mut grad);
+                outer_evals += 1;
             }
         }
+        // stats.evaluations == 0: Θ never moved and never was evaluated, so
+        // the carried (smooth_value, grad) still hold.
 
         // --- X-update: group soft-threshold of the over-relaxed point ---
-        let alpha = config.over_relaxation;
-        if alpha == 1.0 {
-            ws.theta_hat.copy_from(&theta);
-        } else {
-            for ((h, &t), &xp) in ws
-                .theta_hat
-                .as_mut_slice()
-                .iter_mut()
-                .zip(theta.as_slice())
-                .zip(x.as_slice())
-            {
-                *h = alpha * t + (1.0 - alpha) * xp;
-            }
+        let alpha = OVER_RELAXATION;
+        for ((h, &t), &xp) in ws
+            .theta_hat
+            .as_mut_slice()
+            .iter_mut()
+            .zip(theta.as_slice())
+            .zip(x.as_slice())
+        {
+            *h = alpha * t + (1.0 - alpha) * xp;
         }
         // In place: save X for the dual residual, overwrite it with Θ̂ + Y,
         // then apply the row-wise group soft-threshold — bitwise what
@@ -740,19 +616,8 @@ fn solve_impl<O: SmoothObjective>(
         dual_residual = rho * x.diff_frobenius_norm(&ws.x_prev);
 
         // --- Trace (always extended, early-stop outers included) ---
-        match &config.theta_update {
-            ThetaUpdate::FixedStep { .. } => {
-                // Trailing fused evaluation: the smooth value extends the
-                // trace and the gradient is carried into the next outer
-                // iteration's first inner step.
-                smooth_value = objective.value_and_gradient(&theta, &mut grad);
-                outer_evals += 1;
-            }
-            ThetaUpdate::Accelerated { .. } => {
-                // smooth_value already sits at the final Θ (carried from the
-                // last fused evaluation, or untouched when Θ never moved).
-            }
-        }
+        // smooth_value already sits at the final Θ (carried from the last
+        // fused evaluation, or untouched when Θ never moved).
         trace.push(smooth_value + config.gamma * x.l12_norm());
         evaluations += outer_evals;
         evaluations_by_outer.push(outer_evals);
@@ -764,30 +629,26 @@ fn solve_impl<O: SmoothObjective>(
         let eps_dual = sqrt_n * config.eps_abs + config.eps_rel * rho * y.frobenius_norm();
         let residual_ok =
             residual_stopping && primal_residual <= eps_pri && dual_residual <= eps_dual;
-        let relchange_ok = config.tolerance > 0.0
-            && theta.relative_change(&ws.theta_prev_outer) < config.tolerance;
         let plateau_ok = config.plateau.is_some_and(|p| p.fires(&trace));
-        if residual_ok || relchange_ok || plateau_ok {
+        if residual_ok || plateau_ok {
             converged = true;
-            // A plateau stop is only reported when the principled criteria
-            // had not fired on the same outer iteration.
-            plateau_stopped = plateau_ok && !residual_ok && !relchange_ok;
+            // A plateau stop is only reported when residual stopping had not
+            // fired on the same outer iteration.
+            plateau_stopped = plateau_ok && !residual_ok;
             break;
         }
 
         // --- Residual-balancing adaptive ρ ---
-        if let Some(ar) = &config.adaptive_rho {
-            let grown = rho * ar.tau;
-            let shrunk = rho / ar.tau;
-            if primal_residual > ar.mu * dual_residual && grown <= ar.max {
-                rho = grown;
-                y.scale(1.0 / ar.tau);
-                caps = curvature.as_deref().map(|ls| caps_for_rho(ls, rho));
-            } else if dual_residual > ar.mu * primal_residual && shrunk >= ar.min {
-                rho = shrunk;
-                y.scale(ar.tau);
-                caps = curvature.as_deref().map(|ls| caps_for_rho(ls, rho));
-            }
+        let grown = rho * AdaptiveRho::TAU;
+        let shrunk = rho / AdaptiveRho::TAU;
+        if primal_residual > AdaptiveRho::MU * dual_residual && grown <= AdaptiveRho::MAX {
+            rho = grown;
+            y.scale(1.0 / AdaptiveRho::TAU);
+            caps = curvature.as_deref().map(|ls| caps_for_rho(ls, rho));
+        } else if dual_residual > AdaptiveRho::MU * primal_residual && shrunk >= AdaptiveRho::MIN {
+            rho = shrunk;
+            y.scale(AdaptiveRho::TAU);
+            caps = curvature.as_deref().map(|ls| caps_for_rho(ls, rho));
         }
     }
 
@@ -890,25 +751,18 @@ mod tests {
         }
     }
 
-    /// The legacy configuration the pre-adaptive tests ran.
-    fn legacy_config(gamma: f64) -> AdmmConfig {
-        AdmmConfig::fixed_budget(gamma, 1.0, LearningRate::Constant(0.1), 50, 100, 1e-4)
-    }
-
     #[test]
     fn without_regulariser_admm_recovers_the_target() {
         let target = Matrix::from_vec(3, 2, vec![1.0, -2.0, 0.5, 0.0, 3.0, 1.0]);
         let obj = QuadraticToTarget {
             target: target.clone(),
         };
-        for config in [adaptive_config(0.0), legacy_config(0.0)] {
-            let res = solve_group_lasso(&obj, Matrix::zeros(3, 2), &config);
-            assert!(
-                res.theta.sub(&target).frobenius_norm() < 1e-2,
-                "diff = {}",
-                res.theta.sub(&target).frobenius_norm()
-            );
-        }
+        let res = solve_group_lasso(&obj, Matrix::zeros(3, 2), &adaptive_config(0.0));
+        assert!(
+            res.theta.sub(&target).frobenius_norm() < 1e-2,
+            "diff = {}",
+            res.theta.sub(&target).frobenius_norm()
+        );
     }
 
     #[test]
@@ -966,28 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_solver_needs_fewer_evaluations_than_legacy_for_same_quality() {
-        let target = Matrix::from_vec(4, 3, (0..12).map(|i| 1.0 + i as f64 / 4.0).collect());
-        let obj = QuadraticToTarget {
-            target: target.clone(),
-        };
-        let legacy = solve_group_lasso(&obj, Matrix::zeros(4, 3), &legacy_config(0.2));
-        let adaptive = solve_group_lasso(&obj, Matrix::zeros(4, 3), &adaptive_config(0.2));
-        let legacy_final = *legacy.objective_trace.last().unwrap();
-        let adaptive_final = *adaptive.objective_trace.last().unwrap();
-        assert!(
-            adaptive_final <= legacy_final + 1e-6,
-            "adaptive {adaptive_final} vs legacy {legacy_final}"
-        );
-        assert!(
-            adaptive.evaluations < legacy.evaluations,
-            "adaptive {} !< legacy {}",
-            adaptive.evaluations,
-            legacy.evaluations
-        );
-    }
-
-    #[test]
     fn adaptive_rho_reacts_to_residual_imbalance() {
         // γ = 0 keeps X glued to Θ + Y, making the dual residual tiny
         // relative to the primal one early on — ρ must move.
@@ -999,7 +831,6 @@ mod tests {
             max_outer_iters: 40,
             eps_abs: 0.0,
             eps_rel: 0.0,
-            tolerance: 0.0,
             ..AdmmConfig::default()
         };
         let res = solve_group_lasso(&obj, Matrix::zeros(2, 2), &config);
@@ -1076,31 +907,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_step_uses_one_fused_evaluation_per_outer_and_no_separate_values() {
-        // tolerance = 0 disables early stopping, so the iteration counts are
-        // exact: `max_outer_iters` outers of `max_inner_iters` inner steps.
-        let target = Matrix::from_vec(3, 2, vec![1.0, -2.0, 0.5, 0.0, 3.0, 1.0]);
-        let counting = CountingObjective::new(QuadraticToTarget { target });
-        let cfg = AdmmConfig::fixed_budget(0.1, 1.0, LearningRate::Constant(0.1), 7, 5, 0.0);
-        let res = solve_group_lasso(&counting, Matrix::zeros(3, 2), &cfg);
-        assert_eq!(res.outer_iterations, 5);
-        assert!(!res.converged);
-        // One fused evaluation at the start plus one per outer iteration…
-        assert_eq!(counting.fused_calls.get(), 5 + 1);
-        // …whose gradient covers the first inner step of every outer, so only
-        // the remaining inner steps pay a separate gradient pass…
-        assert_eq!(counting.gradient_calls.get(), 5 * (7 - 1));
-        // …and the solver never evaluates the value on its own.
-        assert_eq!(counting.value_calls.get(), 0);
-        // The driver's own accounting matches the observed calls.
-        assert_eq!(
-            res.evaluations,
-            counting.fused_calls.get() + counting.gradient_calls.get()
-        );
-        assert_eq!(res.inner_iterations, 5 * 7);
-    }
-
-    #[test]
     fn accelerated_path_only_ever_uses_fused_evaluations() {
         let target = Matrix::from_vec(3, 2, vec![1.0, -2.0, 0.5, 0.0, 3.0, 1.0]);
         let counting = CountingObjective::new(QuadraticToTarget { target });
@@ -1165,19 +971,6 @@ mod tests {
         };
         let cfg = AdmmConfig {
             rho: 0.0,
-            ..adaptive_config(0.1)
-        };
-        let _ = solve_group_lasso(&obj, Matrix::zeros(1, 1), &cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "over_relaxation must be in [1, 2)")]
-    fn rejects_out_of_range_over_relaxation() {
-        let obj = QuadraticToTarget {
-            target: Matrix::zeros(1, 1),
-        };
-        let cfg = AdmmConfig {
-            over_relaxation: 2.5,
             ..adaptive_config(0.1)
         };
         let _ = solve_group_lasso(&obj, Matrix::zeros(1, 1), &cfg);
@@ -1281,16 +1074,30 @@ mod tests {
 
     #[test]
     fn fixed_step_warm_start_falls_back_to_the_initial_step() {
-        // A warm start recorded from a fixed-step solve carries step == 0.0;
-        // consuming it with the accelerated Θ-update must not stall the line
+        // A hand-built warm start without step history carries step == 0.0,
+        // which `validate` accepts; consuming it must not stall the line
         // search (with_step falls back to the configured initial step).
         let target = Matrix::from_vec(3, 2, vec![1.0, -2.0, 0.5, 0.0, 3.0, 1.0]);
         let obj = QuadraticToTarget { target };
-        let fixed = solve_group_lasso(&obj, Matrix::zeros(3, 2), &legacy_config(0.1));
-        assert_eq!(fixed.final_step, 0.0);
-        let res = solve_group_lasso_warm(&obj, &adaptive_config(0.1), &fixed.warm_start()).unwrap();
+        let exit = solve_group_lasso(&obj, Matrix::zeros(3, 2), &adaptive_config(0.1));
+        let no_history = WarmStart {
+            theta: exit.theta.clone(),
+            y: exit.y.clone(),
+            rho: exit.final_rho,
+            step: 0.0,
+        };
+        assert_eq!(no_history.validate(obj.shape()), Ok(()));
+        let res = solve_group_lasso_warm(&obj, &adaptive_config(0.1), &no_history).unwrap();
         assert!(res.converged);
         assert!(res.final_step > 0.0);
+        // The fallback is exactly the configured initial step.
+        let initial = WarmStart {
+            step: AcceleratedConfig::default().initial_step,
+            ..no_history
+        };
+        let same = solve_group_lasso_warm(&obj, &adaptive_config(0.1), &initial).unwrap();
+        assert_eq!(res.theta, same.theta);
+        assert_eq!(res.final_step.to_bits(), same.final_step.to_bits());
     }
 
     #[test]

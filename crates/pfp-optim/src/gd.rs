@@ -1,108 +1,8 @@
-//! Gradient descent helpers: learning-rate schedules, a plain fixed-schedule
-//! vector solver, and the Nesterov-accelerated Armijo-backtracking matrix
-//! solver used by the ADMM Θ-update.
+//! The Nesterov-accelerated Armijo-backtracking matrix solver used by the
+//! ADMM Θ-update.
 
 use pfp_math::Matrix;
 use serde::{Deserialize, Serialize};
-
-/// Learning-rate schedule.
-///
-/// The paper follows Schaul et al. and decays the step size as `O(1/k)`
-/// from an initial value of `1e-4` (Section 4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LearningRate {
-    /// Constant step size.
-    Constant(f64),
-    /// `initial / (1 + decay · k)` at iteration `k` (0-based).
-    InverseDecay {
-        /// Step size at iteration zero.
-        initial: f64,
-        /// Decay coefficient.
-        decay: f64,
-    },
-}
-
-impl LearningRate {
-    /// Step size at iteration `k` (0-based).
-    pub fn at(&self, k: usize) -> f64 {
-        match *self {
-            LearningRate::Constant(lr) => lr,
-            LearningRate::InverseDecay { initial, decay } => initial / (1.0 + decay * k as f64),
-        }
-    }
-
-    /// The paper's default: `1e-4 / (1 + k)`.
-    pub fn paper_default() -> Self {
-        LearningRate::InverseDecay {
-            initial: 1e-4,
-            decay: 1.0,
-        }
-    }
-}
-
-/// Result of a gradient-descent run.
-#[derive(Debug, Clone)]
-pub struct GdResult {
-    /// Final iterate.
-    pub x: Vec<f64>,
-    /// Objective value trace (one entry per iteration, including the start).
-    pub objective_trace: Vec<f64>,
-    /// Number of iterations actually performed.
-    pub iterations: usize,
-    /// Whether the relative-change stopping criterion was met.
-    pub converged: bool,
-}
-
-/// Minimise a smooth function of a dense vector by gradient descent.
-///
-/// `objective` is a **fused** evaluation returning `(value, gradient)` at a
-/// point, and is called exactly once per iteration plus once at the start:
-/// the post-step evaluation both extends the objective trace and supplies the
-/// next iteration's gradient, so no point is ever evaluated twice.  Stops
-/// when the relative change of the iterate drops below `tolerance` or after
-/// `max_iters` iterations.
-pub fn minimize_vector(
-    x0: Vec<f64>,
-    mut objective: impl FnMut(&[f64]) -> (f64, Vec<f64>),
-    lr: LearningRate,
-    max_iters: usize,
-    tolerance: f64,
-) -> GdResult {
-    let mut x = x0;
-    let mut trace = Vec::with_capacity(max_iters + 1);
-    // One fused evaluation seeds both the trace and the first step's gradient.
-    let (v0, mut grad) = objective(&x);
-    trace.push(v0);
-    let mut converged = false;
-    let mut iterations = 0;
-    for k in 0..max_iters {
-        let step = lr.at(k);
-        let mut change_sq = 0.0;
-        let mut norm_sq = 0.0;
-        for (xi, gi) in x.iter_mut().zip(grad.iter()) {
-            let delta = step * gi;
-            *xi -= delta;
-            change_sq += delta * delta;
-            norm_sq += *xi * *xi;
-        }
-        // The single fused evaluation of this iteration: its value extends the
-        // trace and its gradient drives the next step.
-        let (v, g) = objective(&x);
-        trace.push(v);
-        grad = g;
-        iterations = k + 1;
-        if change_sq.sqrt() / norm_sq.sqrt().max(1e-12) < tolerance {
-            converged = true;
-            break;
-        }
-    }
-    GdResult {
-        x,
-        objective_trace: trace,
-        iterations,
-        converged,
-    }
-}
 
 /// Configuration of the Nesterov-accelerated, Armijo-backtracking matrix
 /// solver ([`minimize_matrix_accelerated`]).
@@ -163,8 +63,8 @@ impl AcceleratedState {
     /// State carrying an already-learned step size (e.g. from a previous
     /// solve's [`AcceleratedState`], re-imported through an ADMM warm start).
     /// A non-positive `step` falls back to the configured initial step, so a
-    /// warm start recorded from a solver without step history (the fixed-step
-    /// Θ-update) degrades to a cold line search instead of stalling.
+    /// warm start without step history degrades to a cold line search instead
+    /// of stalling.
     pub fn with_step(step: f64, config: &AcceleratedConfig) -> Self {
         Self {
             step: if step > 0.0 {
@@ -443,119 +343,6 @@ pub fn minimize_matrix_accelerated(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constant_schedule_is_constant() {
-        let lr = LearningRate::Constant(0.1);
-        assert_eq!(lr.at(0), 0.1);
-        assert_eq!(lr.at(1000), 0.1);
-    }
-
-    #[test]
-    fn inverse_decay_halves_at_matching_iteration() {
-        let lr = LearningRate::InverseDecay {
-            initial: 0.2,
-            decay: 1.0,
-        };
-        assert!((lr.at(0) - 0.2).abs() < 1e-15);
-        assert!((lr.at(1) - 0.1).abs() < 1e-15);
-        assert!(lr.at(100) < lr.at(10));
-    }
-
-    #[test]
-    fn paper_default_starts_at_1e_minus_4() {
-        assert!((LearningRate::paper_default().at(0) - 1e-4).abs() < 1e-18);
-    }
-
-    #[test]
-    fn gd_minimises_a_quadratic() {
-        // f(x) = Σ (x_i - i)²
-        let target = [1.0, 2.0, 3.0];
-        let res = minimize_vector(
-            vec![0.0; 3],
-            |x| {
-                let v: f64 = x
-                    .iter()
-                    .zip(target.iter())
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum();
-                let g: Vec<f64> = x
-                    .iter()
-                    .zip(target.iter())
-                    .map(|(a, b)| 2.0 * (a - b))
-                    .collect();
-                (v, g)
-            },
-            LearningRate::Constant(0.1),
-            500,
-            1e-10,
-        );
-        assert!(res.converged);
-        for (xi, ti) in res.x.iter().zip(target.iter()) {
-            assert!((xi - ti).abs() < 1e-4, "{xi} vs {ti}");
-        }
-        // Objective decreases monotonically for a convex quadratic with a safe step.
-        for w in res.objective_trace.windows(2) {
-            assert!(w[1] <= w[0] + 1e-12);
-        }
-    }
-
-    #[test]
-    fn gd_performs_exactly_one_fused_evaluation_per_iteration_plus_start() {
-        // tolerance = 0 disables the stopping criterion, so every one of the
-        // `max_iters` iterations runs and the call count is exact.
-        let max_iters = 20;
-        let mut calls = 0usize;
-        let res = minimize_vector(
-            vec![5.0],
-            |x| {
-                calls += 1;
-                (x[0] * x[0], vec![2.0 * x[0]])
-            },
-            LearningRate::Constant(0.1),
-            max_iters,
-            0.0,
-        );
-        assert_eq!(res.iterations, max_iters);
-        assert!(!res.converged);
-        assert_eq!(
-            calls,
-            max_iters + 1,
-            "one fused evaluation per iteration plus one at the start"
-        );
-        assert_eq!(res.objective_trace.len(), max_iters + 1);
-    }
-
-    #[test]
-    fn gd_early_convergence_still_counts_one_evaluation_per_iteration() {
-        let mut calls = 0usize;
-        let res = minimize_vector(
-            vec![1.0],
-            |x| {
-                calls += 1;
-                (x[0] * x[0], vec![2.0 * x[0]])
-            },
-            LearningRate::Constant(0.4),
-            500,
-            1e-3,
-        );
-        assert!(res.converged);
-        assert!(res.iterations < 500);
-        assert_eq!(calls, res.iterations + 1);
-    }
-
-    #[test]
-    fn gd_reports_iteration_count() {
-        let res = minimize_vector(
-            vec![10.0],
-            |x| (x[0] * x[0], vec![2.0 * x[0]]),
-            LearningRate::Constant(0.25),
-            50,
-            1e-12,
-        );
-        assert!(res.iterations <= 50);
-        assert!(res.x[0].abs() < 1e-3);
-    }
 
     /// ½‖Θ − T‖²_F: fused value+gradient with a counter.
     fn quadratic_eval<'a>(

@@ -1,10 +1,9 @@
 //! # pfp-optim
 //!
 //! Optimisation substrate for the discriminative learning algorithm of the
-//! paper (Algorithm 1): plain gradient descent with an `O(1/k)` step-size
-//! decay for the smooth sub-problem, the row-wise group-lasso proximal
-//! operator for the `ℓ_{1,2}` regulariser, and an ADMM driver tying the two
-//! together.
+//! paper (Algorithm 1): a Nesterov-accelerated line-search gradient solver
+//! for the smooth sub-problem, the row-wise group-lasso proximal operator for
+//! the `ℓ_{1,2}` regulariser, and an ADMM driver tying the two together.
 //!
 //! The crate is written against a small [`SmoothObjective`] trait so that the
 //! same ADMM driver can be reused by the DMCP trainer, the ablation
@@ -14,8 +13,7 @@
 //! The ADMM driver solves **to tolerance**: residual-based stopping with
 //! residual-balancing adaptive ρ and over-relaxation, and a
 //! Nesterov-accelerated Armijo line-search Θ-update
-//! ([`gd::minimize_matrix_accelerated`]).  The legacy fixed-schedule solver
-//! is still available via [`AdmmConfig::fixed_budget`] for baselines.
+//! ([`gd::minimize_matrix_accelerated`]).
 //!
 //! Sequences of related solves (CV folds, γ-continuation sweeps, rolling
 //! retrains) chain state through [`WarmStart`] /
@@ -28,7 +26,6 @@ pub mod gd;
 pub mod prox;
 
 pub use admm::{
-    AdaptiveRho, AdmmConfig, AdmmResult, PlateauStop, SmoothObjective, ThetaUpdate, WarmStart,
-    WarmStartError,
+    AdaptiveRho, AdmmConfig, AdmmResult, PlateauStop, SmoothObjective, WarmStart, WarmStartError,
 };
-pub use gd::{AcceleratedConfig, AcceleratedState, AcceleratedStats, LearningRate};
+pub use gd::{AcceleratedConfig, AcceleratedState, AcceleratedStats};

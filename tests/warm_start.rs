@@ -30,9 +30,8 @@ use pfp_bench::CountingObjective;
 /// ends the solve, γ at the upper end of the Fig. 8 grid where the optimum
 /// is well determined.
 fn chain_config() -> TrainConfig {
-    // Paper defaults (accelerated line-search Θ-update, so the carried step
-    // size matters) rather than `fast()`'s constant learning rate, matching
-    // the configuration the warm-start consumers run under.
+    // Paper defaults rather than `fast()`, matching the configuration the
+    // warm-start consumers run under.
     // A looser plateau than the production default (1e-3 vs 1e-4) keeps the
     // unoptimized test binary fast; the properties under test are invariant
     // to where exactly the plateau fires.
