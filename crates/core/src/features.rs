@@ -151,6 +151,11 @@ impl HistoryFeaturizer {
     /// * `t_prev` — entry time of the previous stay (0 for the first stay),
     ///   i.e. the `t_I` of the paper.
     ///
+    /// The weighted entries are pushed in arrival order (profile, then each
+    /// stay oldest first) into one buffer sized for all of them, then sorted
+    /// and merged by [`SparseVec::from_pairs`], whose stable sort sums an
+    /// index's contributions oldest stay first.
+    ///
     /// # Panics
     /// Panics (debug) if block dimensions do not match.
     pub fn featurize(
@@ -161,29 +166,21 @@ impl HistoryFeaturizer {
         t_prev: f64,
     ) -> SparseVec {
         debug_assert_eq!(profile.dim(), self.profile_dim);
-        let mut combined = SparseVec::new(self.total_dim());
-
-        // Profile block, scaled by g(t).
-        let g = self.g(t_eval, t_prev);
-        if g != 0.0 {
-            for (idx, v) in profile.iter() {
-                combined.add(idx, g * v);
-            }
-        }
-
         // Service block: decayed sum over history (or just the current stay
         // for the LR map).
         let relevant: &[HistoryStay] = match self.kind {
-            FeatureMapKind::CurrentOnly => {
-                let n = history.len();
-                if n == 0 {
-                    &[]
-                } else {
-                    &history[n - 1..]
-                }
-            }
+            FeatureMapKind::CurrentOnly => &history[history.len().saturating_sub(1)..],
             _ => history,
         };
+        // Profile block, scaled by g(t).
+        let g = self.g(t_eval, t_prev);
+        let profile_len = if g != 0.0 { profile.nnz() } else { 0 };
+        let services_len: usize = relevant.iter().map(|s| s.services.nnz()).sum();
+        let mut pairs = Vec::with_capacity(profile_len + services_len);
+        if g != 0.0 {
+            pairs.extend(profile.iter().map(|(idx, v)| (idx, g * v)));
+        }
+        let offset = self.profile_dim as u32;
         for stay in relevant {
             debug_assert_eq!(stay.services.dim(), self.service_dim);
             debug_assert!(
@@ -191,21 +188,104 @@ impl HistoryFeaturizer {
                 "history must precede t_eval"
             );
             let w = self.h(t_eval, stay.entry_time);
-            if w == 0.0 {
-                continue;
-            }
-            for (idx, v) in stay.services.iter() {
-                combined.add(self.profile_dim as u32 + idx, w * v);
+            if w != 0.0 {
+                pairs.extend(stay.services.iter().map(|(idx, v)| (offset + idx, w * v)));
             }
         }
-        combined.prune_zeros();
-        combined
+        SparseVec::from_pairs(self.total_dim(), pairs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The featurizer's former body, kept as the oracle `featurize` must
+    /// match bitwise: one binary search and `Vec::insert` per entry, every
+    /// index's contributions summed in arrival order, zeros pruned last.
+    fn featurize_by_insertion(
+        f: &HistoryFeaturizer,
+        profile: &SparseVec,
+        history: &[HistoryStay],
+        t_eval: f64,
+        t_prev: f64,
+    ) -> SparseVec {
+        let mut combined = SparseVec::new(f.total_dim());
+        let g = f.g(t_eval, t_prev);
+        if g != 0.0 {
+            for (idx, v) in profile.iter() {
+                combined.add(idx, g * v);
+            }
+        }
+        let relevant = match f.kind {
+            FeatureMapKind::CurrentOnly => &history[history.len().saturating_sub(1)..],
+            _ => history,
+        };
+        for stay in relevant {
+            let w = f.h(t_eval, stay.entry_time);
+            if w == 0.0 {
+                continue;
+            }
+            for (idx, v) in stay.services.iter() {
+                combined.add(f.profile_dim as u32 + idx, w * v);
+            }
+        }
+        combined.prune_zeros();
+        combined
+    }
+
+    /// Values whose sums cancel to exact zeros and round differently by
+    /// order, so a reordered or unpruned sum changes the bits.
+    const VALUES: [f64; 6] = [1.0, -1.0, 0.5, -0.25, 3.0, 1e16];
+
+    fn sparse(dim: usize, entries: &[(u32, usize)]) -> SparseVec {
+        SparseVec::from_pairs(dim, entries.iter().map(|&(i, v)| (i, VALUES[v])))
+    }
+
+    proptest! {
+        /// `featurize` equals the insert-per-entry oracle bit for bit under
+        /// every feature map, on histories whose stays repeat each other's
+        /// indices, with zero kernel weights (a tiny σ underflows
+        /// `exp(−z²)`) and `g = 0` (`t_prev ≥ t_eval`).
+        #[test]
+        fn featurize_matches_the_insertion_oracle_bitwise(
+            kind in 0u8..4,
+            sigma in 0.01f64..4.0,
+            profile in proptest::collection::vec((0u32..6, 0usize..6), 0..8),
+            stays in proptest::collection::vec(
+                (0.0f64..40.0, proptest::collection::vec((0u32..9, 0usize..6), 0..10)),
+                0..6,
+            ),
+            t_prev_mode in 0u8..3,
+        ) {
+            let kind = match kind {
+                0 => FeatureMapKind::CurrentOnly,
+                1 => FeatureMapKind::ModulatedPoisson,
+                2 => FeatureMapKind::SelfCorrecting,
+                _ => FeatureMapKind::MutuallyCorrecting { sigma },
+            };
+            let f = HistoryFeaturizer::new(kind, 6, 9);
+            let profile = sparse(6, &profile);
+            let mut history: Vec<HistoryStay> = stays
+                .iter()
+                .map(|(t, entries)| HistoryStay { entry_time: *t, services: sparse(9, entries) })
+                .collect();
+            history.sort_by(|a, b| a.entry_time.total_cmp(&b.entry_time));
+            let t_eval = history.last().map_or(0.0, |s| s.entry_time) + EVAL_OFFSET_DAYS;
+            let t_prev = match t_prev_mode {
+                0 => t_eval,
+                1 => 0.0,
+                _ => history.iter().rev().nth(1).map_or(0.0, |s| s.entry_time),
+            };
+            let got = f.featurize(&profile, &history, t_eval, t_prev);
+            let expected = featurize_by_insertion(&f, &profile, &history, t_eval, t_prev);
+            prop_assert_eq!(got.indices(), expected.indices());
+            let bits = |v: &SparseVec| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&expected));
+            prop_assert!(got.values().iter().all(|&v| v != 0.0), "unpruned zero");
+        }
+    }
 
     fn profile() -> SparseVec {
         SparseVec::binary(4, vec![0, 2])

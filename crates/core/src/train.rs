@@ -164,9 +164,12 @@ impl Default for TrainConfig {
 pub struct TrainReport {
     /// The trained model.
     pub model: DmcpModel,
-    /// The solve's exit state, for seeding the next related solve
-    /// (next fold, next γ, next day's retrain).
-    pub warm_start: WarmStart,
+    /// The solve's exit dual Y (its Θ is `model.theta`).
+    y: Matrix,
+    /// The solve's exit penalty weight ρ.
+    rho: f64,
+    /// The solve's exit accelerated-Θ-update step.
+    step: f64,
     /// Total objective evaluations of the solve (fused + separate passes).
     pub evaluations: usize,
     /// Outer ADMM iterations performed.
@@ -180,18 +183,31 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
+    /// The solve's exit state, for seeding the next related solve (next
+    /// fold, next γ, next day's retrain).  Θ is stored once, as
+    /// `model.theta`, and copied here.
+    pub fn warm_start(&self) -> WarmStart {
+        WarmStart {
+            theta: self.model.theta.clone(),
+            y: self.y.clone(),
+            rho: self.rho,
+            step: self.step,
+        }
+    }
+
     pub(crate) fn from_solve(
         result: AdmmResult,
         make_model: impl FnOnce(Matrix, Matrix) -> DmcpModel,
     ) -> Self {
-        let warm_start = result.warm_start();
         let final_objective = *result
             .objective_trace
             .last()
             .expect("trace holds at least the starting entry");
         Self {
             model: make_model(result.theta, result.x),
-            warm_start,
+            y: result.y,
+            rho: result.final_rho,
+            step: result.final_step,
             evaluations: result.evaluations,
             outer_iterations: result.outer_iterations,
             converged: result.converged,
@@ -531,7 +547,7 @@ mod tests {
         };
         let cold = train_warm(&ds, &config, None).unwrap();
         assert!(cold.plateau_stopped, "fixture must stop on the plateau");
-        let warm = train_warm(&ds, &config, Some(&cold.warm_start)).unwrap();
+        let warm = train_warm(&ds, &config, Some(&cold.warm_start())).unwrap();
         // Restarting where the cold solve stalled: the plateau re-fires
         // within a handful of outers, at an objective no worse than cold's.
         assert!(

@@ -23,6 +23,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use pfp_math::rng::{bernoulli, derive_seed, sample_categorical, seeded_rng};
@@ -434,7 +435,39 @@ fn sample_archetype(rng: &mut StdRng) -> Archetype {
 struct SignatureMemo {
     dict: FeatureDictionary,
     seed: u64,
-    sets: HashMap<(FeatureDomain, u64, usize), Rc<[u32]>>,
+    sets: HashMap<SignatureKey, Rc<[u32]>, BuildHasherDefault<FxHasher>>,
+}
+
+/// `(domain, key, count)` of one signature set.
+type SignatureKey = (FeatureDomain, u64, usize);
+
+/// A multiplicative (Fx-style) hasher for the memo's small integer keys: one
+/// rotate, xor and multiply per word, where `std`'s SipHash spends tens of
+/// cycles per key.  It resists no adversarial keys, and needs not: the keys
+/// are the generator's own constants.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The memoized form of [`FeatureDictionary::signature_indices`] and
@@ -462,7 +495,7 @@ fn signature(
             *slot = Some(SignatureMemo {
                 dict: *dict,
                 seed,
-                sets: HashMap::new(),
+                sets: HashMap::default(),
             });
         }
         let memo = slot.as_mut().expect("slot filled above");
@@ -596,7 +629,9 @@ fn generate_profile_features(
         _ => 1.0,
     };
     let count = ((config.profile_actives as f64) * richness).round() as usize;
-    let mut active: Vec<u32> = Vec::new();
+    let noise = (count / 5).max(1);
+    // Room for the archetype block, the severity block and the noise.
+    let mut active: Vec<u32> = Vec::with_capacity(count.max(1) + 4 + noise);
     // Archetype signature block: deterministic indices keyed by the archetype.
     let archetype_block = signature(
         dict,
@@ -621,7 +656,6 @@ fn generate_profile_features(
         ));
     }
     // A little noise.
-    let noise = (count / 5).max(1);
     for _ in 0..noise {
         active.push(rng.gen_range(0..dict.profile) as u32);
     }
@@ -647,127 +681,84 @@ fn generate_stay_features(
     let nurse_budget = budget(table2[2]);
     let med_budget = budget(table2[3]);
 
-    let mut active: Vec<u32> = Vec::new();
-
-    // Department signature (what care in this unit looks like).
-    push_signature(
-        &mut active,
-        dict,
-        FeatureDomain::Treatment,
-        1000 + cu as u64,
-        treat_budget / 2 + 1,
-        config.seed,
-        0.9,
-        rng,
-    );
-    push_signature(
-        &mut active,
-        dict,
-        FeatureDomain::Nursing,
-        2000 + cu as u64,
-        nurse_budget / 2 + 1,
-        config.seed,
-        0.85,
-        rng,
-    );
-    push_signature(
-        &mut active,
-        dict,
-        FeatureDomain::Medication,
-        3000 + cu as u64,
-        med_budget,
-        config.seed,
-        0.8,
-        rng,
-    );
-
+    // Every planted signature as (domain, key, count, keep probability), in
+    // the order its keep draws consume the RNG.
+    let department = [
+        // Department signature (what care in this unit looks like).
+        (
+            FeatureDomain::Treatment,
+            1000 + cu as u64,
+            treat_budget / 2 + 1,
+            0.9,
+        ),
+        (
+            FeatureDomain::Nursing,
+            2000 + cu as u64,
+            nurse_budget / 2 + 1,
+            0.85,
+        ),
+        (FeatureDomain::Medication, 3000 + cu as u64, med_budget, 0.8),
+    ];
     // Next-destination signal: services ordered in preparation of the transfer
     // (e.g. pre-operative work-up before cardiac surgery).  This is the signal
     // the discriminative learners are supposed to pick up.
-    if let Some(next) = next_cu {
-        let key = 5000 + (cu * NUM_CARE_UNITS + next) as u64;
-        push_signature(
-            &mut active,
-            dict,
-            FeatureDomain::Treatment,
-            key,
-            treat_budget / 2 + 1,
-            config.seed,
-            0.85,
-            rng,
-        );
-        push_signature(
-            &mut active,
-            dict,
+    let destination = next_cu.map(|next| {
+        [
+            (
+                FeatureDomain::Treatment,
+                5000 + (cu * NUM_CARE_UNITS + next) as u64,
+                treat_budget / 2 + 1,
+                0.85,
+            ),
+            (
+                FeatureDomain::Nursing,
+                9000 + next as u64,
+                (nurse_budget / 3).max(1),
+                0.7,
+            ),
+        ]
+    });
+    let dur_class = crate::departments::duration_class(dwell_days) as u64;
+    let rest = [
+        // Duration signal: long stays accumulate characteristic nursing items.
+        (
             FeatureDomain::Nursing,
-            9000 + next as u64,
-            (nurse_budget / 3).max(1),
-            config.seed,
-            0.7,
-            rng,
-        );
-    }
-
-    // Duration signal: long stays accumulate characteristic nursing items.
-    let dur_class = crate::departments::duration_class(dwell_days);
-    push_signature(
-        &mut active,
-        dict,
-        FeatureDomain::Nursing,
-        7000 + dur_class as u64,
-        (nurse_budget / 2).max(1),
-        config.seed,
-        0.8,
-        rng,
-    );
-    push_signature(
-        &mut active,
-        dict,
-        FeatureDomain::Medication,
-        8000 + dur_class as u64,
-        1,
-        config.seed,
-        0.6,
-        rng,
-    );
-
-    // Archetype-wide therapy signature.
-    push_signature(
-        &mut active,
-        dict,
-        FeatureDomain::Treatment,
-        400 + archetype.index() as u64,
-        (treat_budget / 3).max(1),
-        config.seed,
-        0.75,
-        rng,
-    );
-
+            7000 + dur_class,
+            (nurse_budget / 2).max(1),
+            0.8,
+        ),
+        (FeatureDomain::Medication, 8000 + dur_class, 1, 0.6),
+        // Archetype-wide therapy signature.
+        (
+            FeatureDomain::Treatment,
+            400 + archetype.index() as u64,
+            (treat_budget / 3).max(1),
+            0.75,
+        ),
+    ];
+    let planted = || {
+        department
+            .iter()
+            .chain(destination.iter().flatten())
+            .chain(&rest)
+    };
     // Unstructured noise spread across the whole time-varying vector.
     let noise = (config.stay_actives / 4).max(1);
+
+    // A signature keeps at most `count` indices, so this never reallocates.
+    let mut active: Vec<u32> = Vec::with_capacity(planted().map(|s| s.2).sum::<usize>() + noise);
+    for &(domain, key, count, keep_prob) in planted() {
+        for &idx in signature(dict, config.seed, domain, key, count).iter() {
+            if bernoulli(rng, keep_prob) {
+                active.push(idx);
+            }
+        }
+    }
     for _ in 0..noise {
         active.push(rng.gen_range(0..dict.time_varying_dim()) as u32);
     }
 
     SparseVec::binary(dict.time_varying_dim(), active)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn push_signature(
-    active: &mut Vec<u32>,
-    dict: &FeatureDictionary,
-    domain: FeatureDomain,
-    key: u64,
-    count: usize,
-    seed: u64,
-    keep_prob: f64,
-    rng: &mut StdRng,
-) {
-    for &idx in signature(dict, seed, domain, key, count).iter() {
-        if bernoulli(rng, keep_prob) {
-            active.push(idx);
-        }
-    }
 }
 
 #[cfg(test)]

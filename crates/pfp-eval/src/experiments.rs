@@ -330,6 +330,7 @@ pub fn gamma_continuation(
             carry.as_ref(),
         )
         .expect("carried state always matches the shared featurization");
+        carry = Some(report.warm_start());
         let accuracy = evaluate(
             &DmcpPredictor::from_model(report.model, MethodId::Dmcp),
             test,
@@ -342,7 +343,6 @@ pub fn gamma_continuation(
             evaluations: report.evaluations,
             plateau_stopped: report.plateau_stopped,
         });
-        carry = Some(report.warm_start);
     }
     points
 }

@@ -43,24 +43,35 @@ impl SparseVec {
         }
     }
 
-    /// Build from parallel `(index, value)` lists.
+    /// Build from `(index, value)` pairs.
     ///
     /// Indices are sorted, duplicates are summed, explicit zeros are removed.
+    /// Duplicates are summed left to right in input order (the sort is
+    /// stable), so the bits of a sum never depend on the sort algorithm:
+    /// `(5, 1e16), (5, 1.0), (5, -1e16)` gives `0.0` (`1e16 + 1.0` rounds
+    /// back to `1e16`) and is pruned, while `(5, 1e16), (5, -1e16), (5, 1.0)`
+    /// gives `1.0`.
     pub fn from_pairs(dim: usize, pairs: impl IntoIterator<Item = (u32, f64)>) -> Self {
         let mut pairs: Vec<(u32, f64)> = pairs.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        let mut indices = Vec::with_capacity(pairs.len());
-        let mut values: Vec<f64> = Vec::with_capacity(pairs.len());
+        pairs.sort_by_key(|&(i, _)| i);
+        if let Some(&(max, _)) = pairs.last() {
+            assert!(
+                (max as usize) < dim,
+                "index {max} out of bounds for dim {dim}"
+            );
+        }
+        // Sized to the distinct indices: a featurized history repeats many.
+        let distinct =
+            usize::from(!pairs.is_empty()) + pairs.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        let mut indices = Vec::with_capacity(distinct);
+        let mut values: Vec<f64> = Vec::with_capacity(distinct);
         for (i, v) in pairs {
-            assert!((i as usize) < dim, "index {i} out of bounds for dim {dim}");
-            if let Some(&last) = indices.last() {
-                if last == i {
-                    *values.last_mut().expect("values parallel to indices") += v;
-                    continue;
-                }
+            if indices.last() == Some(&i) {
+                *values.last_mut().expect("values parallel to indices") += v;
+            } else {
+                indices.push(i);
+                values.push(v);
             }
-            indices.push(i);
-            values.push(v);
         }
         let mut out = Self {
             dim,
@@ -71,9 +82,40 @@ impl SparseVec {
         out
     }
 
-    /// Build a binary indicator vector from a set of active indices.
+    /// Build a binary indicator vector from a set of active indices; an index
+    /// listed `k` times stores the value `k`.
+    ///
+    /// The indices are sorted in place and each run of equal indices is
+    /// merged into one entry, so a `Vec` argument is reused as the index
+    /// array and the values are the only other allocation.  `k` is the same
+    /// bits as summing `k` ones.
     pub fn binary(dim: usize, active: impl IntoIterator<Item = u32>) -> Self {
-        Self::from_pairs(dim, active.into_iter().map(|i| (i, 1.0)))
+        let mut indices: Vec<u32> = active.into_iter().collect();
+        indices.sort_unstable();
+        if let Some(&max) = indices.last() {
+            assert!(
+                (max as usize) < dim,
+                "index {max} out of bounds for dim {dim}"
+            );
+        }
+        let mut values: Vec<f64> = Vec::with_capacity(indices.len());
+        let mut kept = 0;
+        for k in 0..indices.len() {
+            let i = indices[k];
+            if kept > 0 && indices[kept - 1] == i {
+                *values.last_mut().expect("values parallel to indices") += 1.0;
+            } else {
+                indices[kept] = i;
+                values.push(1.0);
+                kept += 1;
+            }
+        }
+        indices.truncate(kept);
+        Self {
+            dim,
+            indices,
+            values,
+        }
     }
 
     /// Dimensionality of the (conceptually dense) vector.
@@ -145,18 +187,19 @@ impl SparseVec {
         }
     }
 
-    /// Remove stored entries that are exactly zero.
+    /// Remove stored entries that are exactly zero, compacting in place.
     pub fn prune_zeros(&mut self) {
-        let mut keep_idx = Vec::with_capacity(self.indices.len());
-        let mut keep_val = Vec::with_capacity(self.values.len());
-        for (i, v) in self.indices.iter().zip(self.values.iter()) {
-            if *v != 0.0 {
-                keep_idx.push(*i);
-                keep_val.push(*v);
+        let mut kept = 0;
+        for k in 0..self.values.len() {
+            let v = self.values[k];
+            if v != 0.0 {
+                self.indices[kept] = self.indices[k];
+                self.values[kept] = v;
+                kept += 1;
             }
         }
-        self.indices = keep_idx;
-        self.values = keep_val;
+        self.indices.truncate(kept);
+        self.values.truncate(kept);
     }
 
     /// Dot product with a dense slice of length `dim`.
@@ -355,6 +398,49 @@ mod tests {
         assert_eq!(v.get(2), 2.0);
         assert_eq!(v.get(5), 4.0);
         assert_eq!(v.get(7), 0.0);
+    }
+
+    /// Floating-point addition is not associative, so which of three
+    /// duplicates is added first decides the bits; `from_pairs` always adds
+    /// them in input order.
+    #[test]
+    fn from_pairs_sums_duplicates_in_input_order() {
+        let v = SparseVec::from_pairs(8, vec![(5, 1e16), (2, 1.0), (5, 1.0), (5, -1e16)]);
+        assert_eq!(v.indices(), &[2]); // (1e16 + 1.0) - 1e16 == 0.0, pruned
+        let w = SparseVec::from_pairs(8, vec![(5, 1e16), (2, 1.0), (5, -1e16), (5, 1.0)]);
+        assert_eq!(w.indices(), &[2, 5]);
+        assert_eq!(w.get(5).to_bits(), 1.0f64.to_bits());
+        let x = SparseVec::from_pairs(8, vec![(5, 1.0), (5, 1e16), (5, -1e16)]);
+        assert_eq!(x.get(5), 0.0); // (1.0 + 1e16) - 1e16 == 0.0
+    }
+
+    #[test]
+    fn binary_stores_the_multiplicity_of_repeated_indices() {
+        let v = SparseVec::binary(10, vec![7, 3, 7, 0, 7, 3]);
+        assert_eq!(v.indices(), &[0, 3, 7]);
+        assert_eq!(v.values(), &[1.0, 2.0, 3.0]);
+        let ones = (0..1000).map(|i| (i % 3, 1.0));
+        assert_eq!(
+            SparseVec::binary(3, (0..1000).map(|i| i % 3)),
+            SparseVec::from_pairs(3, ones)
+        );
+        assert!(SparseVec::binary(4, Vec::new()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn binary_rejects_out_of_range_index() {
+        let _ = SparseVec::binary(3, vec![0, 3, 1]);
+    }
+
+    #[test]
+    fn prune_zeros_compacts_in_place() {
+        let mut v = SparseVec::from_pairs(6, vec![(0, 1.0), (1, 2.0), (3, -1.0), (4, 4.0)]);
+        v.values[1] = 0.0;
+        v.values[2] = -0.0;
+        v.prune_zeros();
+        assert_eq!(v.indices(), &[0, 4]);
+        assert_eq!(v.values(), &[1.0, 4.0]);
     }
 
     #[test]

@@ -203,7 +203,7 @@ fn default_solver_trajectory_is_pinned() {
     let paper = TrainConfig::paper_default().with_threads(1);
     let cold_fast = train_warm(&dataset, &fast, None).unwrap();
     let cold_paper = train_warm(&dataset, &paper, None).unwrap();
-    let warm_fast = train_warm(&dataset, &fast, Some(&cold_fast.warm_start)).unwrap();
+    let warm_fast = train_warm(&dataset, &fast, Some(&cold_fast.warm_start())).unwrap();
 
     // (evaluations, outer iterations, converged, final objective bits, model hash)
     let pinned = [

@@ -10,9 +10,11 @@
 //! bit-for-bit the cohort `generate_cohort` materializes, because every
 //! patient derives an independent RNG stream from `(seed, id)`.
 //!
-//! Pinned fingerprints guard the generator's output itself, and the memo
-//! isolation test guards the per-thread signature-set memo inside it.
+//! Pinned fingerprints guard the generator's output itself and the featurized
+//! samples built from it, and the memo isolation test guards the per-thread
+//! signature-set memo inside the generator.
 
+use patient_flow::core::{Dataset, Sample};
 use patient_flow::ehr::{
     generate_cohort, generate_patient_record, CohortConfig, CohortShards, FeatureDictionary,
     PatientRecord,
@@ -200,6 +202,43 @@ fn generated_cohorts_match_their_pinned_fingerprints() {
         let got = cohort_fingerprint(&generate_cohort(&config));
         assert_eq!(got, expected, "{name}: fingerprint {got:#018x}");
     }
+}
+
+/// FNV-1a over every bit of a featurized sample set: per sample the nnz, the
+/// feature indices, the bits of every feature value, and both labels.
+fn samples_fingerprint(samples: &[Sample]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for s in samples {
+        eat(s.features.nnz() as u64);
+        for (i, v) in s.features.iter() {
+            eat(i as u64);
+            eat(v.to_bits());
+        }
+        eat(s.cu_label as u64);
+        eat(s.duration_label as u64);
+    }
+    h
+}
+
+/// Golden fingerprint of the featurized samples under the default MCP map,
+/// computed with the insert-per-entry featurizer.  The cohort pins above see
+/// only feature indices; this one also pins every feature value bit, so a
+/// featurizer that sums a stay's contributions in another order moves it.
+#[test]
+fn featurized_samples_match_their_pinned_fingerprint() {
+    let dataset = Dataset::from_cohort(&generate_cohort(&CohortConfig::small(42)));
+    let samples = dataset.featurize(dataset.default_mcp_kind());
+    let got = samples_fingerprint(&samples);
+    assert_eq!(
+        got, 0x79a7_3efe_81e0_ae81,
+        "small(42) default MCP: fingerprint {got:#018x}"
+    );
 }
 
 /// Configs that pairwise share a seed but not a dictionary (`a`/`b`, `a`/`d`,

@@ -165,7 +165,7 @@ fn warm_retrain_makes_the_same_predictions_as_cold() {
     let config = chain_config();
 
     let cold = train_warm(&dataset, &config, None).expect("cold start cannot fail");
-    let warm = train_warm(&dataset, &config, Some(&cold.warm_start))
+    let warm = train_warm(&dataset, &config, Some(&cold.warm_start()))
         .expect("state from the same data always matches");
 
     // Retraining from the exit state must land at (or below) the cold
@@ -244,7 +244,7 @@ fn warm_step_along_the_gamma_path_reaches_the_cold_objective_cheaper() {
         DmcpObjective::new(&samples, None, rows, dataset.num_cus, dataset.num_durations)
             .with_threads(4),
     );
-    let warm = solve_group_lasso_warm(&warm_counting, &probe, &at_low_gamma.warm_start)
+    let warm = solve_group_lasso_warm(&warm_counting, &probe, &at_low_gamma.warm_start())
         .expect("same data, same shape");
     let reach = passes_to_reach(&warm, cold_final + 1e-6)
         .expect("the warm trace must reach the cold γ-point's objective");
@@ -262,7 +262,7 @@ fn mismatched_warm_start_is_a_typed_error_not_a_panic() {
     let report = train_warm(&dataset, &config, None).expect("cold start cannot fail");
 
     // Wrong θ shape: one feature row too many.
-    let mut wrong_shape = report.warm_start.clone();
+    let mut wrong_shape = report.warm_start();
     wrong_shape.theta = Matrix::zeros(wrong_shape.theta.rows() + 1, wrong_shape.theta.cols());
     match train_warm(&dataset, &config, Some(&wrong_shape)) {
         Err(WarmStartError::ShapeMismatch { field, .. }) => assert_eq!(field, "theta"),
@@ -270,7 +270,7 @@ fn mismatched_warm_start_is_a_typed_error_not_a_panic() {
     }
 
     // Wrong dual shape.
-    let mut wrong_dual = report.warm_start.clone();
+    let mut wrong_dual = report.warm_start();
     wrong_dual.y = Matrix::zeros(1, 1);
     match train_warm(&dataset, &config, Some(&wrong_dual)) {
         Err(WarmStartError::ShapeMismatch { field, .. }) => assert_eq!(field, "y"),
@@ -278,7 +278,7 @@ fn mismatched_warm_start_is_a_typed_error_not_a_panic() {
     }
 
     // Non-positive ρ.
-    let mut bad_rho = report.warm_start.clone();
+    let mut bad_rho = report.warm_start();
     bad_rho.rho = 0.0;
     assert!(matches!(
         train_warm(&dataset, &config, Some(&bad_rho)),
@@ -286,7 +286,7 @@ fn mismatched_warm_start_is_a_typed_error_not_a_panic() {
     ));
 
     // Non-finite carried state.
-    let mut bad_theta = report.warm_start.clone();
+    let mut bad_theta = report.warm_start();
     bad_theta.theta.set(0, 0, f64::NAN);
     assert!(matches!(
         train_warm(&dataset, &config, Some(&bad_theta)),
