@@ -20,7 +20,7 @@
 //!
 //! [`Objective`] is the one DMCP objective.  It is generic over a
 //! [`SampleSource`] — where a chunk's feature rows come from — and holds the
-//! weights, the thread pool, the fused fold and the curvature bounds once:
+//! weights, the thread pool, the kernel fold and the curvature bounds once:
 //!
 //! * [`DmcpObjective`] — the materialized cohort, packed once at
 //!   construction into a single CSR block;
@@ -29,15 +29,21 @@
 //! * [`StreamingDmcpObjective`](crate::stream::StreamingDmcpObjective) — the cohort regenerated and re-featurized
 //!   one patient at a time on every evaluation.
 //!
-//! Every evaluation — `value`, `gradient` or the fused `value_and_gradient`
-//! the solvers call — is one fold of the batched kernel over the source's
-//! rows: one `CSR × Θ` scores pass, one softmax/residual sweep over the packed
-//! score block, and one `CSRᵀ` scatter, with both row kernels
-//! register-blocked over the `C + D` outputs (and run as their AVX2
-//! instantiation when the CPU has it; `pfp_math::csr` states the contract
-//! that keeps every bit the same).  The scores are computed once per sample
-//! and feed both the cross-entropy terms and the softmax residuals; each head
-//! takes one log-sum-exp for both ([`cross_entropy_softmax_in_place`]).
+//! Every evaluation is a fold of the batched kernel over the source's rows.
+//! The kernel has a *residual half* — one `CSR × Θ` scores pass and one
+//! softmax/residual sweep over the packed score block, which also sums the
+//! loss — and a *scatter half*, one `CSRᵀ` scatter of the residuals into the
+//! gradient.  Both row kernels are register-blocked over the `C + D` outputs
+//! and run as their AVX-512 or AVX2 instantiation when the CPU has it
+//! (`pfp_math::csr` states the contract that keeps every bit the same).  The
+//! scores are computed once per sample and feed both the cross-entropy terms
+//! and the softmax residuals; each head takes one log-sum-exp for both
+//! ([`cross_entropy_softmax_in_place`]).
+//!
+//! `value_and_gradient` runs both halves per segment in one walk; `value`
+//! runs only the residual half; the line search's value-first
+//! `value_then_gradient` runs the residual half, asks its `accept` test, and
+//! scatters only for an accepted trial (see [`Objective`]).
 //!
 //! [`per_sample_value_and_gradient`] computes the same quantity by a plain
 //! per-sample walk over the sparse feature vectors, with the two-call
@@ -46,79 +52,17 @@
 //! determinism contract — bitwise at a fixed thread count for every source,
 //! ≲1e-12 across thread counts — is stated on [`Objective`].
 
+use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 use pfp_math::parallel::{chunk_ranges, tree_reduce_matrices, tree_reduce_sums, WorkerPool};
 use pfp_math::softmax::{cross_entropy, cross_entropy_softmax_in_place, softmax_in_place};
-use pfp_math::{CsrMatrix, Matrix};
+use pfp_math::Matrix;
 use pfp_optim::SmoothObjective;
 
 use crate::dataset::Sample;
 use crate::stream::SampleShard;
-
-/// The fused batched kernel [`Objective`] folds over its source's blocks: one
-/// `CSR × Θ` scores pass over `rows`, one softmax/residual sweep (accumulating
-/// the weighted, un-normalised cross-entropy into `*loss`), one `CSRᵀ` scatter
-/// into `grad`.
-///
-/// `rows` indexes into `csr`; `label_of` / `weight_of` map a csr row index to
-/// its `(cu, duration)` labels and sample weight.  Carrying `loss` as an
-/// accumulator — instead of returning it — is what makes a chunk *segmented*
-/// across several shard blocks bitwise-identical to the same chunk evaluated
-/// as one block: the loss additions, each row's softmax, and the scatter
-/// updates happen in the same order either way (per-row score equality across
-/// sub-ranges is property-tested in `pfp-math`'s csr module).
-#[allow(clippy::too_many_arguments)]
-fn fused_csr_block(
-    csr: &CsrMatrix,
-    theta: &Matrix,
-    rows: Range<usize>,
-    num_cus: usize,
-    num_durations: usize,
-    norm: f64,
-    label_of: impl Fn(usize) -> (usize, usize),
-    weight_of: impl Fn(usize) -> f64,
-    grad: &mut Matrix,
-    loss: &mut f64,
-) {
-    // The packed score block (`rows.len() × (C+D)`, ~325 KB at fig-2 scale)
-    // is reused across evaluations via a thread-local buffer: the serial path
-    // and each persistent `WorkerPool` worker allocate it once per solve
-    // instead of once per evaluation.  Zeroing (`fill`) is a memset, far
-    // cheaper than a fresh large allocation.
-    thread_local! {
-        static SCORE_BLOCK: std::cell::RefCell<Vec<f64>> =
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
-    SCORE_BLOCK.with(|cell| {
-        let mut block = cell.borrow_mut();
-        let k = num_cus + num_durations;
-        block.clear();
-        block.resize(rows.len() * k, 0.0);
-        csr.accumulate_scores_range(theta, rows.clone(), &mut block);
-        for (local, i) in rows.clone().enumerate() {
-            let (cu_label, duration_label) = label_of(i);
-            let row = &mut block[local * k..(local + 1) * k];
-            let (cu_scores, dur_scores) = row.split_at_mut(num_cus);
-            let w = weight_of(i);
-            let wn = w / norm;
-            let mut l = cross_entropy_softmax_in_place(cu_scores, cu_label);
-            for (c, out) in cu_scores.iter_mut().enumerate() {
-                *out = wn * (*out - if c == cu_label { 1.0 } else { 0.0 });
-            }
-            if num_durations > 1 {
-                l += cross_entropy_softmax_in_place(dur_scores, duration_label);
-                for (d, out) in dur_scores.iter_mut().enumerate() {
-                    *out = wn * (*out - if d == duration_label { 1.0 } else { 0.0 });
-                }
-            } else {
-                dur_scores[0] = 0.0;
-            }
-            *loss += w * l;
-        }
-        csr.scatter_gradient_range(&block, rows, grad);
-    })
-}
 
 /// Where an [`Objective`]'s feature rows come from.
 ///
@@ -127,6 +71,12 @@ fn fused_csr_block(
 /// sample `block.start + i`.  Retained sources hand out their own blocks;
 /// the regenerated cohort fills a reused scratch block per patient.
 pub trait SampleSource: Sync {
+    /// Whether a walk regenerates its rows instead of handing out retained
+    /// blocks.  A second walk over the same range would then regenerate them
+    /// again, so the objective evaluates such a source in one fused walk and
+    /// never splits an evaluation into a residual walk and a scatter walk.
+    const REGENERATES_ROWS: bool = false;
+
     /// Total number of samples.
     fn total_samples(&self) -> usize;
 
@@ -136,6 +86,8 @@ pub trait SampleSource: Sync {
 }
 
 impl<S: SampleSource> SampleSource for &S {
+    const REGENERATES_ROWS: bool = S::REGENERATES_ROWS;
+
     fn total_samples(&self) -> usize {
         (**self).total_samples()
     }
@@ -164,8 +116,8 @@ fn total_weight(weights: Option<&[f64]>, samples: usize) -> f64 {
 ///
 /// Every evaluation splits the global sample range into per-thread chunks
 /// ([`pfp_math::parallel::chunk_ranges`] over the *total* sample count),
-/// folds each chunk through the fused kernel segment by segment in sample
-/// order, and combines the chunk partials with a fixed-order tree reduction
+/// folds each chunk through the kernel segment by segment in sample order,
+/// and combines the chunk partials with a fixed-order tree reduction
 /// ([`pfp_math::parallel::tree_reduce_matrices`]).  The chunk closures run on
 /// a persistent [`WorkerPool`] created once in [`with_threads`](Self::with_threads)
 /// (i.e. once per ADMM solve), so repeated evaluations pay a channel send
@@ -188,8 +140,27 @@ fn total_weight(weights: Option<&[f64]>, samples: usize) -> f64 {
 ///   chunkings sum in different orders; the results agree to ≲1e-12, not
 ///   bitwise.
 ///
-/// `value`, `gradient` and `value_and_gradient` all run the same fold, so
-/// they agree bitwise with each other by construction.
+/// # Two halves of one kernel
+///
+/// Each segment's kernel has a *residual half* — the `CSR × Θ` scores pass
+/// and the softmax/residual sweep, which also accumulates the loss — and a
+/// *scatter half*, the `CSRᵀ` pass of the residual rows into the gradient.
+/// The entry points run them in three ways, all over the same chunks and
+/// reductions:
+///
+/// * `value_and_gradient` and `gradient`: one walk, each segment's residual
+///   half followed by its scatter half;
+/// * `value`: the residual half only;
+/// * `value_then_gradient` (the line search's trials): the residual half of
+///   every chunk into per-chunk residual buffers the objective keeps and
+///   reuses, the loss reduced and handed to `accept`, and only if it
+///   accepts, the scatter half from the kept buffers in chunk order.  A
+///   source that regenerates its rows ([`SampleSource::REGENERATES_ROWS`])
+///   takes the one-walk fused path instead.
+///
+/// The scatter reads the same residual rows in the same order whichever way
+/// it runs, so all entry points agree bitwise with each other by
+/// construction.
 pub struct Objective<'a, S> {
     pub(crate) source: S,
     weights: Option<&'a [f64]>,
@@ -203,6 +174,10 @@ pub struct Objective<'a, S> {
     /// Persistent workers (`None` on the serial path), reused by every
     /// evaluation of a solve.
     pool: Option<WorkerPool>,
+    /// One residual block per chunk (`chunk length × (C+D)`), kept between
+    /// the two phases of `value_then_gradient` and reused across
+    /// evaluations.
+    residuals: Mutex<Vec<Vec<f64>>>,
 }
 
 impl<'a> DmcpObjective<'a> {
@@ -249,6 +224,7 @@ impl<'a, S: SampleSource> Objective<'a, S> {
             num_durations,
             threads: 1,
             pool: None,
+            residuals: Mutex::new(Vec::new()),
         }
     }
 
@@ -287,55 +263,136 @@ impl<'a, S: SampleSource> Objective<'a, S> {
         self.weights.map_or(1.0, |w| w[i])
     }
 
-    /// Fold the fused kernel over the segments of one global chunk, carrying
-    /// the loss accumulator so the chunk is bitwise-equal to an un-segmented
-    /// pass over the same rows.
-    fn fold_chunk(&self, theta: &Matrix, chunk: Range<usize>, grad: &mut Matrix) -> f64 {
+    /// The residual half of the kernel on one segment: the `CSR × Θ` scores
+    /// of `local` (rows of `block`) accumulated into `out`, which holds
+    /// `local.len() · (C+D)` zeros, then each row's two softmax heads turned
+    /// into weighted residuals in place, adding the weighted, un-normalised
+    /// cross-entropy to `*loss` row by row.
+    ///
+    /// Carrying `loss` as an accumulator — instead of returning it — is what
+    /// makes a chunk *segmented* across several blocks bitwise-identical to
+    /// the same chunk evaluated as one block: the loss additions and each
+    /// row's softmax happen in the same order either way (per-row score
+    /// equality across sub-ranges is property-tested in `pfp-math`'s csr
+    /// module).
+    fn residual_half(
+        &self,
+        theta: &Matrix,
+        block: &SampleShard,
+        local: Range<usize>,
+        out: &mut [f64],
+        loss: &mut f64,
+    ) {
+        let (num_cus, k) = (self.num_cus, self.num_outputs());
+        block.csr.accumulate_scores_range(theta, local.clone(), out);
+        for (row, i) in out.chunks_exact_mut(k).zip(local) {
+            let cu_label = block.cu_labels[i] as usize;
+            let duration_label = block.duration_labels[i] as usize;
+            let (cu_scores, dur_scores) = row.split_at_mut(num_cus);
+            let w = self.weight(block.start + i);
+            let wn = w / self.total_weight;
+            let mut l = cross_entropy_softmax_in_place(cu_scores, cu_label);
+            for (c, out) in cu_scores.iter_mut().enumerate() {
+                *out = wn * (*out - if c == cu_label { 1.0 } else { 0.0 });
+            }
+            if self.num_durations > 1 {
+                l += cross_entropy_softmax_in_place(dur_scores, duration_label);
+                for (d, out) in dur_scores.iter_mut().enumerate() {
+                    *out = wn * (*out - if d == duration_label { 1.0 } else { 0.0 });
+                }
+            } else {
+                dur_scores[0] = 0.0;
+            }
+            *loss += w * l;
+        }
+    }
+
+    /// One walk over the segments of a global chunk: each segment's residual
+    /// half, then — when `grad` is given — its scatter half into `grad`.
+    /// Returns the chunk's un-normalised loss.
+    fn fold_chunk(
+        &self,
+        theta: &Matrix,
+        chunk: Range<usize>,
+        mut grad: Option<&mut Matrix>,
+    ) -> f64 {
+        // A segment's residual block (`rows × (C+D)`) lives in a thread-local
+        // buffer: the serial path and each persistent `WorkerPool` worker
+        // allocate it once per solve instead of once per evaluation.
+        thread_local! {
+            static SCORE_BLOCK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+        }
+        let k = self.num_outputs();
         let mut loss = 0.0;
-        self.source.for_each_segment(chunk, |block, local| {
-            fused_csr_block(
-                &block.csr,
-                theta,
-                local,
-                self.num_cus,
-                self.num_durations,
-                self.total_weight,
-                |i| {
-                    (
-                        block.cu_labels[i] as usize,
-                        block.duration_labels[i] as usize,
-                    )
-                },
-                |i| self.weight(block.start + i),
-                grad,
-                &mut loss,
-            );
+        SCORE_BLOCK.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            self.source.for_each_segment(chunk, |block, local| {
+                scratch.clear();
+                scratch.resize(local.len() * k, 0.0);
+                self.residual_half(theta, block, local.clone(), &mut scratch, &mut loss);
+                if let Some(grad) = grad.as_deref_mut() {
+                    block.csr.scatter_gradient_range(&scratch, local, grad);
+                }
+            });
         });
         loss
     }
 
-    /// The one evaluation path: per-thread chunks on the pool, partials
-    /// tree-reduced in chunk order.
+    /// The residual half over a global chunk, each segment's rows written in
+    /// order into `kept`.  Returns the chunk's un-normalised loss.
+    fn residual_chunk(&self, theta: &Matrix, chunk: Range<usize>, kept: &mut Vec<f64>) -> f64 {
+        let k = self.num_outputs();
+        kept.clear();
+        kept.resize(chunk.len() * k, 0.0);
+        let mut rest = kept.as_mut_slice();
+        let mut loss = 0.0;
+        self.source.for_each_segment(chunk, |block, local| {
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(local.len() * k);
+            self.residual_half(theta, block, local, out, &mut loss);
+            rest = tail;
+        });
+        loss
+    }
+
+    /// The scatter half over a global chunk, from the residual rows
+    /// [`residual_chunk`](Self::residual_chunk) kept.
+    fn scatter_chunk(&self, chunk: Range<usize>, kept: &[f64], grad: &mut Matrix) {
+        let k = self.num_outputs();
+        let mut rest = kept;
+        self.source.for_each_segment(chunk, |block, local| {
+            let (residuals, tail) = rest.split_at(local.len() * k);
+            block.csr.scatter_gradient_range(residuals, local, grad);
+            rest = tail;
+        });
+    }
+
+    /// Run `task` on every item — one per chunk — on the pool when there is
+    /// one, and return the results in item order.
+    fn per_chunk<I: Send, T: Send>(&self, items: Vec<I>, task: impl Fn(I) -> T + Sync) -> Vec<T> {
+        match &self.pool {
+            Some(pool) => {
+                let task = &task;
+                pool.run(items.into_iter().map(|item| move || task(item)).collect())
+            }
+            None => items.into_iter().map(task).collect(),
+        }
+    }
+
+    /// The fused evaluation: per-thread chunks on the pool, each folded in
+    /// one walk, partials tree-reduced in chunk order.
     fn fold(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
         let n = self.total_samples();
         let chunks = chunk_ranges(n, self.threads);
         if chunks.len() <= 1 {
             grad.fill(0.0);
-            return self.fold_chunk(theta, 0..n, grad) / self.total_weight;
+            return self.fold_chunk(theta, 0..n, Some(grad)) / self.total_weight;
         }
         let (rows, cols) = grad.shape();
-        let task = |chunk: Range<usize>| {
+        let partials = self.per_chunk(chunks, |chunk| {
             let mut partial = Matrix::zeros(rows, cols);
-            let loss = self.fold_chunk(theta, chunk, &mut partial);
+            let loss = self.fold_chunk(theta, chunk, Some(&mut partial));
             (loss, partial)
-        };
-        let partials: Vec<(f64, Matrix)> = match &self.pool {
-            Some(pool) => {
-                let task = &task;
-                pool.run(chunks.into_iter().map(|c| move || task(c)).collect())
-            }
-            None => chunks.into_iter().map(task).collect(),
-        };
+        });
         let (losses, grads): (Vec<f64>, Vec<Matrix>) = partials.into_iter().unzip();
         *grad = tree_reduce_matrices(grads).expect("at least one gradient chunk");
         tree_reduce_sums(losses) / self.total_weight
@@ -344,8 +401,9 @@ impl<'a, S: SampleSource> Objective<'a, S> {
 
 impl<S: SampleSource> SmoothObjective for Objective<'_, S> {
     fn value(&self, theta: &Matrix) -> f64 {
-        let mut scratch = Matrix::zeros(self.num_features, self.num_outputs());
-        self.fold(theta, &mut scratch)
+        let chunks = chunk_ranges(self.total_samples(), self.threads);
+        let losses = self.per_chunk(chunks, |chunk| self.fold_chunk(theta, chunk, None));
+        tree_reduce_sums(losses) / self.total_weight
     }
 
     fn gradient(&self, theta: &Matrix, grad: &mut Matrix) {
@@ -354,6 +412,47 @@ impl<S: SampleSource> SmoothObjective for Objective<'_, S> {
 
     fn value_and_gradient(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
         self.fold(theta, grad)
+    }
+
+    fn value_then_gradient(
+        &self,
+        theta: &Matrix,
+        grad: &mut Matrix,
+        accept: &mut dyn FnMut(f64) -> bool,
+    ) -> (f64, bool) {
+        if S::REGENERATES_ROWS {
+            let value = self.fold(theta, grad);
+            return (value, accept(value));
+        }
+        let n = self.total_samples();
+        let chunks = chunk_ranges(n, self.threads);
+        // Every buffer is rewritten before it is read, so one left behind by
+        // a panicked evaluation is as good as a fresh one.
+        let mut kept = self
+            .residuals
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        kept.resize_with(chunks.len(), Vec::new);
+        let items = chunks.iter().cloned().zip(kept.iter_mut()).collect();
+        let losses = self.per_chunk(items, |(chunk, buf)| self.residual_chunk(theta, chunk, buf));
+        let value = tree_reduce_sums(losses) / self.total_weight;
+        if !accept(value) {
+            return (value, false);
+        }
+        if chunks.len() <= 1 {
+            grad.fill(0.0);
+            self.scatter_chunk(0..n, &kept[0], grad);
+        } else {
+            let (rows, cols) = grad.shape();
+            let items = chunks.into_iter().zip(kept.iter()).collect();
+            let partials = self.per_chunk(items, |(chunk, buf)| {
+                let mut partial = Matrix::zeros(rows, cols);
+                self.scatter_chunk(chunk, buf, &mut partial);
+                partial
+            });
+            *grad = tree_reduce_matrices(partials).expect("at least one gradient chunk");
+        }
+        (value, true)
     }
 
     fn shape(&self) -> (usize, usize) {

@@ -436,6 +436,9 @@ pub struct CohortStream {
 }
 
 impl SampleSource for CohortStream {
+    /// Every walk regenerates and re-featurizes the cohort.
+    const REGENERATES_ROWS: bool = true;
+
     fn total_samples(&self) -> usize {
         *self.sample_offsets.last().expect("non-empty offsets")
     }

@@ -8,14 +8,17 @@ use pfp_optim::SmoothObjective;
 
 /// Wraps an objective and counts how each evaluation entry point is used.
 ///
-/// One per-sample evaluation pass corresponds to exactly one call of any of
-/// the three entry points, so [`passes`](Self::passes) is the total work the
-/// solver asked of the objective.
+/// One evaluation corresponds to exactly one call of any of the four entry
+/// points, so [`passes`](Self::passes) is the total number of evaluations
+/// the solver asked of the objective.  Value-first calls are forwarded, so
+/// the wrapped objective keeps its own `value_then_gradient`.
 pub struct CountingObjective<O> {
     inner: O,
     value_calls: Cell<usize>,
     gradient_calls: Cell<usize>,
     fused_calls: Cell<usize>,
+    deferred_calls: Cell<usize>,
+    accepted_calls: Cell<usize>,
 }
 
 impl<O> CountingObjective<O> {
@@ -26,6 +29,8 @@ impl<O> CountingObjective<O> {
             value_calls: Cell::new(0),
             gradient_calls: Cell::new(0),
             fused_calls: Cell::new(0),
+            deferred_calls: Cell::new(0),
+            accepted_calls: Cell::new(0),
         }
     }
 
@@ -44,10 +49,20 @@ impl<O> CountingObjective<O> {
         self.fused_calls.get()
     }
 
-    /// Total per-sample evaluation passes (every entry point walks the
-    /// cohort exactly once).
+    /// Value-first `value_then_gradient` calls observed.
+    pub fn deferred_calls(&self) -> usize {
+        self.deferred_calls.get()
+    }
+
+    /// Value-first calls whose `accept` returned `true` (the ones that went
+    /// on to compute the gradient).
+    pub fn accepted_calls(&self) -> usize {
+        self.accepted_calls.get()
+    }
+
+    /// Total evaluations, over all four entry points.
     pub fn passes(&self) -> usize {
-        self.value_calls() + self.gradient_calls() + self.fused_calls()
+        self.value_calls() + self.gradient_calls() + self.fused_calls() + self.deferred_calls()
     }
 }
 
@@ -63,6 +78,18 @@ impl<O: SmoothObjective> SmoothObjective for CountingObjective<O> {
     fn value_and_gradient(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
         self.fused_calls.set(self.fused_calls.get() + 1);
         self.inner.value_and_gradient(theta, grad)
+    }
+    fn value_then_gradient(
+        &self,
+        theta: &Matrix,
+        grad: &mut Matrix,
+        accept: &mut dyn FnMut(f64) -> bool,
+    ) -> (f64, bool) {
+        self.deferred_calls.set(self.deferred_calls.get() + 1);
+        let (value, accepted) = self.inner.value_then_gradient(theta, grad, accept);
+        self.accepted_calls
+            .set(self.accepted_calls.get() + usize::from(accepted));
+        (value, accepted)
     }
     fn shape(&self) -> (usize, usize) {
         self.inner.shape()
@@ -99,11 +126,18 @@ mod tests {
         counting.gradient(&theta, &mut grad);
         counting.gradient(&theta, &mut grad);
         let _ = counting.value_and_gradient(&theta, &mut grad);
+        let _ = counting.value_then_gradient(&theta, &mut grad, &mut |_| true);
+        let _ = counting.value_then_gradient(&theta, &mut grad, &mut |_| false);
         assert_eq!(counting.value_calls(), 1);
         assert_eq!(counting.gradient_calls(), 2);
-        // The default fused implementation chains gradient + value, but the
-        // wrapper intercepts the outer call only.
+        // The default fused implementation chains gradient + value, and the
+        // default value-first one calls the fused one, but the wrapper
+        // intercepts the outer call only.
         assert_eq!(counting.fused_calls(), 1);
-        assert_eq!(counting.passes(), 4);
+        assert_eq!(
+            (counting.deferred_calls(), counting.accepted_calls()),
+            (2, 1)
+        );
+        assert_eq!(counting.passes(), 6);
     }
 }

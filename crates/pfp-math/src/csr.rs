@@ -19,17 +19,20 @@
 //!
 //! * **Multiply, then add.**  Every update is `x += v · y` as one rounded
 //!   multiply followed by one rounded add.  No FMA contraction: the kernels
-//!   never call `mul_add`, and no instantiation enables the `fma` target
-//!   feature (Rust never contracts `a * b + c` on its own).
+//!   never call `mul_add`, and Rust never contracts `a * b + c` on its own,
+//!   even where an instantiation's target features (`avx512f` implies
+//!   `fma`) make a fused instruction available.
 //! * **Per-column accumulation in storage order.**  Each output column
 //!   accumulates independently, over a row's nonzeros in the order they are
 //!   stored, and rows are visited in increasing order.  Vectorizing across
 //!   the columns therefore changes no column's summation order.
 //! * **The dispatch choice changes no bit.**  Each kernel has one body,
-//!   compiled twice: portably, and inside an `avx2`-enabled function chosen
-//!   at run time when the CPU supports it ([`kernel_path`] reports which).
-//!   By the two rules above, both instantiations produce the same bits; the
-//!   unit tests here call each one directly and compare them bitwise.
+//!   compiled three times: portably, inside an `avx2`-enabled function and
+//!   inside an `avx512f`-enabled one.  At run time the widest one the CPU
+//!   supports is chosen, AVX-512 before AVX2 ([`kernel_path`] reports
+//!   which).  By the two rules above, every instantiation produces the same
+//!   bits; the unit tests here call each one the CPU can run directly and
+//!   compare them bitwise.
 
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -189,11 +192,25 @@ impl CsrMatrix {
         debug_assert_eq!(out.len(), range.len() * theta.cols());
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         {
+            if avx512_detected() {
+                // SAFETY: the running CPU supports AVX-512F.
+                return unsafe { self.scores_avx512(theta, range, out) };
+            }
             if avx2_detected() {
                 // SAFETY: the running CPU supports AVX2.
                 return unsafe { self.scores_avx2(theta, range, out) };
             }
         }
+        self.scores_body(theta, range, out)
+    }
+
+    /// [`Self::scores_body`] compiled with AVX-512F enabled.
+    ///
+    /// # Safety
+    /// The running CPU must support AVX-512F.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn scores_avx512(&self, theta: &Matrix, range: Range<usize>, out: &mut [f64]) {
         self.scores_body(theta, range, out)
     }
 
@@ -269,11 +286,25 @@ impl CsrMatrix {
         debug_assert_eq!(contrib.len(), range.len() * grad.cols());
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         {
+            if avx512_detected() {
+                // SAFETY: the running CPU supports AVX-512F.
+                return unsafe { self.scatter_avx512(contrib, range, grad) };
+            }
             if avx2_detected() {
                 // SAFETY: the running CPU supports AVX2.
                 return unsafe { self.scatter_avx2(contrib, range, grad) };
             }
         }
+        self.scatter_body(contrib, range, grad)
+    }
+
+    /// [`Self::scatter_body`] compiled with AVX-512F enabled.
+    ///
+    /// # Safety
+    /// The running CPU must support AVX-512F.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn scatter_avx512(&self, contrib: &[f64], range: Range<usize>, grad: &mut Matrix) {
         self.scatter_body(contrib, range, grad)
     }
 
@@ -356,19 +387,31 @@ fn avx2_detected() -> bool {
     is_x86_feature_detected!("avx2")
 }
 
-/// Which instantiation of the batched kernels this process runs: `"avx2"`
-/// when the CPU supports AVX2, `"portable"` otherwise.
+/// Whether the running CPU supports AVX-512F (detected once, then cached by
+/// `std`).
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[inline]
+fn avx512_detected() -> bool {
+    is_x86_feature_detected!("avx512f")
+}
+
+/// Which instantiation of the batched kernels this process runs: `"avx512"`
+/// when the CPU supports AVX-512F, else `"avx2"` when it supports AVX2, else
+/// `"portable"`.
 ///
 /// The choice changes no bit of any kernel result (see the
 /// [module docs](self)); it is reported so a timing can name the code that
 /// produced it.
 ///
 /// ```
-/// assert!(["avx2", "portable"].contains(&pfp_math::csr::kernel_path()));
+/// assert!(["avx512", "avx2", "portable"].contains(&pfp_math::csr::kernel_path()));
 /// ```
 pub fn kernel_path() -> &'static str {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     {
+        if avx512_detected() {
+            return "avx512";
+        }
         if avx2_detected() {
             return "avx2";
         }
@@ -448,8 +491,8 @@ mod tests {
     type ScatterKernel = fn(&CsrMatrix, &[f64], Range<usize>, &mut Matrix);
 
     /// Every instantiation this CPU can run, called directly: the portable
-    /// body, plus the AVX2 one when the CPU supports it.  (The public entry
-    /// points only ever reach one of them.)
+    /// body, plus the AVX2 and AVX-512 ones when the CPU supports them,
+    /// narrowest first: the last one is the one the public entry points run.
     fn kernel_instantiations() -> Vec<(&'static str, ScoresKernel, ScatterKernel)> {
         let mut paths: Vec<(&'static str, ScoresKernel, ScatterKernel)> =
             vec![("portable", CsrMatrix::scores_body, CsrMatrix::scatter_body)];
@@ -461,6 +504,14 @@ mod tests {
                     // SAFETY: the running CPU supports AVX2.
                     |m, theta, range, out| unsafe { m.scores_avx2(theta, range, out) },
                     |m, contrib, range, grad| unsafe { m.scatter_avx2(contrib, range, grad) },
+                ));
+            }
+            if avx512_detected() {
+                paths.push((
+                    "avx512",
+                    // SAFETY: the running CPU supports AVX-512F.
+                    |m, theta, range, out| unsafe { m.scores_avx512(theta, range, out) },
+                    |m, contrib, range, grad| unsafe { m.scatter_avx512(contrib, range, grad) },
                 ));
             }
         }
@@ -488,7 +539,7 @@ mod tests {
         ]
     }
 
-    /// Both instantiations, on every dispatch width (the blocked 4/8/16 and
+    /// Every instantiation, on every dispatch width (the blocked 4/8/16 and
     /// the generic rest), agree bitwise with the per-`SparseVec` kernels —
     /// and so with each other — on empty rows, ±∞ and −0.0 entries, and any
     /// split of the row range into two sub-ranges.
@@ -546,8 +597,8 @@ mod tests {
 
     #[test]
     fn kernel_path_names_the_instantiation_the_entry_points_run() {
-        let detected = kernel_instantiations().len() == 2;
-        assert_eq!(kernel_path(), if detected { "avx2" } else { "portable" });
+        let (widest, _, _) = *kernel_instantiations().last().expect("portable");
+        assert_eq!(kernel_path(), widest);
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //!   the two per-sample kernels (`accumulate_scores`, `scatter_gradient`).
 //! * [`csr`] — `CsrMatrix`, the sample-major CSR packing of a cohort's
 //!   feature vectors with the register-blocked batched kernels that dominate
-//!   DMCP training time.  Each kernel runs an AVX2 instantiation when the CPU
-//!   supports it and a portable one otherwise ([`csr::kernel_path`]); the
-//!   module's kernel determinism contract makes both produce the same bits
-//!   as the per-sample kernels.
+//!   DMCP training time.  Each kernel runs an AVX-512F instantiation when the
+//!   CPU supports it, else an AVX2 one, else a portable one
+//!   ([`csr::kernel_path`]); the module's kernel determinism contract makes
+//!   all three produce the same bits as the per-sample kernels.
 //! * [`softmax`] — log-sum-exp, stable softmax, categorical cross-entropy,
 //!   and the fused one-log-sum-exp head the DMCP objective uses.
 //! * [`stats`] — mean/variance, Pearson correlation, histograms, argmax.

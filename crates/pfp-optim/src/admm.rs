@@ -29,19 +29,24 @@
 //!
 //! # Evaluation accounting
 //!
-//! The driver is written against the fused
-//! [`SmoothObjective::value_and_gradient`] and performs *only* fused
-//! evaluations: the last accepted line-search evaluation already sits at the
-//! outer iteration's final Θ, so its smooth value extends the objective trace
-//! and its gradient seeds the next Θ-update — no separate trailing pass.  The trace is extended every outer iteration, including
-//! early-stop ones (the carried value is bitwise what a fresh evaluation at
-//! that Θ would return, because the objective is deterministic).
+//! The solve is written against two entry points: the fused
+//! [`SmoothObjective::value_and_gradient`] at the start and extrapolated
+//! points, and the value-first [`SmoothObjective::value_then_gradient`] at
+//! line-search trials, whose gradient is only computed when the Armijo test
+//! on `smooth + augmented value` accepts ([`AdmmResult::trials_rejected`]
+//! counts the trials that skip it).  Either way each is one evaluation.  The
+//! last accepted line-search evaluation already sits at the outer
+//! iteration's final Θ, so its smooth value extends the objective trace and
+//! its gradient seeds the next Θ-update — no separate trailing pass.  The
+//! trace is extended every outer iteration, including early-stop ones (the
+//! carried value is bitwise what a fresh evaluation at that Θ would return,
+//! because the objective is deterministic).
 
 use pfp_math::Matrix;
 use serde::{Deserialize, Serialize};
 
 use crate::gd::{
-    minimize_matrix_accelerated, AcceleratedConfig, AcceleratedState, AcceleratedWorkspace,
+    minimize_matrix_accelerated, AcceleratedConfig, AcceleratedState, AcceleratedWorkspace, PhiEval,
 };
 use crate::prox::prox_group_lasso_in_place;
 
@@ -72,6 +77,28 @@ pub trait SmoothObjective {
     fn value_and_gradient(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
         self.gradient(theta, grad);
         self.value(theta)
+    }
+    /// Value first, gradient only on demand: return the value at `theta`
+    /// together with `accept(value)`, and write the gradient into `grad` only
+    /// when `accept` returned `true`.
+    ///
+    /// A line search needs the gradient at a trial point only if it accepts
+    /// the trial, so it passes its acceptance test here.  The default is the
+    /// fused [`value_and_gradient`](Self::value_and_gradient) followed by
+    /// `accept`; objectives whose gradient costs a pass of its own (the DMCP
+    /// objective's `CSRᵀ` scatter) override it to skip that pass on rejected
+    /// trials.  Overrides must return bitwise the value the fused call
+    /// returns, call `accept` exactly once, and, when it accepts, write
+    /// bitwise the fused call's gradient; a rejected trial leaves `grad`
+    /// unspecified.
+    fn value_then_gradient(
+        &self,
+        theta: &Matrix,
+        grad: &mut Matrix,
+        accept: &mut dyn FnMut(f64) -> bool,
+    ) -> (f64, bool) {
+        let value = self.value_and_gradient(theta, grad);
+        (value, accept(value))
     }
     /// Parameter shape `(rows, cols)`.
     fn shape(&self) -> (usize, usize);
@@ -338,13 +365,17 @@ pub struct AdmmResult {
     pub dual_residual: f64,
     /// Total inner Θ-update steps across all outer iterations.
     pub inner_iterations: usize,
-    /// Total objective evaluations (fused + separate gradient passes),
+    /// Total objective evaluations (fused passes plus line-search trials),
     /// including the initial one.
     pub evaluations: usize,
     /// Objective evaluations attributable to each outer iteration (excludes
     /// the single initial evaluation).  Summing a prefix gives the
     /// passes-to-reach-a-trace-entry accounting used by the warm-start tests.
     pub evaluations_by_outer: Vec<usize>,
+    /// Line-search trials whose Armijo test failed (each one of
+    /// `evaluations`).  An objective that overrides
+    /// [`SmoothObjective::value_then_gradient`] skips their gradient.
+    pub trials_rejected: usize,
     /// Accepted accelerated-Θ-update step size at exit.
     pub final_step: f64,
     /// Whether the solve stopped on the [`PlateauStop`] criterion (implies
@@ -375,16 +406,69 @@ fn augmented_value(rho: f64, theta: &Matrix, x: &Matrix, y: &Matrix) -> f64 {
     0.5 * rho * acc
 }
 
-/// `grad += ρ(Θ − X + Y)`, the augmented penalty gradient.
-fn add_augmented_gradient(grad: &mut Matrix, rho: f64, theta: &Matrix, x: &Matrix, y: &Matrix) {
-    for (((g, &t), &xv), &yv) in grad
+/// `out ← smooth + ρ(Θ − X + Y)`, the augmented gradient, and the augmented
+/// penalty value [`augmented_value`] in the same sweep: each element and the
+/// sum see exactly the operations of the two separate passes.
+fn augment(
+    out: &mut Matrix,
+    smooth: &Matrix,
+    rho: f64,
+    theta: &Matrix,
+    x: &Matrix,
+    y: &Matrix,
+) -> f64 {
+    let mut acc = 0.0;
+    for ((((o, &g), &t), &xv), &yv) in out
         .as_mut_slice()
         .iter_mut()
+        .zip(smooth.as_slice())
         .zip(theta.as_slice())
         .zip(x.as_slice())
         .zip(y.as_slice())
     {
-        *g += rho * (t - xv + yv);
+        let d = t - xv + yv;
+        *o = g + rho * d;
+        acc += d * d;
+    }
+    0.5 * rho * acc
+}
+
+/// The Θ-update's `φ(Θ) = L(Θ) + (ρ/2)‖Θ − X + Y‖²_F`, evaluated through the
+/// smooth objective.  Every evaluation leaves the smooth value in `carried`
+/// and, when it computed one, the smooth gradient in `stash`, so the last
+/// one can be carried into the trace and the next outer iteration without
+/// re-evaluating.
+struct AugmentedPhi<'a, O> {
+    objective: &'a O,
+    rho: f64,
+    x: &'a Matrix,
+    y: &'a Matrix,
+    carried: &'a mut f64,
+    stash: &'a mut Matrix,
+}
+
+impl<O: SmoothObjective> PhiEval for AugmentedPhi<'_, O> {
+    fn fused(&mut self, point: &Matrix, grad: &mut Matrix) -> f64 {
+        let s = self.objective.value_and_gradient(point, self.stash);
+        *self.carried = s;
+        s + augment(grad, self.stash, self.rho, point, self.x, self.y)
+    }
+
+    fn trial(
+        &mut self,
+        point: &Matrix,
+        grad: &mut Matrix,
+        accept: &mut dyn FnMut(f64) -> bool,
+    ) -> (f64, bool) {
+        let penalty = augmented_value(self.rho, point, self.x, self.y);
+        let (s, accepted) = self
+            .objective
+            .value_then_gradient(point, self.stash, &mut |s| accept(s + penalty));
+        *self.carried = s;
+        if accepted {
+            augment(grad, self.stash, self.rho, point, self.x, self.y);
+        }
+        (s + penalty, accepted)
     }
 }
 
@@ -404,7 +488,7 @@ struct SolveWorkspace {
     x_prev: Matrix,
     /// `∇φ` at the Θ-update entry point (smooth gradient + augmented term).
     g_phi0: Matrix,
-    /// Smooth-gradient stash of the accelerated carry (see the eval closure).
+    /// Smooth-gradient stash of the accelerated carry (see [`AugmentedPhi`]).
     smooth_grad_stash: Matrix,
     /// The accelerated Θ-update solver's six scratch matrices.
     accel: AcceleratedWorkspace,
@@ -515,6 +599,7 @@ fn solve_impl<O: SmoothObjective>(
     let mut plateau_stopped = false;
     let mut outer_done = 0;
     let mut inner_total = 0usize;
+    let mut trials_rejected = 0usize;
     let mut primal_residual = f64::INFINITY;
     let mut dual_residual = f64::INFINITY;
     let mut ws = SolveWorkspace::new(rows, cols);
@@ -525,39 +610,31 @@ fn solve_impl<O: SmoothObjective>(
         // --- Θ-update: minimise L(Θ) + (ρ/2)‖Θ − X + Y‖²_F ---
         // Build φ/∇φ at the entry point from the carried smooth value and
         // gradient plus a fresh (cheap, dense) penalty term.
-        let phi0 = smooth_value + augmented_value(rho, &theta, &x, &y);
-        ws.g_phi0.copy_from(&grad);
-        add_augmented_gradient(&mut ws.g_phi0, rho, &theta, &x, &y);
+        let phi0 = smooth_value + augment(&mut ws.g_phi0, &grad, rho, &theta, &x, &y);
 
-        // The eval closure stashes the smooth half of every fused evaluation
-        // so the final one can be carried into the trace and the next outer
-        // iteration without re-evaluating.
+        // The stash is only read after an evaluation at the returned iterate
+        // has written it (`last_eval_at_result`), so it needs no seeding.
         let mut carried_smooth = smooth_value;
-        ws.smooth_grad_stash.copy_from(&grad);
-        let stats = {
-            let x_ref = &x;
-            let y_ref = &y;
-            let carried = &mut carried_smooth;
-            let stash = &mut ws.smooth_grad_stash;
-            minimize_matrix_accelerated(
-                &mut theta,
-                phi0,
-                &ws.g_phi0,
-                |point, g_out| {
-                    let s = objective.value_and_gradient(point, g_out);
-                    *carried = s;
-                    stash.as_mut_slice().copy_from_slice(g_out.as_slice());
-                    add_augmented_gradient(g_out, rho, point, x_ref, y_ref);
-                    s + augmented_value(rho, point, x_ref, y_ref)
-                },
-                caps.as_deref(),
-                config.max_inner_iters,
-                &mut ls_state,
-                &mut ws.accel,
-                &acc,
-            )
-        };
+        let stats = minimize_matrix_accelerated(
+            &mut theta,
+            phi0,
+            &ws.g_phi0,
+            AugmentedPhi {
+                objective,
+                rho,
+                x: &x,
+                y: &y,
+                carried: &mut carried_smooth,
+                stash: &mut ws.smooth_grad_stash,
+            },
+            caps.as_deref(),
+            config.max_inner_iters,
+            &mut ls_state,
+            &mut ws.accel,
+            &acc,
+        );
         outer_evals += stats.evaluations;
+        trials_rejected += stats.trials_rejected;
         inner_total += stats.iterations;
         if stats.evaluations > 0 {
             if stats.last_eval_at_result {
@@ -665,6 +742,7 @@ fn solve_impl<O: SmoothObjective>(
         inner_iterations: inner_total,
         evaluations,
         evaluations_by_outer,
+        trials_rejected,
         final_step: ls_state.step,
         plateau_stopped,
     }

@@ -120,13 +120,50 @@ impl AcceleratedWorkspace {
     }
 }
 
+/// How [`minimize_matrix_accelerated`] evaluates `φ`: fused at the start and
+/// extrapolated points, value first at line-search trials.
+///
+/// Every fused evaluation closure `FnMut(&Matrix, &mut Matrix) -> f64`
+/// (gradient into the second argument, value returned) is one, whose trials
+/// run the fused evaluation in full.  A closure written inline at the call
+/// needs its parameter types spelled out (`|t: &Matrix, g: &mut Matrix|`),
+/// since the bound it must meet is this trait, not `FnMut`.
+pub trait PhiEval {
+    /// Write `∇φ(point)` into `grad` and return `φ(point)`.
+    fn fused(&mut self, point: &Matrix, grad: &mut Matrix) -> f64;
+
+    /// A line-search trial: return `φ(point)` and `accept(φ(point))`, writing
+    /// `∇φ(point)` into `grad` only when the trial is accepted (a rejected
+    /// trial leaves `grad` unspecified).  The value and an accepted gradient
+    /// must be bitwise what [`fused`](Self::fused) would produce.  The default
+    /// is `fused` followed by `accept`.
+    fn trial(
+        &mut self,
+        point: &Matrix,
+        grad: &mut Matrix,
+        accept: &mut dyn FnMut(f64) -> bool,
+    ) -> (f64, bool) {
+        let value = self.fused(point, grad);
+        (value, accept(value))
+    }
+}
+
+impl<F: FnMut(&Matrix, &mut Matrix) -> f64> PhiEval for F {
+    fn fused(&mut self, point: &Matrix, grad: &mut Matrix) -> f64 {
+        self(point, grad)
+    }
+}
+
 /// What one [`minimize_matrix_accelerated`] call did.
 #[derive(Debug, Clone, Copy)]
 pub struct AcceleratedStats {
     /// Accepted (momentum + line-search) steps taken.
     pub iterations: usize,
-    /// Fused `eval` invocations performed.
+    /// Evaluations performed: fused ones plus line-search trials.
     pub evaluations: usize,
+    /// Line-search trials the Armijo test rejected (each one of
+    /// `evaluations`).
+    pub trials_rejected: usize,
     /// Whether the gradient-norm criterion was met.
     pub converged: bool,
     /// φ at the returned iterate.
@@ -147,8 +184,10 @@ pub struct AcceleratedStats {
 /// * `value0` / `grad0` — `φ` and `∇φ` at the entry iterate, supplied by the
 ///   caller so the solve starts without a redundant evaluation (the ADMM
 ///   driver always has both on hand from the previous outer iteration).
-/// * `eval` — fused evaluation writing `∇φ` into its second argument and
-///   returning `φ`; the only way the solver ever touches the objective.
+/// * `eval` — the only way the solver ever touches the objective
+///   ([`PhiEval`]): a fused evaluation at the extrapolated point, and a
+///   value-first [`PhiEval::trial`] at each line-search candidate, whose
+///   gradient is only needed if the Armijo test accepts it.
 /// * `precond` — optional per-row direction scaling `d_r = P_r · ∇φ_r`
 ///   (the ADMM driver passes its curvature-bound caps `1/(L_r + ρ)`, turning
 ///   the line search into a scalar correction on top of a diagonally
@@ -158,8 +197,8 @@ pub struct AcceleratedStats {
 /// `z = θ_k + β_k (θ_k − θ_{k−1})` (standard FISTA momentum, with adaptive
 /// restart whenever the objective increases), evaluates `φ`/`∇φ` there, and
 /// backtracks from the warm-started step until the Armijo condition holds.
-/// Per iteration this costs two fused evaluations (extrapolated point +
-/// accepted trial) plus one per rejected trial; the first iteration reuses
+/// Per iteration this costs two evaluations (extrapolated point + accepted
+/// trial) plus one value-first trial per rejection; the first iteration reuses
 /// (`value0`, `grad0`) because the momentum term is still zero.  The
 /// gradient-norm early exit is checked at every accepted iterate.
 ///
@@ -175,7 +214,7 @@ pub fn minimize_matrix_accelerated(
     theta: &mut Matrix,
     value0: f64,
     grad0: &Matrix,
-    mut eval: impl FnMut(&Matrix, &mut Matrix) -> f64,
+    mut eval: impl PhiEval,
     precond: Option<&[f64]>,
     max_iters: usize,
     state: &mut AcceleratedState,
@@ -214,6 +253,7 @@ pub fn minimize_matrix_accelerated(
 
     let mut iterations = 0usize;
     let mut evaluations = 0usize;
+    let mut trials_rejected = 0usize;
     let mut converged = false;
     let mut last_eval_at_result = false;
 
@@ -242,7 +282,7 @@ pub fn minimize_matrix_accelerated(
                 *zi = ti + beta * (ti - pi);
             }
             evaluations += 1;
-            eval(z, g_z)
+            eval.fused(z, g_z)
         };
 
         // Descent direction d = P ∇φ(z) and its slope ⟨∇φ(z), d⟩.
@@ -294,11 +334,16 @@ pub fn minimize_matrix_accelerated(
                 }
             }
             evaluations += 1;
-            phi_cand = eval(cand, g_cand);
-            if phi_cand.is_finite() && phi_cand <= phi_z - config.armijo_c * t * slope {
+            let armijo_bound = phi_z - config.armijo_c * t * slope;
+            let (value, armijo) = eval.trial(cand, g_cand, &mut |phi| {
+                phi.is_finite() && phi <= armijo_bound
+            });
+            if armijo {
+                phi_cand = value;
                 accepted = true;
                 break;
             }
+            trials_rejected += 1;
             t *= config.shrink;
         }
         if !accepted {
@@ -334,6 +379,7 @@ pub fn minimize_matrix_accelerated(
     AcceleratedStats {
         iterations,
         evaluations,
+        trials_rejected,
         converged,
         final_value: phi,
         last_eval_at_result,
@@ -432,7 +478,7 @@ mod tests {
             &mut theta,
             v0,
             &g0,
-            |t, g| eval_weighted(t, g, &mut calls),
+            |t: &Matrix, g: &mut Matrix| eval_weighted(t, g, &mut calls),
             None,
             500,
             &mut state,
@@ -506,7 +552,7 @@ mod tests {
                 &mut theta,
                 v0,
                 &g0,
-                |t, g| eval_weighted(t, g),
+                |t: &Matrix, g: &mut Matrix| eval_weighted(t, g),
                 precond,
                 500,
                 &mut state,
@@ -603,6 +649,87 @@ mod tests {
         );
         assert!(stats.converged);
         assert!(calls_warm <= calls_cold + 2);
+    }
+
+    /// ½‖Θ − T‖²_F evaluated value first: a rejected trial poisons the
+    /// gradient buffer instead of writing it, so any read of it would show.
+    struct ValueFirstQuadratic<'a> {
+        target: &'a Matrix,
+        rejected: &'a mut usize,
+    }
+
+    impl PhiEval for ValueFirstQuadratic<'_> {
+        fn fused(&mut self, point: &Matrix, grad: &mut Matrix) -> f64 {
+            let diff = point.sub(self.target);
+            grad.as_mut_slice().copy_from_slice(diff.as_slice());
+            0.5 * diff.frobenius_norm_sq()
+        }
+
+        fn trial(
+            &mut self,
+            point: &Matrix,
+            grad: &mut Matrix,
+            accept: &mut dyn FnMut(f64) -> bool,
+        ) -> (f64, bool) {
+            let value = 0.5 * point.sub(self.target).frobenius_norm_sq();
+            if accept(value) {
+                self.fused(point, grad);
+                return (value, true);
+            }
+            *self.rejected += 1;
+            grad.fill(f64::NAN);
+            (value, false)
+        }
+    }
+
+    /// Value-first trials land bitwise on the all-fused trajectory, never
+    /// read a rejected trial's gradient, and are counted exactly.
+    #[test]
+    fn value_first_trials_retrace_the_fused_trajectory() {
+        let target = Matrix::from_fn(4, 3, |r, c| 2.0 * (r as f64) - 1.5 * (c as f64));
+        // An optimistic initial step forces rejections.
+        let cfg = AcceleratedConfig {
+            grad_rtol: 1e-8,
+            initial_step: 8.0,
+            ..AcceleratedConfig::default()
+        };
+        let (v0, g0) = quadratic_start(&target, &Matrix::zeros(4, 3));
+        let mut fused_theta = Matrix::zeros(4, 3);
+        let mut calls = 0usize;
+        let fused = minimize_matrix_accelerated(
+            &mut fused_theta,
+            v0,
+            &g0,
+            quadratic_eval(&target, &mut calls),
+            None,
+            200,
+            &mut AcceleratedState::new(&cfg),
+            &mut AcceleratedWorkspace::new(4, 3),
+            &cfg,
+        );
+        let mut theta = Matrix::zeros(4, 3);
+        let mut rejected = 0usize;
+        let stats = minimize_matrix_accelerated(
+            &mut theta,
+            v0,
+            &g0,
+            ValueFirstQuadratic {
+                target: &target,
+                rejected: &mut rejected,
+            },
+            None,
+            200,
+            &mut AcceleratedState::new(&cfg),
+            &mut AcceleratedWorkspace::new(4, 3),
+            &cfg,
+        );
+        assert!(stats.converged && stats.trials_rejected > 0);
+        assert_eq!(stats.trials_rejected, rejected);
+        assert_eq!(stats.trials_rejected, fused.trials_rejected);
+        assert_eq!(stats.evaluations, fused.evaluations);
+        assert_eq!(stats.final_value.to_bits(), fused.final_value.to_bits());
+        assert_eq!(theta, fused_theta);
+        assert!(theta.is_finite());
     }
 
     /// Reusing a dirty workspace must be invisible: the solver re-initialises
