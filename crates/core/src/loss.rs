@@ -37,8 +37,11 @@
 //! and run as their AVX-512 or AVX2 instantiation when the CPU has it
 //! (`pfp_math::csr` states the contract that keeps every bit the same).  The
 //! scores are computed once per sample and feed both the cross-entropy terms
-//! and the softmax residuals; each head takes one log-sum-exp for both
-//! ([`cross_entropy_softmax_in_place`]).
+//! and the softmax residuals; each head takes one log-sum-exp for both.  The
+//! sweep is `pfp_math`'s block kernel ([`cross_entropy_softmax_rows`]): its
+//! phases run over tiles of rows, its `exp` is vectorized and bitwise equal
+//! to `f64::exp`, and it calls back once per row, in order, for the
+//! residuals and the loss addition.
 //!
 //! `value_and_gradient` runs both halves per segment in one walk; `value`
 //! runs only the residual half; the line search's value-first
@@ -57,7 +60,7 @@ use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
 use pfp_math::parallel::{chunk_ranges, tree_reduce_matrices, tree_reduce_sums, WorkerPool};
-use pfp_math::softmax::{cross_entropy, cross_entropy_softmax_in_place, softmax_in_place};
+use pfp_math::softmax::{cross_entropy, cross_entropy_softmax_rows, softmax_in_place};
 use pfp_math::Matrix;
 use pfp_optim::SmoothObjective;
 
@@ -145,6 +148,14 @@ fn total_weight(weights: Option<&[f64]>, samples: usize) -> f64 {
 /// Each segment's kernel has a *residual half* — the `CSR × Θ` scores pass
 /// and the softmax/residual sweep, which also accumulates the loss — and a
 /// *scatter half*, the `CSRᵀ` pass of the residual rows into the gradient.
+/// The sweep is [`cross_entropy_softmax_rows`]: per tile of rows, each
+/// head's max and vector `exp(x − m)`, then each head's `ln`, then row by
+/// row the losses, the vector `exp(x − lse)`, the residuals
+/// `w_i/Σw · (p − onehot)` and `loss += w_i · l_i`.  Its phases reorder only
+/// independent operations and its `exp` lanes are bitwise libm's
+/// (`pfp_math::softmax` states that contract), so each row's loss and
+/// residuals have the bits of the per-element two-pass head of
+/// [`per_sample_value_and_gradient`], and the losses are added in row order.
 /// The entry points run them in three ways, all over the same chunks and
 /// reductions:
 ///
@@ -283,28 +294,58 @@ impl<'a, S: SampleSource> Objective<'a, S> {
         out: &mut [f64],
         loss: &mut f64,
     ) {
-        let (num_cus, k) = (self.num_cus, self.num_outputs());
+        let (c, k) = (self.num_cus, self.num_outputs());
         block.csr.accumulate_scores_range(theta, local.clone(), out);
-        for (row, i) in out.chunks_exact_mut(k).zip(local) {
-            let cu_label = block.cu_labels[i] as usize;
-            let duration_label = block.duration_labels[i] as usize;
-            let (cu_scores, dur_scores) = row.split_at_mut(num_cus);
-            let w = self.weight(block.start + i);
-            let wn = w / self.total_weight;
-            let mut l = cross_entropy_softmax_in_place(cu_scores, cu_label);
-            for (c, out) in cu_scores.iter_mut().enumerate() {
-                *out = wn * (*out - if c == cu_label { 1.0 } else { 0.0 });
-            }
-            if self.num_durations > 1 {
-                l += cross_entropy_softmax_in_place(dur_scores, duration_label);
-                for (d, out) in dur_scores.iter_mut().enumerate() {
-                    *out = wn * (*out - if d == duration_label { 1.0 } else { 0.0 });
-                }
-            } else {
-                dur_scores[0] = 0.0;
-            }
-            *loss += w * l;
+        if self.num_durations > 1 {
+            self.residual_rows(block, local, out, &[0..c, c..k], loss);
+        } else {
+            // One head, the destination's (not a vector of the indices `0..c`).
+            #[allow(clippy::single_range_in_vec_init)]
+            let heads = [0..c];
+            self.residual_rows(block, local, out, &heads, loss);
         }
+    }
+
+    /// The softmax half of [`residual_half`](Self::residual_half) over the
+    /// score rows `out` of `local`, with `heads` the destination head and,
+    /// when it has more than one class, the duration head.  A 1-class
+    /// duration head has no softmax: its residual is zero and it adds no
+    /// loss.
+    fn residual_rows<const H: usize>(
+        &self,
+        block: &SampleShard,
+        local: Range<usize>,
+        out: &mut [f64],
+        heads: &[Range<usize>; H],
+        loss: &mut f64,
+    ) {
+        let labels = [
+            &block.cu_labels[local.clone()],
+            &block.duration_labels[local.clone()],
+        ];
+        let first = block.start + local.start;
+        cross_entropy_softmax_rows(
+            out,
+            self.num_outputs(),
+            heads,
+            |r| std::array::from_fn(|h| labels[h][r] as usize),
+            |r, row, losses| {
+                let w = self.weight(first + r);
+                let wn = w / self.total_weight;
+                for (head, labels) in heads.iter().zip(labels) {
+                    let label = labels[r] as usize;
+                    for (j, out) in row[head.clone()].iter_mut().enumerate() {
+                        *out = wn * (*out - if j == label { 1.0 } else { 0.0 });
+                    }
+                }
+                row[heads[H - 1].end..].fill(0.0);
+                let mut l = losses[0];
+                for &head_loss in &losses[1..] {
+                    l += head_loss;
+                }
+                *loss += w * l;
+            },
+        );
     }
 
     /// One walk over the segments of a global chunk: each segment's residual

@@ -12,9 +12,12 @@
 //! Err_c = (1/7) Σ_{day=1..7} |N_{c,day} − N̂_{c,day}| / max(N_{c,day}, 1)
 //! ```
 //!
-//! The paper's overall error divides the total patient count across all CUs;
-//! because this reproduction has no discharge model, that total is identical
-//! for every predictor and the statistic would be degenerate.  The overall
+//! The paper's overall error divides the total patient count across all CUs.
+//! This reproduction has no discharge model: no forecast ever discharges a
+//! patient, so the forecast total is identical for every predictor (it stays
+//! at the number of held-out patients), and the statistic could not separate
+//! methods.  The actual census is not identical: its total falls over the
+//! week as patients leave (ROADMAP item 8).  The overall
 //! `Err_C` reported here is therefore the occupancy-weighted average of the
 //! per-unit errors, which preserves the paper's intent (how well the method
 //! predicts where the hospital's patients actually are) while still

@@ -21,7 +21,11 @@
 //!   ([`csr::kernel_path`]); the module's kernel determinism contract makes
 //!   all three produce the same bits as the per-sample kernels.
 //! * [`softmax`] — log-sum-exp, stable softmax, categorical cross-entropy,
-//!   and the fused one-log-sum-exp head the DMCP objective uses.
+//!   and the phase-split block kernel of softmax heads the DMCP objective
+//!   uses ([`softmax::cross_entropy_softmax_rows`]).  Its `exp` runs 8
+//!   (AVX-512F) or 4 (AVX2 + FMA) lanes at a time as a port of glibc's FMA
+//!   `exp`, else `f64::exp` per element ([`softmax::kernel_path`]); the
+//!   module's determinism contract keeps every bit of libm's result.
 //! * [`stats`] — mean/variance, Pearson correlation, histograms, argmax.
 //! * [`rng`] — seeded sampling helpers (categorical, Bernoulli, Gaussian).
 //! * [`parallel`] — deterministic sample sharding, fixed-order tree
