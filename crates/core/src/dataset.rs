@@ -138,6 +138,9 @@ impl Dataset {
 
     /// Split into `(train, test)` by patient; `test_fraction` of patients go
     /// to the test side (at least one patient on each side when possible).
+    ///
+    /// # Panics
+    /// Panics if `test_fraction` is outside `[0, 1)`.
     pub fn split_holdout(&self, test_fraction: f64, seed: u64) -> (Dataset, Dataset) {
         assert!(
             (0.0..1.0).contains(&test_fraction),
@@ -160,6 +163,9 @@ impl Dataset {
     }
 
     /// Split into `k` folds by patient; returns per-fold `(train, validation)`.
+    ///
+    /// # Panics
+    /// Panics if `k < 2` or there are fewer patients than folds.
     pub fn k_folds(&self, k: usize, seed: u64) -> Vec<(Dataset, Dataset)> {
         assert!(k >= 2, "need at least two folds");
         let n = self.patients.len();

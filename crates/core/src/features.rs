@@ -72,6 +72,9 @@ pub struct McpConfig {
 
 impl McpConfig {
     /// The paper's recommendation: σ = mean dwell time of the cohort.
+    ///
+    /// # Panics
+    /// Panics if `sigma` is not positive.
     pub fn with_sigma(sigma: f64) -> Self {
         assert!(sigma > 0.0, "sigma must be positive");
         Self { sigma }
@@ -105,6 +108,9 @@ pub struct HistoryFeaturizer {
 
 impl HistoryFeaturizer {
     /// Create a featurizer for the given feature-map kind and block sizes.
+    ///
+    /// # Panics
+    /// Panics if a mutually-correcting `kind` has a non-positive σ.
     pub fn new(kind: FeatureMapKind, profile_dim: usize, service_dim: usize) -> Self {
         if let FeatureMapKind::MutuallyCorrecting { sigma } = kind {
             assert!(sigma > 0.0, "sigma must be positive");

@@ -207,6 +207,9 @@ impl HierarchicalHead {
 
     /// Train the cascade on featurized samples using `label_of` to pick the
     /// head's label from a sample.
+    ///
+    /// # Panics
+    /// Panics if `samples` is empty or a label is at least `num_classes`.
     pub fn train(
         samples: &[Sample],
         num_classes: usize,

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use crate::dataset::{Dataset, Sample};
 use crate::features::FeatureMapKind;
 use crate::model::DmcpModel;
-use crate::train::{train_featurized, TrainConfig};
+use crate::train::{train, TrainConfig, TrainSource};
 
 /// A single softmax over all `(c, d)` pairs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,29 +30,32 @@ impl JointLabelModel {
     }
 
     /// Train the joint classifier on a raw dataset.
+    ///
+    /// # Panics
+    /// Panics with the [`TrainError`](crate::train::TrainError)'s message if
+    /// training refuses the input.
     pub fn train(dataset: &Dataset, config: &TrainConfig) -> Self {
-        let kind = config
-            .feature_map
-            .unwrap_or_else(|| dataset.default_mcp_kind());
-        let samples: Vec<Sample> = dataset
-            .featurize(kind)
-            .into_iter()
-            .map(|s| Sample {
-                patient_id: s.patient_id,
-                cu_label: s.cu_label * dataset.num_durations + s.duration_label,
-                duration_label: 0,
-                features: s.features,
-            })
-            .collect();
-        let inner = train_featurized(
-            samples,
+        let kind = config.feature_map.unwrap_or(dataset.default_mcp_kind());
+        let source = TrainSource::Featurized {
+            samples: dataset
+                .featurize(kind)
+                .into_iter()
+                .map(|s| Sample {
+                    patient_id: s.patient_id,
+                    cu_label: s.cu_label * dataset.num_durations + s.duration_label,
+                    duration_label: 0,
+                    features: s.features,
+                })
+                .collect(),
             kind,
-            dataset.profile_dim,
-            dataset.service_dim,
-            dataset.num_cus * dataset.num_durations,
-            1,
-            config,
-        );
+            profile_dim: dataset.profile_dim,
+            service_dim: dataset.service_dim,
+            num_cus: dataset.num_cus * dataset.num_durations,
+            num_durations: 1,
+        };
+        let inner = train(source, config, None)
+            .unwrap_or_else(|err| panic!("{err}"))
+            .model;
         Self {
             inner,
             num_cus: dataset.num_cus,
@@ -101,7 +104,7 @@ mod tests {
     fn joint_model_has_many_more_output_columns_than_decoupled() {
         let ds = Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(42)));
         let joint = JointLabelModel::train(&ds, &TrainConfig::fast());
-        let decoupled = crate::train::train(&ds, &TrainConfig::fast());
+        let decoupled = DmcpModel::train(&ds, &TrainConfig::fast());
         let decoupled_params = decoupled.theta.rows() * decoupled.theta.cols();
         assert!(joint.num_parameters() > 3 * decoupled_params);
     }

@@ -28,7 +28,8 @@
 //!   fold of the batched kernel, which can be sharded over a persistent
 //!   worker pool ([`loss::Objective::with_threads`]) with a
 //!   bitwise-deterministic result for a fixed thread count.
-//! * [`train`](mod@train) — Algorithm 1: ADMM + group lasso;
+//! * [`train`](mod@train) — Algorithm 1: ADMM + group lasso, behind one entry
+//!   point [`train()`] over four [`TrainSource`]s with typed [`TrainError`]s;
 //!   [`TrainConfig::threads`] selects the sample-parallel accumulation width.
 //! * [`model`] — the trained [`DmcpModel`]: conditional probabilities,
 //!   prediction, intensity evaluation, census simulation hooks.
@@ -38,8 +39,10 @@
 //!   over-fitting straw man.
 //! * [`stream`] — sharded and out-of-core training over streaming cohort
 //!   shards: the bounded-memory sample sources of [`loss::Objective`], which
-//!   reproduce the materialized path bitwise ([`stream::train_sharded`],
-//!   [`stream::train_streamed`]).
+//!   reproduce the materialized path bitwise ([`TrainSource::Shards`],
+//!   [`TrainSource::Stream`]).
+
+#![warn(clippy::missing_errors_doc, clippy::missing_panics_doc)]
 
 pub mod dataset;
 pub mod features;
@@ -55,8 +58,9 @@ pub use features::{FeatureMapKind, HistoryFeaturizer, McpConfig};
 pub use imbalance::ImbalanceStrategy;
 pub use model::DmcpModel;
 pub use pfp_optim::admm::{PlateauStop, WarmStart, WarmStartError};
-pub use stream::{
-    train_sharded, train_sharded_warm, train_streamed, train_streamed_warm, ShardedDmcpObjective,
-    ShardedSamples, StreamingDmcpObjective,
-};
-pub use train::{initial_theta, train, train_warm, TrainConfig, TrainReport};
+pub use stream::{ShardedDmcpObjective, ShardedSamples, StreamingDmcpObjective};
+/// [`train()`] under its old name, kept for the `perfbench` package only: the
+/// next benchmark change moves it to [`train()`] and deletes this alias.
+pub use train::train as train_warm;
+pub use train::{initial_theta, train, train_streamed_warm, TrainConfig};
+pub use train::{TrainError, TrainReport, TrainSource};

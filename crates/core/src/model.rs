@@ -31,10 +31,15 @@ pub struct DmcpModel {
 }
 
 impl DmcpModel {
-    /// Train a model on a raw dataset (convenience wrapper around
-    /// [`crate::train::train`]).
+    /// Train a model on a raw dataset, cold ([`crate::train::train`]).
+    ///
+    /// # Panics
+    /// Panics with the [`TrainError`](crate::train::TrainError)'s message if
+    /// training refuses the input.
     pub fn train(dataset: &Dataset, config: &TrainConfig) -> DmcpModel {
-        train(dataset, config)
+        train(dataset, config, None)
+            .unwrap_or_else(|err| panic!("{err}"))
+            .model
     }
 
     /// Total feature dimension `M`.
@@ -48,6 +53,9 @@ impl DmcpModel {
     }
 
     /// Raw linear scores `Θ⊤ f`, split into `(destination, duration)` halves.
+    ///
+    /// # Panics
+    /// Panics if `features` does not have the model's dimension `M`.
     pub fn scores(&self, features: &SparseVec) -> (Vec<f64>, Vec<f64>) {
         assert_eq!(
             features.dim(),
@@ -85,6 +93,9 @@ impl DmcpModel {
     /// [`DmcpModel::scores`] calls, so the results are bitwise identical to
     /// the per-sample walk.  A 0-row block leaves `out` empty; a 1-row block
     /// degenerates to a single per-sample scoring.
+    ///
+    /// # Panics
+    /// Panics if `block` does not have the model's dimension `M`.
     pub fn scores_block_into(&self, block: &CsrMatrix, out: &mut Vec<f64>) {
         assert_eq!(
             block.dim(),

@@ -1,31 +1,25 @@
-//! Sharded and out-of-core training over streaming cohort shards.
+//! The bounded-memory sample sources of the one DMCP [`Objective`], fed by
+//! the seeded, resumable [`CohortShards`] generator.
 //!
-//! The materialized path ([`crate::dataset::Dataset`] → [`DmcpObjective`](crate::loss::DmcpObjective))
-//! holds the whole cohort several times over: `Vec<PatientRecord>`, the raw
-//! samples (each with its own cloned history), the featurized samples, *and*
-//! the CSR packing.  At paper scale and beyond that is the memory ceiling.
-//! This module supplies the two bounded-memory [`SampleSource`]s of the one
-//! DMCP [`Objective`], fed by the seeded, resumable [`CohortShards`]
-//! generator:
+//! The materialized path ([`crate::dataset::Dataset`] →
+//! [`DmcpObjective`](crate::loss::DmcpObjective)) holds the cohort several
+//! times over: the patient records, the raw samples (each with its own cloned
+//! history), the featurized samples and the CSR packing.  At paper scale and
+//! beyond that is the memory ceiling.  The sources here hold less:
 //!
-//! * [`ShardedSamples`] / [`ShardedDmcpObjective`] — the cohort's featurized
-//!   samples packed into per-shard [`CsrMatrix`] blocks plus label vectors,
-//!   built by streaming patients through the featurizer (peak transient:
-//!   one patient shard).  The retained state is the CSR blocks only, not the
-//!   patients or sparse-vector samples.
-//! * [`CohortStream`] / [`StreamingDmcpObjective`] — true out-of-core:
-//!   retains **no** sample data at all, only an 8-byte-per-patient
-//!   sample-offset index.  Every evaluation regenerates and re-featurizes the
-//!   cohort one patient at a time into a reused scratch CSR block
-//!   ([`CsrMatrix::clear_rows`] + `push_row`), so peak memory is independent
-//!   of the cohort size, at the cost of regenerating the cohort per
-//!   evaluation.
+//! * [`ShardedSamples`] retains only the featurized per-shard [`CsrMatrix`]
+//!   blocks and labels, built one patient shard at a time.
+//! * [`CohortStream`] retains only an 8-byte-per-patient sample-offset index
+//!   and regenerates and re-featurizes the cohort, one patient at a time, on
+//!   every evaluation, so peak memory is independent of the cohort size.
 //!
 //! Both reproduce the materialized objective **bitwise at a fixed thread
 //! count** and to ≤1e-12 across thread counts, for *any* shard size: shard
-//! size changes where a chunk is segmented, never a floating-point operation.
-//! The argument is the determinism contract on [`Objective`]; the proof by
-//! test is `tests/shard_equivalence.rs`.
+//! size changes where a chunk is segmented, never a floating-point operation
+//! (the determinism contract on [`Objective`]; `tests/shard_equivalence.rs`).
+//! Both train through [`train`](crate::train::train), as
+//! [`TrainSource::Shards`](crate::train::TrainSource::Shards) and
+//! [`TrainSource::Stream`](crate::train::TrainSource::Stream).
 
 use std::ops::Range;
 
@@ -33,14 +27,11 @@ use pfp_ehr::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
 use pfp_ehr::{CohortConfig, CohortShards, PatientRecord};
 use pfp_math::parallel::intersect_ranges;
 use pfp_math::{CsrMatrix, SparseVec};
-use pfp_optim::admm::{WarmStart, WarmStartError};
 
 use crate::dataset::Sample;
 use crate::features::{FeatureMapKind, HistoryFeaturizer, HistoryStay, EVAL_OFFSET_DAYS};
-use crate::imbalance::ImbalanceStrategy;
 use crate::loss::{Objective, SampleSource};
-use crate::model::DmcpModel;
-use crate::train::{solve_for_train, TrainConfig, TrainReport};
+use crate::train::ModelLayout;
 
 /// Featurize every transition sample of one patient, in transition order,
 /// without materializing `RawSample`s: `visit(features, cu_label,
@@ -152,6 +143,16 @@ impl SampleShard {
         self.start..self.start + self.len()
     }
 
+    /// An empty block of `num_features`-wide rows starting at sample `start`.
+    fn empty(start: usize, num_features: usize) -> Self {
+        Self {
+            start,
+            csr: CsrMatrix::with_dim(num_features),
+            cu_labels: Vec::new(),
+            duration_labels: Vec::new(),
+        }
+    }
+
     fn clear(&mut self) {
         self.csr.clear_rows();
         self.cu_labels.clear();
@@ -175,29 +176,20 @@ impl SampleSource for SampleShard {
     }
 }
 
-/// A cohort's featurized samples as shard blocks, plus the layout metadata a
-/// trainer needs.  Built either from already-featurized samples
-/// ([`from_samples`](Self::from_samples)) or by streaming a cohort config
-/// through the generator and featurizer without ever materializing patient or
-/// sample vectors ([`stream_cohort`](Self::stream_cohort)).
+/// A cohort's featurized samples as shard blocks, with the feature map and
+/// layout they were featurized under.  Built from featurized samples
+/// ([`from_samples`](Self::from_samples)) or streamed from a cohort config
+/// without materializing patients or samples ([`stream_cohort`](Self::stream_cohort)).
 #[derive(Debug, Clone)]
 pub struct ShardedSamples {
     shards: Vec<SampleShard>,
-    num_cus: usize,
-    num_durations: usize,
-    total_samples: usize,
-    /// The feature map the samples were featurized under (recorded by
-    /// `stream_cohort`; `from_samples` callers track their own).
-    kind: Option<FeatureMapKind>,
-    profile_dim: usize,
-    service_dim: usize,
+    pub(crate) layout: ModelLayout,
 }
 
 impl ShardedSamples {
-    /// Pack featurized samples into shard blocks of at most `shard_size`
-    /// samples.  The features were built with a `profile_dim`-wide profile
-    /// block and a `service_dim`-wide time-varying block (`M` is their sum),
-    /// recorded so [`train_sharded`] builds a model of the right layout.
+    /// Pack samples featurized under `kind`, with a `profile_dim`-wide profile
+    /// block and a `service_dim`-wide time-varying block, into shard blocks
+    /// of at most `shard_size` samples.
     ///
     /// # Panics
     /// Panics if `shard_size == 0`, a label is out of range, or a feature
@@ -205,65 +197,48 @@ impl ShardedSamples {
     pub fn from_samples(
         samples: &[Sample],
         shard_size: usize,
+        kind: FeatureMapKind,
         profile_dim: usize,
         service_dim: usize,
         num_cus: usize,
         num_durations: usize,
     ) -> Self {
         assert!(shard_size > 0, "shard_size must be positive");
+        let layout = ModelLayout {
+            kind,
+            profile_dim,
+            service_dim,
+            num_cus,
+            num_durations,
+        };
+        let m = layout.num_features();
         let shards = samples
             .chunks(shard_size)
             .enumerate()
             .map(|(block_idx, block)| {
-                SampleShard::pack(
-                    block_idx * shard_size,
-                    block,
-                    profile_dim + service_dim,
-                    num_cus,
-                    num_durations,
-                )
+                SampleShard::pack(block_idx * shard_size, block, m, num_cus, num_durations)
             })
             .collect();
-        Self {
-            shards,
-            num_cus,
-            num_durations,
-            total_samples: samples.len(),
-            kind: None,
-            profile_dim,
-            service_dim,
-        }
+        Self { shards, layout }
     }
 
-    /// Stream the cohort of `config` into featurized shard blocks of (at
-    /// most) the samples of `shard_size` patients each, without ever holding
-    /// more than one patient shard in memory.
-    ///
-    /// `kind` overrides the feature map; `None` selects the paper default
-    /// (mutually-correcting with σ = cohort mean dwell time, computed in a
-    /// streaming pre-pass that sums dwell times in exactly
-    /// [`pfp_ehr::stats::mean_dwell_days`]' order, so σ — and therefore every
-    /// feature — matches the materialized
-    /// [`Dataset`](crate::dataset::Dataset) path bitwise).
+    /// Stream the cohort of `config` into featurized shard blocks of the
+    /// samples of (at most) `shard_size` patients each, holding one patient
+    /// shard in memory at a time.  `kind` overrides the feature map; `None`
+    /// selects the paper default, whose σ — and so every feature — matches
+    /// the materialized [`Dataset`](crate::dataset::Dataset) path bitwise.
     pub fn stream_cohort(
         config: &CohortConfig,
         kind: Option<FeatureMapKind>,
         shard_size: usize,
     ) -> Self {
-        let kind = kind.unwrap_or_else(|| default_mcp_kind_streaming(config, shard_size));
-        let profile_dim = config.features.profile;
-        let service_dim = config.features.time_varying_dim();
-        let num_features = profile_dim + service_dim;
-        let featurizer = HistoryFeaturizer::new(kind, profile_dim, service_dim);
+        let layout = cohort_layout(config, kind, shard_size);
+        let featurizer =
+            HistoryFeaturizer::new(layout.kind, layout.profile_dim, layout.service_dim);
         let mut shards = Vec::new();
         let mut total_samples = 0usize;
         for patient_shard in CohortShards::new(config, shard_size) {
-            let mut shard = SampleShard {
-                start: total_samples,
-                csr: CsrMatrix::with_dim(num_features),
-                cu_labels: Vec::new(),
-                duration_labels: Vec::new(),
-            };
+            let mut shard = SampleShard::empty(total_samples, layout.num_features());
             for patient in &patient_shard.patients {
                 for_each_patient_sample(patient, &featurizer, |features, cu, dur| {
                     shard.csr.push_row(&features);
@@ -274,20 +249,12 @@ impl ShardedSamples {
             total_samples += shard.len();
             shards.push(shard);
         }
-        Self {
-            shards,
-            num_cus: NUM_CARE_UNITS,
-            num_durations: NUM_DURATION_CLASSES,
-            total_samples,
-            kind: Some(kind),
-            profile_dim,
-            service_dim,
-        }
+        Self { shards, layout }
     }
 
     /// Total number of samples across all shards.
     pub fn total_samples(&self) -> usize {
-        self.total_samples
+        self.shards.last().map_or(0, |s| s.range().end)
     }
 
     /// The shard blocks, in sample order.
@@ -297,32 +264,33 @@ impl ShardedSamples {
 
     /// Feature dimension `M`.
     pub fn num_features(&self) -> usize {
-        self.profile_dim + self.service_dim
+        self.layout.num_features()
     }
 
     /// Number of destination classes `C`.
     pub fn num_cus(&self) -> usize {
-        self.num_cus
+        self.layout.num_cus
     }
 
     /// Number of duration classes `D`.
     pub fn num_durations(&self) -> usize {
-        self.num_durations
+        self.layout.num_durations
     }
 
-    /// The feature map recorded by [`stream_cohort`](Self::stream_cohort).
-    pub fn kind(&self) -> Option<FeatureMapKind> {
-        self.kind
+    /// The feature map the samples were featurized under.
+    pub fn kind(&self) -> FeatureMapKind {
+        self.layout.kind
     }
 
     /// Per-joint-class `(c, d)` sample counts, streamed over the shard
     /// labels.  Same counts as
     /// [`crate::imbalance::joint_class_counts`] on the materialized samples.
     pub fn joint_class_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_cus * self.num_durations];
+        let num_durations = self.layout.num_durations;
+        let mut counts = vec![0usize; self.layout.num_cus * num_durations];
         for shard in &self.shards {
             for (&c, &d) in shard.cu_labels.iter().zip(&shard.duration_labels) {
-                counts[c as usize * self.num_durations + d as usize] += 1;
+                counts[c as usize * num_durations + d as usize] += 1;
             }
         }
         counts
@@ -333,10 +301,10 @@ impl ShardedSamples {
     /// [`crate::imbalance::sample_weights`] on the materialized samples.
     pub fn sample_weights(&self) -> Vec<f64> {
         let counts = self.joint_class_counts();
-        let mut weights = Vec::with_capacity(self.total_samples);
+        let mut weights = Vec::with_capacity(self.total_samples());
         for shard in &self.shards {
             for (&c, &d) in shard.cu_labels.iter().zip(&shard.duration_labels) {
-                let n = counts[c as usize * self.num_durations + d as usize].max(1);
+                let n = counts[c as usize * self.layout.num_durations + d as usize].max(1);
                 weights.push(1.0 / (1.0 + n as f64).ln());
             }
         }
@@ -347,7 +315,7 @@ impl ShardedSamples {
 /// Retained shard blocks, walked in sample order.
 impl SampleSource for ShardedSamples {
     fn total_samples(&self) -> usize {
-        self.total_samples
+        self.total_samples()
     }
 
     fn for_each_segment(
@@ -389,50 +357,86 @@ impl<'a> ShardedDmcpObjective<'a> {
             samples,
             weights,
             samples.num_features(),
-            samples.num_cus,
-            samples.num_durations,
+            samples.num_cus(),
+            samples.num_durations(),
         )
     }
 }
 
-/// Streaming pre-pass for the paper-default feature map: the cohort mean
-/// dwell time summed in exactly [`pfp_ehr::stats::mean_dwell_days`]' order
-/// (patients in id order, stays in chronological order), one patient shard
-/// in memory at a time.
-fn default_mcp_kind_streaming(config: &CohortConfig, shard_size: usize) -> FeatureMapKind {
-    let mut sum = 0.0f64;
-    let mut count = 0usize;
-    for shard in CohortShards::new(config, shard_size) {
-        for p in &shard.patients {
-            for s in &p.stays {
-                sum += s.dwell_days;
-                count += 1;
+/// The layout of the cohort of `config` under `kind`.  `None` selects the
+/// paper default, whose σ a streaming pre-pass sums in exactly
+/// [`pfp_ehr::stats::mean_dwell_days`]' order (patients in id order, stays
+/// in chronological order), so σ matches the materialized path bitwise.
+fn cohort_layout(
+    config: &CohortConfig,
+    kind: Option<FeatureMapKind>,
+    shard_size: usize,
+) -> ModelLayout {
+    let kind = kind.unwrap_or_else(|| {
+        let mut sum = 0.0f64;
+        let mut count = 0usize;
+        for shard in CohortShards::new(config, shard_size) {
+            for p in &shard.patients {
+                for s in &p.stays {
+                    sum += s.dwell_days;
+                    count += 1;
+                }
             }
         }
-    }
-    let mean = if count == 0 { 1.0 } else { sum / count as f64 };
-    FeatureMapKind::MutuallyCorrecting {
-        sigma: mean.max(0.5),
+        let mean = if count == 0 { 1.0 } else { sum / count as f64 };
+        FeatureMapKind::MutuallyCorrecting {
+            sigma: mean.max(0.5),
+        }
+    });
+    ModelLayout {
+        kind,
+        profile_dim: config.features.profile,
+        service_dim: config.features.time_varying_dim(),
+        num_cus: NUM_CARE_UNITS,
+        num_durations: NUM_DURATION_CLASSES,
     }
 }
 
 /// The regenerated sample source: the cohort of a [`CohortConfig`],
-/// regenerated from its seed and re-featurized on every walk, patient by
-/// patient, retaining only an 8-byte-per-patient sample-offset index.
-///
-/// A walk holds one patient and that patient's rows in a reused scratch CSR
-/// block ([`CsrMatrix::clear_rows`]), flushing them through the visitor
-/// before the next patient is generated.
+/// regenerated from its seed and re-featurized on every walk, retaining only
+/// an 8-byte-per-patient sample-offset index.  A walk holds one patient and
+/// its rows in a reused scratch CSR block ([`CsrMatrix::clear_rows`]) per
+/// worker thread, flushing them through the visitor before the next patient.
 pub struct CohortStream {
     config: CohortConfig,
     featurizer: HistoryFeaturizer,
-    kind: FeatureMapKind,
     /// `sample_offsets[p]` = number of samples contributed by patients
     /// `0..p`; length `num_patients + 1`.  The only retained per-patient
     /// state.
     sample_offsets: Vec<usize>,
-    profile_dim: usize,
-    service_dim: usize,
+    pub(crate) layout: ModelLayout,
+}
+
+impl CohortStream {
+    /// The source behind [`StreamingDmcpObjective::new`].
+    pub(crate) fn new(
+        config: &CohortConfig,
+        kind: Option<FeatureMapKind>,
+        shard_size: usize,
+    ) -> Self {
+        assert!(shard_size > 0, "shard_size must be positive");
+        let layout = cohort_layout(config, kind, shard_size);
+        let mut sample_offsets = Vec::with_capacity(config.num_patients + 1);
+        sample_offsets.push(0);
+        let mut total = 0usize;
+        for shard in CohortShards::new(config, shard_size) {
+            for p in &shard.patients {
+                total += p.num_transitions();
+                sample_offsets.push(total);
+            }
+        }
+        Self {
+            config: config.clone(),
+            featurizer: HistoryFeaturizer::new(layout.kind, layout.profile_dim, layout.service_dim),
+            sample_offsets,
+            layout,
+        }
+    }
 }
 
 impl SampleSource for CohortStream {
@@ -448,12 +452,7 @@ impl SampleSource for CohortStream {
         range: Range<usize>,
         mut visit: impl FnMut(&SampleShard, Range<usize>),
     ) {
-        let mut block = SampleShard {
-            start: range.start,
-            csr: CsrMatrix::with_dim(self.profile_dim + self.service_dim),
-            cu_labels: Vec::new(),
-            duration_labels: Vec::new(),
-        };
+        let mut block = SampleShard::empty(range.start, self.layout.num_features());
         // First patient whose sample range ends after the range starts.
         let first = self.sample_offsets[1..].partition_point(|&end| end <= range.start);
         for p in first..self.config.num_patients {
@@ -482,181 +481,43 @@ impl SampleSource for CohortStream {
     }
 }
 
-/// The out-of-core DMCP [`Objective`]: regenerates and re-featurizes the
-/// cohort from its seed on **every** evaluation ([`CohortStream`]).
-///
-/// Peak memory is independent of the cohort size: an evaluation holds one
-/// patient and one patient's scratch CSR rows per worker thread.  The price is
-/// one cohort generation + featurization per evaluation; this is the
-/// memory-bound end of the trade-off, [`ShardedDmcpObjective`] (retained CSR
-/// blocks) the speed-bound end.  Results are bitwise-identical to both (see
-/// [`Objective`] for the contract; segment boundaries — here at patient
-/// granularity — do not change the operation order).
-///
-/// Per-sample weights are not supported (they would require a per-evaluation
-/// streaming re-count); train with [`ImbalanceStrategy::None`].
+/// The out-of-core DMCP [`Objective`] over a [`CohortStream`]: the
+/// memory-bound end of the trade-off, paying one cohort generation and
+/// featurization per evaluation, where [`ShardedDmcpObjective`] (retained CSR
+/// blocks) is the speed-bound end.  Both are bitwise-identical to the
+/// materialized objective (segment boundaries, here at patient granularity, do
+/// not change the operation order).  Per-sample weights are not supported:
+/// they would need a per-evaluation streaming re-count.
 pub type StreamingDmcpObjective = Objective<'static, CohortStream>;
 
 impl StreamingDmcpObjective {
-    /// Build the objective for the cohort of `config`, streaming two
-    /// pre-passes (σ, then the sample-offset index) with at most
-    /// `shard_size` patients in memory at a time.  `shard_size` bounds only
-    /// these pre-passes; evaluations and the curvature pass hold one patient
-    /// at a time.
-    ///
-    /// `kind` overrides the feature map; `None` selects the paper default.
+    /// Build the objective for the cohort of `config` under `kind` (`None`:
+    /// the paper default), with `shard_size` patients per streaming pre-pass
+    /// (σ, then the sample-offset index).
     ///
     /// # Panics
     /// Panics if the cohort yields zero transition samples or
     /// `shard_size == 0`.
     pub fn new(config: &CohortConfig, kind: Option<FeatureMapKind>, shard_size: usize) -> Self {
-        assert!(shard_size > 0, "shard_size must be positive");
-        let kind = kind.unwrap_or_else(|| default_mcp_kind_streaming(config, shard_size));
-        let profile_dim = config.features.profile;
-        let service_dim = config.features.time_varying_dim();
-        let mut sample_offsets = Vec::with_capacity(config.num_patients + 1);
-        sample_offsets.push(0);
-        let mut total = 0usize;
-        for shard in CohortShards::new(config, shard_size) {
-            for p in &shard.patients {
-                total += p.num_transitions();
-                sample_offsets.push(total);
-            }
-        }
-        let source = CohortStream {
-            config: config.clone(),
-            featurizer: HistoryFeaturizer::new(kind, profile_dim, service_dim),
-            kind,
-            sample_offsets,
-            profile_dim,
-            service_dim,
-        };
-        Objective::from_source(
-            source,
-            None,
-            profile_dim + service_dim,
-            NUM_CARE_UNITS,
-            NUM_DURATION_CLASSES,
-        )
+        let source = CohortStream::new(config, kind, shard_size);
+        let m = source.layout.num_features();
+        Objective::from_source(source, None, m, NUM_CARE_UNITS, NUM_DURATION_CLASSES)
     }
 
-    /// The feature map in use (needed to build the matching [`DmcpModel`]).
+    /// The feature map in use (needed to build the matching
+    /// [`DmcpModel`](crate::model::DmcpModel)).
     pub fn kind(&self) -> FeatureMapKind {
-        self.source.kind
+        self.source.layout.kind
     }
-}
-
-/// Train a [`DmcpModel`] over pre-built shard blocks.
-///
-/// Reproduces [`crate::train::train`] bitwise for the same samples (same
-/// θ₀ initialisation, same solver config, same objective values — see
-/// `tests/admm_convergence.rs`).  Supports [`ImbalanceStrategy::None`] and
-/// [`ImbalanceStrategy::Weighted`] (weights streamed from the shard labels);
-/// `Synthetic` requires materialized samples and panics.
-///
-/// # Panics
-/// Panics on zero samples, a missing feature-map kind (build the shards with
-/// [`ShardedSamples::stream_cohort`] or set `config.feature_map`), or the
-/// synthetic imbalance strategy.
-pub fn train_sharded(samples: &ShardedSamples, config: &TrainConfig) -> DmcpModel {
-    train_sharded_warm(samples, config, None)
-        .expect("cold start cannot fail")
-        .model
-}
-
-/// [`train_sharded`] with an optional carried [`WarmStart`], returning the
-/// full [`TrainReport`] — the rolling-retrain entry point: retrain on
-/// yesterday's shards plus today's, seeded from yesterday's exit state.
-pub fn train_sharded_warm(
-    samples: &ShardedSamples,
-    config: &TrainConfig,
-    warm: Option<&WarmStart>,
-) -> Result<TrainReport, WarmStartError> {
-    let kind = config
-        .feature_map
-        .or(samples.kind)
-        .expect("feature-map kind unknown: stream the shards or set config.feature_map");
-    let weights = match config.imbalance {
-        ImbalanceStrategy::None => None,
-        ImbalanceStrategy::Weighted => Some(samples.sample_weights()),
-        ImbalanceStrategy::Synthetic { .. } => {
-            panic!("synthetic imbalance requires materialized samples")
-        }
-    };
-    let objective =
-        ShardedDmcpObjective::new(samples, weights.as_deref()).with_threads(config.threads);
-    let result = solve_for_train(&objective, config, warm)?;
-    Ok(TrainReport::from_solve(result, |theta, selection| {
-        DmcpModel {
-            theta,
-            selection,
-            kind,
-            profile_dim: samples.profile_dim,
-            service_dim: samples.service_dim,
-            num_cus: samples.num_cus,
-            num_durations: samples.num_durations,
-        }
-    }))
-}
-
-/// Train a [`DmcpModel`] fully out-of-core: the cohort of `cohort_config`
-/// never exists in memory, only `shard_size`-patient windows of it during
-/// the pre-passes and single patients during evaluations.
-///
-/// Reproduces `train(&Dataset::from_cohort(&generate_cohort(cohort_config)),
-/// config)` bitwise at a fixed thread count.
-///
-/// # Panics
-/// Panics if `config.imbalance` is not [`ImbalanceStrategy::None`] (weighted
-/// and synthetic strategies need materialized samples or retained labels —
-/// use [`train_sharded`] for weighted) or the cohort has no transitions.
-pub fn train_streamed(
-    cohort_config: &CohortConfig,
-    config: &TrainConfig,
-    shard_size: usize,
-) -> DmcpModel {
-    train_streamed_warm(cohort_config, config, shard_size, None)
-        .expect("cold start cannot fail")
-        .model
-}
-
-/// [`train_streamed`] with an optional carried [`WarmStart`], returning the
-/// full [`TrainReport`].
-///
-/// # Panics
-/// Same conditions as [`train_streamed`].
-pub fn train_streamed_warm(
-    cohort_config: &CohortConfig,
-    config: &TrainConfig,
-    shard_size: usize,
-    warm: Option<&WarmStart>,
-) -> Result<TrainReport, WarmStartError> {
-    assert!(
-        config.imbalance == ImbalanceStrategy::None,
-        "out-of-core training supports ImbalanceStrategy::None only"
-    );
-    let objective = StreamingDmcpObjective::new(cohort_config, config.feature_map, shard_size)
-        .with_threads(config.threads);
-    let result = solve_for_train(&objective, config, warm)?;
-    let source = &objective.source;
-    Ok(TrainReport::from_solve(result, |theta, selection| {
-        DmcpModel {
-            theta,
-            selection,
-            kind: source.kind,
-            profile_dim: source.profile_dim,
-            service_dim: source.service_dim,
-            num_cus: NUM_CARE_UNITS,
-            num_durations: NUM_DURATION_CLASSES,
-        }
-    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
+    use crate::imbalance::ImbalanceStrategy;
     use crate::loss::DmcpObjective;
+    use crate::train::{train, TrainConfig, TrainError, TrainSource};
     use pfp_ehr::generate_cohort;
     use pfp_math::Matrix;
     use pfp_optim::SmoothObjective;
@@ -695,7 +556,7 @@ mod tests {
         assert_eq!(streamed.total_samples(), samples.len());
         assert_eq!(streamed.num_features(), ds.total_feature_dim());
         // Same σ as the materialized dataset pre-pass.
-        assert_eq!(streamed.kind(), Some(ds.default_mcp_kind()));
+        assert_eq!(streamed.kind(), ds.default_mcp_kind());
         // Row-for-row identical content (shard boundaries differ: stream
         // shards are per-patient, from_samples shards are per-sample).
         let mut global = 0usize;
@@ -728,6 +589,7 @@ mod tests {
             let sharded = ShardedSamples::from_samples(
                 &samples,
                 shard_size,
+                ds.default_mcp_kind(),
                 ds.profile_dim,
                 ds.service_dim,
                 ds.num_cus,
@@ -782,6 +644,7 @@ mod tests {
         let sharded = ShardedSamples::from_samples(
             &samples,
             7,
+            ds.default_mcp_kind(),
             ds.profile_dim,
             ds.service_dim,
             ds.num_cus,
@@ -808,6 +671,7 @@ mod tests {
         let mut sharded = ShardedSamples::from_samples(
             &samples,
             samples.len(),
+            ds.default_mcp_kind(),
             ds.profile_dim,
             ds.service_dim,
             ds.num_cus,
@@ -816,31 +680,15 @@ mod tests {
         // Split shard 0 into [0..k), an empty shard, [k..n).
         let only = sharded.shards.remove(0);
         let k = samples.len() / 2;
-        let mut first = SampleShard {
-            start: 0,
-            csr: CsrMatrix::with_dim(m),
-            cu_labels: Vec::new(),
-            duration_labels: Vec::new(),
-        };
-        let mut second = SampleShard {
-            start: k,
-            csr: CsrMatrix::with_dim(m),
-            cu_labels: Vec::new(),
-            duration_labels: Vec::new(),
-        };
+        let mut first = SampleShard::empty(0, m);
+        let mut second = SampleShard::empty(k, m);
         for (i, s) in samples.iter().enumerate().take(only.len()) {
             let target = if i < k { &mut first } else { &mut second };
             target.csr.push_row(&s.features);
             target.cu_labels.push(only.cu_labels[i]);
             target.duration_labels.push(only.duration_labels[i]);
         }
-        let empty = SampleShard {
-            start: k,
-            csr: CsrMatrix::with_dim(m),
-            cu_labels: Vec::new(),
-            duration_labels: Vec::new(),
-        };
-        sharded.shards = vec![first, empty, second];
+        sharded.shards = vec![first, SampleShard::empty(k, m), second];
         let obj = ShardedDmcpObjective::new(&sharded, None);
         let reference = DmcpObjective::new(&samples, None, m, ds.num_cus, ds.num_durations);
         let theta = Matrix::from_fn(m, ds.num_cus + ds.num_durations, |r, c| {
@@ -862,13 +710,14 @@ mod tests {
         let sharded = ShardedSamples::from_samples(
             &samples,
             7,
+            ds.default_mcp_kind(),
             ds.profile_dim,
             ds.service_dim,
             ds.num_cus,
             ds.num_durations,
         );
-        let config = TrainConfig::fast().with_feature_map(ds.default_mcp_kind());
-        let model = train_sharded(&sharded, &config);
+        let model = train(&sharded, &TrainConfig::fast(), None).unwrap().model;
+        assert_eq!(model.kind, ds.default_mcp_kind());
         assert_eq!(model.num_features(), ds.total_feature_dim());
         assert_eq!(model.theta.rows(), model.num_features());
         for s in &samples {
@@ -880,17 +729,107 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero samples")]
     fn sharded_objective_rejects_zero_samples() {
-        let sharded = ShardedSamples::from_samples(&[], 4, 3, 0, 2, 2);
+        let sharded = ShardedSamples::from_samples(&[], 4, FeatureMapKind::CurrentOnly, 3, 0, 2, 2);
         let _ = ShardedDmcpObjective::new(&sharded, None);
     }
 
+    fn stream(cohort: &CohortConfig) -> TrainSource<'_> {
+        TrainSource::Stream {
+            cohort,
+            shard_size: 64,
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "out-of-core training supports")]
     fn train_streamed_rejects_weighted_imbalance() {
-        let _ = train_streamed(
-            &CohortConfig::tiny(1),
-            &TrainConfig::fast().with_imbalance(ImbalanceStrategy::Weighted),
-            64,
+        let config = TrainConfig::fast().with_imbalance(ImbalanceStrategy::Weighted);
+        assert_eq!(
+            train(stream(&CohortConfig::tiny(1)), &config, None).unwrap_err(),
+            TrainError::UnsupportedImbalance {
+                source: "stream",
+                strategy: ImbalanceStrategy::Weighted,
+            }
+        );
+    }
+
+    #[test]
+    fn the_stream_source_rejects_synthetic_imbalance() {
+        let strategy = ImbalanceStrategy::synthetic();
+        let config = TrainConfig::fast().with_imbalance(strategy);
+        assert_eq!(
+            train(stream(&CohortConfig::tiny(1)), &config, None).unwrap_err(),
+            TrainError::UnsupportedImbalance {
+                source: "stream",
+                strategy,
+            }
+        );
+    }
+
+    #[test]
+    fn the_shards_source_rejects_synthetic_imbalance() {
+        let (ds, samples) = fixture();
+        let sharded = ShardedSamples::from_samples(
+            &samples,
+            7,
+            ds.default_mcp_kind(),
+            ds.profile_dim,
+            ds.service_dim,
+            ds.num_cus,
+            ds.num_durations,
+        );
+        let strategy = ImbalanceStrategy::synthetic();
+        let err = train(
+            &sharded,
+            &TrainConfig::fast().with_imbalance(strategy),
+            None,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            TrainError::UnsupportedImbalance {
+                source: "shards",
+                strategy,
+            }
+        );
+        assert!(err.to_string().contains("Synthetic"), "{err}");
+    }
+
+    #[test]
+    fn empty_shards_and_an_empty_cohort_stream_are_rejected() {
+        let empty = ShardedSamples::from_samples(&[], 4, FeatureMapKind::CurrentOnly, 3, 0, 2, 2);
+        let config = TrainConfig::fast();
+        assert_eq!(
+            train(&empty, &config, None).unwrap_err(),
+            TrainError::NoSamples
+        );
+        let weighted = config.with_imbalance(ImbalanceStrategy::Weighted);
+        assert_eq!(
+            train(&empty, &weighted, None).unwrap_err(),
+            TrainError::NoSamples
+        );
+        let no_patients = CohortConfig {
+            num_patients: 0,
+            ..CohortConfig::tiny(1)
+        };
+        assert_eq!(
+            train(stream(&no_patients), &config, None).unwrap_err(),
+            TrainError::NoSamples
+        );
+    }
+
+    #[test]
+    fn shards_train_only_under_the_feature_map_they_were_featurized_under() {
+        // Before shards carried their map, the config's map relabelled the
+        // model, whose featurizer then no longer matched its Θ.
+        let cohort = CohortConfig::tiny(17);
+        let shards = ShardedSamples::stream_cohort(&cohort, None, 40);
+        let config = TrainConfig::fast().with_feature_map(FeatureMapKind::CurrentOnly);
+        assert_eq!(
+            train(&shards, &config, None).unwrap_err(),
+            TrainError::FeatureMapMismatch {
+                source: shards.kind(),
+                config: FeatureMapKind::CurrentOnly,
+            }
         );
     }
 }

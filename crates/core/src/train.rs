@@ -8,20 +8,22 @@
 //!    ADMM (an accelerated line-search gradient solve for the Θ-update, group
 //!    soft-threshold for the X-update, dual ascent for Y).
 
+use pfp_ehr::CohortConfig;
 use pfp_math::rng::seeded_rng;
 use pfp_math::Matrix;
 use pfp_optim::admm::{
-    solve_group_lasso, solve_group_lasso_warm, AdmmConfig, AdmmResult, PlateauStop, WarmStart,
-    WarmStartError,
+    solve_group_lasso, solve_group_lasso_warm, AdmmConfig, PlateauStop, WarmStart, WarmStartError,
 };
+use pfp_optim::SmoothObjective;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{Dataset, Sample};
 use crate::features::FeatureMapKind;
 use crate::imbalance::ImbalanceStrategy;
-use crate::loss::DmcpObjective;
+use crate::loss::{Objective, SampleSource};
 use crate::model::DmcpModel;
+use crate::stream::{CohortStream, SampleShard, ShardedSamples};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -50,7 +52,7 @@ pub struct TrainConfig {
     ///
     /// `1` (the default) runs the serial path; `0` uses all available
     /// parallelism; any other value is taken literally.  A sharded run
-    /// spawns one persistent [`pfp_math::parallel::WorkerPool`] per `train`
+    /// spawns one persistent [`pfp_math::parallel::WorkerPool`] per [`train`]
     /// call and reuses it for every evaluation of the ADMM solve.  Training is
     /// bitwise-deterministic for a fixed thread count, and results across
     /// thread counts agree to floating-point rounding (≲1e-12) — see the
@@ -194,34 +196,13 @@ impl TrainReport {
             step: self.step,
         }
     }
-
-    pub(crate) fn from_solve(
-        result: AdmmResult,
-        make_model: impl FnOnce(Matrix, Matrix) -> DmcpModel,
-    ) -> Self {
-        let final_objective = *result
-            .objective_trace
-            .last()
-            .expect("trace holds at least the starting entry");
-        Self {
-            model: make_model(result.theta, result.x),
-            y: result.y,
-            rho: result.final_rho,
-            step: result.final_step,
-            evaluations: result.evaluations,
-            outer_iterations: result.outer_iterations,
-            converged: result.converged,
-            plateau_stopped: result.plateau_stopped,
-            final_objective,
-        }
-    }
 }
 
 /// The trainer's θ₀ initialisation: a seeded uniform draw in
-/// `±init_scale/2`, derived from `config.seed` (shared bit-for-bit by the
-/// materialized, sharded and streaming trainers).  Public so benches and
-/// tests that drive [`pfp_optim::admm::solve_group_lasso`] directly can
-/// reproduce the trainer's cold start.
+/// `±init_scale/2`, derived from `config.seed` (shared bit-for-bit by every
+/// [`TrainSource`]).  Public so benches and tests that drive
+/// [`pfp_optim::admm::solve_group_lasso`] directly can reproduce the
+/// trainer's cold start.
 pub fn initial_theta(num_features: usize, num_outputs: usize, config: &TrainConfig) -> Matrix {
     let mut rng = seeded_rng(config.seed ^ 0x007A_1E55);
     Matrix::from_fn(num_features, num_outputs, |_, _| {
@@ -229,127 +210,250 @@ pub fn initial_theta(num_features: usize, num_outputs: usize, config: &TrainConf
     })
 }
 
-/// Run the ADMM solve, cold (seeded θ₀, zero dual) or warm (carried state).
-pub(crate) fn solve_for_train<O: pfp_optim::SmoothObjective>(
-    objective: &O,
-    config: &TrainConfig,
-    warm: Option<&WarmStart>,
-) -> Result<AdmmResult, WarmStartError> {
-    match warm {
-        Some(w) => solve_group_lasso_warm(objective, &config.admm_config(), w),
-        None => {
-            let (rows, cols) = objective.shape();
-            let theta0 = initial_theta(rows, cols, config);
-            Ok(solve_group_lasso(objective, theta0, &config.admm_config()))
+/// Where [`train`] takes its samples from.  `Dataset` and `Stream` featurize
+/// under `config.feature_map` or the paper default; `Featurized` and `Shards`
+/// bring their own map, which a set `config.feature_map` must match.
+#[derive(Debug, Clone)]
+pub enum TrainSource<'a> {
+    /// A materialized dataset; accepts every imbalance strategy.
+    Dataset(&'a Dataset),
+    /// Samples featurized under `kind` into `profile_dim + service_dim`
+    /// features; accepts every imbalance strategy.
+    Featurized {
+        samples: Vec<Sample>,
+        kind: FeatureMapKind,
+        profile_dim: usize,
+        service_dim: usize,
+        num_cus: usize,
+        num_durations: usize,
+    },
+    /// Retained shard blocks; accepts [`ImbalanceStrategy::None`] and
+    /// [`ImbalanceStrategy::Weighted`] (weights streamed from the labels).
+    Shards(&'a ShardedSamples),
+    /// The cohort regenerated on every evaluation ([`CohortStream`]), with
+    /// `shard_size` patients per pre-pass; accepts only [`ImbalanceStrategy::None`].
+    Stream {
+        cohort: &'a CohortConfig,
+        shard_size: usize,
+    },
+}
+
+impl<'a> From<&'a Dataset> for TrainSource<'a> {
+    fn from(dataset: &'a Dataset) -> Self {
+        TrainSource::Dataset(dataset)
+    }
+}
+
+impl<'a> From<&'a ShardedSamples> for TrainSource<'a> {
+    fn from(shards: &'a ShardedSamples) -> Self {
+        TrainSource::Shards(shards)
+    }
+}
+
+/// Why [`train`] refused its input.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TrainError {
+    /// The source holds no transition samples.
+    NoSamples,
+    /// The named source (`"shards"` or `"stream"`) cannot apply `strategy`.
+    UnsupportedImbalance {
+        source: &'static str,
+        strategy: ImbalanceStrategy,
+    },
+    /// A pre-featurized source's map differs from `config.feature_map`.
+    FeatureMapMismatch {
+        source: FeatureMapKind,
+        config: FeatureMapKind,
+    },
+    /// The carried warm start does not fit the objective.
+    WarmStart(WarmStartError),
+}
+
+impl std::fmt::Display for TrainError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TrainError::NoSamples => write!(f, "cannot train on zero samples"),
+            TrainError::UnsupportedImbalance { source, strategy } => {
+                write!(f, "the {source} source cannot apply {strategy:?} imbalance")
+            }
+            TrainError::FeatureMapMismatch { source, config } => {
+                write!(f, "featurized under {source:?}, config wants {config:?}")
+            }
+            TrainError::WarmStart(err) => write!(f, "{err}"),
         }
     }
 }
 
-/// Train a [`DmcpModel`] on a raw dataset.
+impl std::error::Error for TrainError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            TrainError::WarmStart(err) => Some(err),
+            _ => None,
+        }
+    }
+}
+
+impl From<WarmStartError> for TrainError {
+    fn from(err: WarmStartError) -> Self {
+        TrainError::WarmStart(err)
+    }
+}
+
+/// Algorithm 1: train a [`DmcpModel`] on `source`, cold (seeded θ₀, zero
+/// dual) or from a [`WarmStart`] carried from a previous related solve.  All
+/// four sources give bitwise-identical reports for the same cohort at a fixed
+/// thread count.
+///
+/// # Errors
+/// A [`TrainError`] if the source holds no samples or cannot apply
+/// `config.imbalance`, a pre-featurized source's map differs from
+/// `config.feature_map`, or `warm` does not fit the objective.
 ///
 /// # Panics
-/// Panics if the dataset contains no samples.
-pub fn train(dataset: &Dataset, config: &TrainConfig) -> DmcpModel {
-    train_warm(dataset, config, None)
-        .expect("cold start cannot fail")
-        .model
-}
-
-/// [`train`] with an optional [`WarmStart`] carried from a previous related
-/// solve, returning the full [`TrainReport`] (model + exit state + pass
-/// accounting).  With `warm == None` this is exactly `train` (the seeded
-/// cold θ₀ is drawn only on the cold path, so cold results are unchanged).
-///
-/// # Panics
-/// Panics if the dataset contains no samples.
-pub fn train_warm(
-    dataset: &Dataset,
+/// Panics if a `Featurized` sample has a label or feature dimension outside
+/// the declared layout, or a `Stream` source's `shard_size` is zero.
+pub fn train<'a>(
+    source: impl Into<TrainSource<'a>>,
     config: &TrainConfig,
     warm: Option<&WarmStart>,
-) -> Result<TrainReport, WarmStartError> {
-    assert!(!dataset.is_empty(), "cannot train on an empty dataset");
-    let kind = config
-        .feature_map
-        .unwrap_or_else(|| dataset.default_mcp_kind());
-    let samples = dataset.featurize(kind);
-    train_featurized_warm(
-        samples,
-        kind,
-        dataset.profile_dim,
-        dataset.service_dim,
-        dataset.num_cus,
-        dataset.num_durations,
-        config,
-        warm,
-    )
-}
-
-/// Train on already-featurized samples (used by the cross-validation harness,
-/// the hierarchical cascade and the joint-label ablation).
-pub fn train_featurized(
-    samples: Vec<Sample>,
-    kind: FeatureMapKind,
-    profile_dim: usize,
-    service_dim: usize,
-    num_cus: usize,
-    num_durations: usize,
-    config: &TrainConfig,
-) -> DmcpModel {
-    train_featurized_warm(
-        samples,
-        kind,
-        profile_dim,
-        service_dim,
-        num_cus,
-        num_durations,
-        config,
-        None,
-    )
-    .expect("cold start cannot fail")
-    .model
-}
-
-/// [`train_featurized`] with an optional carried [`WarmStart`], returning
-/// the full [`TrainReport`].  The γ-continuation driver and warm CV chain
-/// through this entry point.
-#[allow(clippy::too_many_arguments)]
-pub fn train_featurized_warm(
-    samples: Vec<Sample>,
-    kind: FeatureMapKind,
-    profile_dim: usize,
-    service_dim: usize,
-    num_cus: usize,
-    num_durations: usize,
-    config: &TrainConfig,
-    warm: Option<&WarmStart>,
-) -> Result<TrainReport, WarmStartError> {
-    assert!(!samples.is_empty(), "cannot train on an empty sample set");
-    let num_features = profile_dim + service_dim;
-    let (samples, weights) = config
-        .imbalance
-        .apply(samples, num_cus, num_durations, config.seed);
-    let objective = DmcpObjective::new(
-        &samples,
-        weights.as_deref(),
-        num_features,
-        num_cus,
-        num_durations,
-    )
-    .with_threads(config.threads);
-
-    let result = solve_for_train(&objective, config, warm)?;
-
-    Ok(TrainReport::from_solve(result, |theta, selection| {
-        DmcpModel {
-            theta,
-            selection,
+) -> Result<TrainReport, TrainError> {
+    let unsupported = |source| TrainError::UnsupportedImbalance {
+        source,
+        strategy: config.imbalance,
+    };
+    match source.into() {
+        TrainSource::Dataset(dataset) => {
+            let kind = config.feature_map.unwrap_or(dataset.default_mcp_kind());
+            let source = TrainSource::Featurized {
+                samples: dataset.featurize(kind),
+                kind,
+                profile_dim: dataset.profile_dim,
+                service_dim: dataset.service_dim,
+                num_cus: dataset.num_cus,
+                num_durations: dataset.num_durations,
+            };
+            train(source, config, warm)
+        }
+        TrainSource::Featurized {
+            samples,
             kind,
             profile_dim,
             service_dim,
             num_cus,
             num_durations,
+        } => {
+            let layout = ModelLayout {
+                kind,
+                profile_dim,
+                service_dim,
+                num_cus,
+                num_durations,
+            };
+            let (samples, weights) =
+                config
+                    .imbalance
+                    .apply(samples, num_cus, num_durations, config.seed);
+            let block =
+                SampleShard::pack(0, &samples, layout.num_features(), num_cus, num_durations);
+            solve(layout, block, weights.as_deref(), config, warm)
         }
-    }))
+        TrainSource::Shards(shards) => {
+            let weights = match config.imbalance {
+                ImbalanceStrategy::None => None,
+                ImbalanceStrategy::Weighted => Some(shards.sample_weights()),
+                ImbalanceStrategy::Synthetic { .. } => return Err(unsupported("shards")),
+            };
+            solve(shards.layout, shards, weights.as_deref(), config, warm)
+        }
+        TrainSource::Stream { cohort, shard_size } => {
+            if config.imbalance != ImbalanceStrategy::None {
+                return Err(unsupported("stream"));
+            }
+            let stream = CohortStream::new(cohort, config.feature_map, shard_size);
+            solve(stream.layout, stream, None, config, warm)
+        }
+    }
+}
+
+/// [`train`] on a [`TrainSource::Stream`], kept for the `perfbench` package
+/// only: the next benchmark change moves it to [`train`] and deletes this.
+///
+/// # Errors
+/// As [`train`].
+pub fn train_streamed_warm(
+    cohort: &CohortConfig,
+    config: &TrainConfig,
+    shard_size: usize,
+    warm: Option<&WarmStart>,
+) -> Result<TrainReport, TrainError> {
+    train(TrainSource::Stream { cohort, shard_size }, config, warm)
+}
+
+/// Everything a trained [`DmcpModel`] records besides Θ and X, known from
+/// the sample source before the solve.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ModelLayout {
+    pub(crate) kind: FeatureMapKind,
+    pub(crate) profile_dim: usize,
+    pub(crate) service_dim: usize,
+    pub(crate) num_cus: usize,
+    pub(crate) num_durations: usize,
+}
+
+impl ModelLayout {
+    pub(crate) fn num_features(&self) -> usize {
+        self.profile_dim + self.service_dim
+    }
+}
+
+/// The one solve behind every source: check the source, build the objective,
+/// run the ADMM solve cold or warm and assemble the model.
+fn solve<S: SampleSource>(
+    layout: ModelLayout,
+    source: S,
+    weights: Option<&[f64]>,
+    config: &TrainConfig,
+    warm: Option<&WarmStart>,
+) -> Result<TrainReport, TrainError> {
+    if let Some(config_kind) = config.feature_map.filter(|&k| k != layout.kind) {
+        let (source, config) = (layout.kind, config_kind);
+        return Err(TrainError::FeatureMapMismatch { source, config });
+    }
+    if source.total_samples() == 0 {
+        return Err(TrainError::NoSamples);
+    }
+    let (m, c, d) = (layout.num_features(), layout.num_cus, layout.num_durations);
+    let objective = Objective::from_source(source, weights, m, c, d).with_threads(config.threads);
+    let admm = config.admm_config();
+    let result = match warm {
+        Some(w) => solve_group_lasso_warm(&objective, &admm, w)?,
+        None => {
+            let (rows, cols) = objective.shape();
+            solve_group_lasso(&objective, initial_theta(rows, cols, config), &admm)
+        }
+    };
+    Ok(TrainReport {
+        model: DmcpModel {
+            theta: result.theta,
+            selection: result.x,
+            kind: layout.kind,
+            profile_dim: layout.profile_dim,
+            service_dim: layout.service_dim,
+            num_cus: layout.num_cus,
+            num_durations: layout.num_durations,
+        },
+        y: result.y,
+        rho: result.final_rho,
+        step: result.final_step,
+        evaluations: result.evaluations,
+        outer_iterations: result.outer_iterations,
+        converged: result.converged,
+        plateau_stopped: result.plateau_stopped,
+        final_objective: *result
+            .objective_trace
+            .last()
+            .expect("trace holds at least the starting entry"),
+    })
 }
 
 #[cfg(test)]
@@ -365,7 +469,7 @@ mod tests {
     #[test]
     fn training_produces_a_model_with_matching_dimensions() {
         let ds = dataset();
-        let model = train(&ds, &TrainConfig::fast());
+        let model = DmcpModel::train(&ds, &TrainConfig::fast());
         assert_eq!(model.num_features(), ds.total_feature_dim());
         assert_eq!(model.num_cus, ds.num_cus);
         assert_eq!(model.num_durations, ds.num_durations);
@@ -376,7 +480,7 @@ mod tests {
     fn training_beats_a_random_untrained_model_on_training_data() {
         let ds = dataset();
         let config = TrainConfig::fast();
-        let model = train(&ds, &config);
+        let model = DmcpModel::train(&ds, &config);
         let samples = ds.featurize(model.kind);
         let acc = |m: &DmcpModel| {
             let correct = samples
@@ -405,8 +509,8 @@ mod tests {
     #[test]
     fn training_is_deterministic_given_a_seed() {
         let ds = dataset();
-        let a = train(&ds, &TrainConfig::fast());
-        let b = train(&ds, &TrainConfig::fast());
+        let a = DmcpModel::train(&ds, &TrainConfig::fast());
+        let b = DmcpModel::train(&ds, &TrainConfig::fast());
         assert!((a.theta.sub(&b.theta)).frobenius_norm() < 1e-12);
     }
 
@@ -414,8 +518,8 @@ mod tests {
     fn parallel_training_is_bitwise_deterministic_for_a_fixed_thread_count() {
         let ds = dataset();
         let config = TrainConfig::fast().with_threads(4);
-        let a = train(&ds, &config);
-        let b = train(&ds, &config);
+        let a = DmcpModel::train(&ds, &config);
+        let b = DmcpModel::train(&ds, &config);
         assert_eq!(a.theta, b.theta, "same thread count must reproduce bitwise");
         assert_eq!(a.selection, b.selection);
     }
@@ -426,8 +530,8 @@ mod tests {
         // loss-module tests); over a whole ADMM solve the rounding differences
         // compound, so the end-to-end bound is looser but still tight.
         let ds = dataset();
-        let serial = train(&ds, &TrainConfig::fast());
-        let parallel = train(&ds, &TrainConfig::fast().with_threads(4));
+        let serial = DmcpModel::train(&ds, &TrainConfig::fast());
+        let parallel = DmcpModel::train(&ds, &TrainConfig::fast().with_threads(4));
         let diff = serial.theta.sub(&parallel.theta).frobenius_norm();
         let scale = serial.theta.frobenius_norm().max(1e-12);
         assert!(
@@ -440,8 +544,8 @@ mod tests {
     #[test]
     fn stronger_gamma_selects_fewer_features() {
         let ds = dataset();
-        let weak = train(&ds, &TrainConfig::fast().with_gamma(1e-5));
-        let strong = train(&ds, &TrainConfig::fast().with_gamma(5e-2));
+        let weak = DmcpModel::train(&ds, &TrainConfig::fast().with_gamma(1e-5));
+        let strong = DmcpModel::train(&ds, &TrainConfig::fast().with_gamma(5e-2));
         assert!(
             strong.num_selected() <= weak.num_selected(),
             "strong γ kept {} features, weak γ kept {}",
@@ -454,7 +558,7 @@ mod tests {
     #[test]
     fn feature_map_override_is_respected() {
         let ds = dataset();
-        let model = train(
+        let model = DmcpModel::train(
             &ds,
             &TrainConfig::fast().with_feature_map(FeatureMapKind::CurrentOnly),
         );
@@ -464,7 +568,7 @@ mod tests {
     #[test]
     fn synthetic_strategy_trains_without_errors_and_predicts_minorities_sometimes() {
         let ds = dataset();
-        let model = train(
+        let model = DmcpModel::train(
             &ds,
             &TrainConfig::fast().with_imbalance(ImbalanceStrategy::synthetic()),
         );
@@ -480,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn train_featurized_handles_hand_built_samples() {
+    fn featurized_source_handles_hand_built_samples() {
         let samples = vec![
             Sample {
                 patient_id: 0,
@@ -507,15 +611,15 @@ mod tests {
                 duration_label: 0,
             },
         ];
-        let model = train_featurized(
-            samples.clone(),
-            FeatureMapKind::ModulatedPoisson,
-            1,
-            2,
-            2,
-            2,
-            &TrainConfig::fast(),
-        );
+        let source = TrainSource::Featurized {
+            samples: samples.clone(),
+            kind: FeatureMapKind::ModulatedPoisson,
+            profile_dim: 1,
+            service_dim: 2,
+            num_cus: 2,
+            num_durations: 2,
+        };
+        let model = train(source, &TrainConfig::fast(), None).unwrap().model;
         for s in &samples {
             assert_eq!(model.predict(&s.features), (s.cu_label, s.duration_label));
         }
@@ -525,8 +629,8 @@ mod tests {
     fn train_warm_with_no_state_is_exactly_train() {
         let ds = dataset();
         let config = TrainConfig::fast();
-        let model = train(&ds, &config);
-        let report = train_warm(&ds, &config, None).unwrap();
+        let model = DmcpModel::train(&ds, &config);
+        let report = train(&ds, &config, None).unwrap();
         assert_eq!(report.model.theta, model.theta, "cold path must be bitwise");
         assert_eq!(report.model.selection, model.selection);
         assert!(report.evaluations > 0);
@@ -545,9 +649,9 @@ mod tests {
             plateau: Some(pfp_optim::PlateauStop::default()),
             ..TrainConfig::paper_default()
         };
-        let cold = train_warm(&ds, &config, None).unwrap();
+        let cold = train(&ds, &config, None).unwrap();
         assert!(cold.plateau_stopped, "fixture must stop on the plateau");
-        let warm = train_warm(&ds, &config, Some(&cold.warm_start())).unwrap();
+        let warm = train(&ds, &config, Some(&cold.warm_start())).unwrap();
         // Restarting where the cold solve stalled: the plateau re-fires
         // within a handful of outers, at an objective no worse than cold's.
         assert!(
@@ -573,15 +677,14 @@ mod tests {
             rho: 1.0,
             step: 0.1,
         };
-        let err = train_warm(&ds, &TrainConfig::fast(), Some(&bad)).unwrap_err();
+        let err = train(&ds, &TrainConfig::fast(), Some(&bad)).unwrap_err();
         assert!(matches!(
             err,
-            pfp_optim::WarmStartError::ShapeMismatch { .. }
+            TrainError::WarmStart(WarmStartError::ShapeMismatch { .. })
         ));
     }
 
     #[test]
-    #[should_panic(expected = "empty dataset")]
     fn training_rejects_empty_dataset() {
         let ds = Dataset {
             samples: vec![],
@@ -592,6 +695,70 @@ mod tests {
             num_durations: 2,
             mean_dwell_days: 1.0,
         };
-        let _ = train(&ds, &TrainConfig::fast());
+        let err = train(&ds, &TrainConfig::fast(), None).unwrap_err();
+        assert_eq!(err, TrainError::NoSamples);
+        assert!(err.to_string().contains("zero samples"), "{err}");
+    }
+
+    #[test]
+    fn training_rejects_an_empty_featurized_sample_set() {
+        let source = TrainSource::Featurized {
+            samples: vec![],
+            kind: FeatureMapKind::CurrentOnly,
+            profile_dim: 1,
+            service_dim: 2,
+            num_cus: 2,
+            num_durations: 2,
+        };
+        // The synthetic strategy adds nothing to an empty set.
+        let config = TrainConfig::fast().with_imbalance(ImbalanceStrategy::synthetic());
+        assert_eq!(
+            train(source, &config, None).unwrap_err(),
+            TrainError::NoSamples
+        );
+    }
+
+    #[test]
+    fn featurized_samples_train_only_under_their_own_feature_map() {
+        let ds = dataset();
+        let kind = ds.default_mcp_kind();
+        let source = || TrainSource::Featurized {
+            samples: ds.featurize(kind),
+            kind,
+            profile_dim: ds.profile_dim,
+            service_dim: ds.service_dim,
+            num_cus: ds.num_cus,
+            num_durations: ds.num_durations,
+        };
+        let config = TrainConfig::fast().with_feature_map(FeatureMapKind::CurrentOnly);
+        assert_eq!(
+            train(source(), &config, None).unwrap_err(),
+            TrainError::FeatureMapMismatch {
+                source: kind,
+                config: FeatureMapKind::CurrentOnly,
+            }
+        );
+        let same = TrainConfig::fast().with_feature_map(kind);
+        assert_eq!(train(source(), &same, None).unwrap().model.kind, kind);
+    }
+
+    #[test]
+    fn warm_start_errors_are_wrapped_with_their_source() {
+        use std::error::Error;
+        let ds = dataset();
+        let config = TrainConfig::fast();
+        let mut bad_step = train(&ds, &config, None).unwrap().warm_start();
+        bad_step.step = -1.0;
+        let err = train(&ds, &config, Some(&bad_step)).unwrap_err();
+        assert_eq!(
+            err,
+            TrainError::WarmStart(WarmStartError::InvalidStep(-1.0))
+        );
+        assert_eq!(
+            err.to_string(),
+            WarmStartError::InvalidStep(-1.0).to_string()
+        );
+        assert!(err.source().is_some());
+        assert!(TrainError::NoSamples.source().is_none());
     }
 }

@@ -120,6 +120,11 @@ impl DmcpPredictor {
     ///   lasso disabled (γ = 0), matching the paper's description.
     /// * `Dmcp` / `Wdmcp` / `Sdmcp` / `Sscp` use the configured γ and the
     ///   corresponding imbalance strategy.
+    ///
+    /// # Panics
+    /// Panics if `method` is not a DMCP-family method, or with the
+    /// [`TrainError`](pfp_core::TrainError)'s message if training refuses the
+    /// input (see [`DmcpModel::train`]).
     pub fn train(dataset: &Dataset, base: &TrainConfig, method: MethodId) -> Self {
         let config = match method {
             MethodId::Lr => base

@@ -10,8 +10,7 @@ use pfp_baselines::{
     VarPredictor,
 };
 use pfp_core::joint::JointLabelModel;
-use pfp_core::train::train_featurized_warm;
-use pfp_core::{Dataset, PlateauStop, TrainConfig, WarmStart};
+use pfp_core::{Dataset, PlateauStop, TrainConfig, TrainSource, WarmStart};
 use pfp_ehr::departments::{paper_table1, paper_table2, NUM_CARE_UNITS};
 use pfp_ehr::features::{FeatureDictionary, FeatureDomain};
 use pfp_ehr::stats::{duration_histogram, table1, table2, DurationHistogram, Table1Row, Table2Row};
@@ -319,17 +318,16 @@ pub fn gamma_continuation(
     let mut points = Vec::with_capacity(ms.len());
     for &m in &ms {
         let cfg = base.with_gamma(base_gamma * m);
-        let report = train_featurized_warm(
-            samples.clone(),
+        let source = TrainSource::Featurized {
+            samples: samples.clone(),
             kind,
-            train.profile_dim,
-            train.service_dim,
-            train.num_cus,
-            train.num_durations,
-            &cfg,
-            carry.as_ref(),
-        )
-        .expect("carried state always matches the shared featurization");
+            profile_dim: train.profile_dim,
+            service_dim: train.service_dim,
+            num_cus: train.num_cus,
+            num_durations: train.num_durations,
+        };
+        let report = pfp_core::train(source, &cfg, carry.as_ref())
+            .expect("carried state always matches the shared featurization");
         carry = Some(report.warm_start());
         let accuracy = evaluate(
             &DmcpPredictor::from_model(report.model, MethodId::Dmcp),

@@ -6,8 +6,8 @@
 //! trajectory is pinned to literals across commits.
 
 use patient_flow::core::loss::DmcpObjective;
-use patient_flow::core::stream::{train_streamed, ShardedDmcpObjective, ShardedSamples};
-use patient_flow::core::{train, train_warm, Dataset, TrainConfig, TrainReport};
+use patient_flow::core::stream::{ShardedDmcpObjective, ShardedSamples};
+use patient_flow::core::{train, Dataset, DmcpModel, TrainConfig, TrainReport, TrainSource};
 use patient_flow::ehr::{generate_cohort, CohortConfig};
 use patient_flow::math::Matrix;
 use patient_flow::optim::admm::solve_group_lasso;
@@ -135,6 +135,7 @@ fn sharded_solve_retraces_the_materialized_solve_bitwise() {
             let sharded = ShardedSamples::from_samples(
                 &samples,
                 shard_size,
+                dataset.default_mcp_kind(),
                 dataset.profile_dim,
                 dataset.service_dim,
                 dataset.num_cus,
@@ -166,10 +167,14 @@ fn out_of_core_training_reproduces_materialized_training_bitwise() {
     let train_config = TrainConfig::fast();
 
     let dataset = Dataset::from_cohort(&generate_cohort(&cohort_config));
-    let materialized = train(&dataset, &train_config);
+    let materialized = DmcpModel::train(&dataset, &train_config);
 
     for shard_size in [13usize, cohort_config.num_patients + 1] {
-        let streamed = train_streamed(&cohort_config, &train_config, shard_size);
+        let source = TrainSource::Stream {
+            cohort: &cohort_config,
+            shard_size,
+        };
+        let streamed = train(source, &train_config, None).unwrap().model;
         assert_eq!(streamed.kind, materialized.kind, "shard={shard_size}");
         assert_eq!(streamed.theta, materialized.theta, "shard={shard_size}");
         assert_eq!(streamed.selection, materialized.selection);
@@ -201,9 +206,9 @@ fn default_solver_trajectory_is_pinned() {
     let dataset = Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(42)));
     let fast = TrainConfig::fast().with_threads(1);
     let paper = TrainConfig::paper_default().with_threads(1);
-    let cold_fast = train_warm(&dataset, &fast, None).unwrap();
-    let cold_paper = train_warm(&dataset, &paper, None).unwrap();
-    let warm_fast = train_warm(&dataset, &fast, Some(&cold_fast.warm_start())).unwrap();
+    let cold_fast = train(&dataset, &fast, None).unwrap();
+    let cold_paper = train(&dataset, &paper, None).unwrap();
+    let warm_fast = train(&dataset, &fast, Some(&cold_fast.warm_start())).unwrap();
 
     // (evaluations, outer iterations, converged, final objective bits, model hash)
     let pinned = [

@@ -6,8 +6,8 @@
 //! The binary installs the counting global allocator and holds exactly one
 //! `#[test]`: a concurrently running test would pollute the peaks.
 
-use patient_flow::core::stream::{train_sharded, train_streamed, ShardedSamples};
-use patient_flow::core::{train, Dataset, DmcpModel, TrainConfig};
+use patient_flow::core::stream::ShardedSamples;
+use patient_flow::core::{train, Dataset, DmcpModel, TrainConfig, TrainSource};
 use patient_flow::ehr::departments::PAPER_NUM_PATIENTS;
 use patient_flow::ehr::{generate_cohort, CohortConfig, FeatureDictionary};
 use pfp_bench::mem;
@@ -45,15 +45,20 @@ fn streamed_and_sharded_training_match_materialized_bitwise_in_less_memory() {
     config.max_outer_iters = 2;
     config.max_inner_iters = 4;
 
-    let (streamed, streamed_peak) =
-        measured(|| train_streamed(&cohort_config, &config, SHARD_SIZE));
+    let (streamed, streamed_peak) = measured(|| {
+        let source = TrainSource::Stream {
+            cohort: &cohort_config,
+            shard_size: SHARD_SIZE,
+        };
+        train(source, &config, None).unwrap().model
+    });
     let (sharded, sharded_peak) = measured(|| {
         let shards = ShardedSamples::stream_cohort(&cohort_config, config.feature_map, SHARD_SIZE);
-        train_sharded(&shards, &config)
+        train(&shards, &config, None).unwrap().model
     });
     let (materialized, materialized_peak) = measured(|| {
         let dataset = Dataset::from_cohort(&generate_cohort(&cohort_config));
-        train(&dataset, &config)
+        DmcpModel::train(&dataset, &config)
     });
 
     for (name, model) in [("sharded", &sharded), ("materialized", &materialized)] {

@@ -45,6 +45,7 @@ fn fixture() -> &'static Fixture {
         let sharded = ShardedSamples::from_samples(
             &samples,
             7,
+            dataset.default_mcp_kind(),
             dataset.profile_dim,
             dataset.service_dim,
             dataset.num_cus,

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use patient_flow::core::dataset::Sample;
 use patient_flow::core::loss::{per_sample_value_and_gradient, DmcpObjective};
-use patient_flow::core::{train, Dataset, TrainConfig};
+use patient_flow::core::{Dataset, DmcpModel, TrainConfig};
 use patient_flow::ehr::{generate_cohort, CohortConfig};
 use patient_flow::math::parallel::chunk_ranges;
 use patient_flow::math::{Matrix, SparseVec};
@@ -309,9 +309,9 @@ fn end_to_end_parallel_training_reproduces_bitwise_and_tracks_serial() {
     let serial_cfg = TrainConfig::fast();
     let parallel_cfg = TrainConfig::fast().with_threads(4);
 
-    let serial = train(&ds, &serial_cfg);
-    let parallel_a = train(&ds, &parallel_cfg);
-    let parallel_b = train(&ds, &parallel_cfg);
+    let serial = DmcpModel::train(&ds, &serial_cfg);
+    let parallel_a = DmcpModel::train(&ds, &parallel_cfg);
+    let parallel_b = DmcpModel::train(&ds, &parallel_cfg);
 
     // Fixed thread count → bitwise identical.
     assert_eq!(parallel_a.theta, parallel_b.theta);

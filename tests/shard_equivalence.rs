@@ -27,12 +27,15 @@ use proptest::prelude::*;
 use patient_flow::core::dataset::Sample;
 use patient_flow::core::loss::{per_sample_value_and_gradient, DmcpObjective};
 use patient_flow::core::stream::{ShardedDmcpObjective, ShardedSamples, StreamingDmcpObjective};
-use patient_flow::core::Dataset;
+use patient_flow::core::{Dataset, FeatureMapKind};
 use patient_flow::ehr::{generate_cohort, CohortConfig};
 use patient_flow::math::{Matrix, SparseVec};
 use patient_flow::optim::SmoothObjective;
 
 const DIM: usize = 12;
+/// The map the hand-built samples are declared under (the objective never
+/// reads it).
+const KIND: FeatureMapKind = FeatureMapKind::CurrentOnly;
 
 /// The four column-width regimes: the K = 4, 8, 16 blocked CSR kernels and
 /// the generic fallback (K = 7).
@@ -114,7 +117,7 @@ proptest! {
 
         for shard_size in shard_sizes(samples.len()) {
             let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, DIM, 0, num_cus, num_durations);
+                ShardedSamples::from_samples(&samples, shard_size, KIND, DIM, 0, num_cus, num_durations);
             let obj = ShardedDmcpObjective::new(&sharded, None).with_threads(threads);
 
             let mut grad = Matrix::zeros(DIM, cols);
@@ -165,7 +168,7 @@ proptest! {
 
         for shard_size in shard_sizes(samples.len()) {
             let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, DIM, 0, num_cus, num_durations);
+                ShardedSamples::from_samples(&samples, shard_size, KIND, DIM, 0, num_cus, num_durations);
             let obj = ShardedDmcpObjective::new(&sharded, Some(&weights)).with_threads(threads);
             let mut grad = Matrix::zeros(DIM, cols);
             let value = obj.value_and_gradient(&theta, &mut grad);
@@ -197,7 +200,7 @@ proptest! {
 
         for shard_size in shard_sizes(samples.len()) {
             let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, DIM, 0, num_cus, num_durations);
+                ShardedSamples::from_samples(&samples, shard_size, KIND, DIM, 0, num_cus, num_durations);
             let serial = ShardedDmcpObjective::new(&sharded, None);
             let pooled = ShardedDmcpObjective::new(&sharded, None).with_threads(threads as usize);
 
@@ -234,7 +237,7 @@ proptest! {
 
         for shard_size in shard_sizes(samples.len()) {
             let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, DIM, 0, num_cus, num_durations);
+                ShardedSamples::from_samples(&samples, shard_size, KIND, DIM, 0, num_cus, num_durations);
             let got = ShardedDmcpObjective::new(&sharded, weights)
                 .row_curvature_bounds()
                 .expect("bounds available");
@@ -314,7 +317,7 @@ fn sharded_fold_is_bitwise_reproducible_at_a_fixed_thread_count() {
     );
     let cols = 8;
     let theta = Matrix::from_fn(DIM, cols, |r, c| 0.6 * (r as f64) - 0.2 * (c as f64));
-    let sharded = ShardedSamples::from_samples(&samples, 2, DIM, 0, 4, 4);
+    let sharded = ShardedSamples::from_samples(&samples, 2, KIND, DIM, 0, 4, 4);
     let run = || {
         let obj = ShardedDmcpObjective::new(&sharded, None).with_threads(3);
         let mut grad = Matrix::zeros(DIM, cols);

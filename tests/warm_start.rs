@@ -16,7 +16,7 @@
 
 use patient_flow::core::loss::DmcpObjective;
 use patient_flow::core::{
-    initial_theta, train_warm, Dataset, DmcpModel, FeatureMapKind, PlateauStop, TrainConfig,
+    initial_theta, train, Dataset, DmcpModel, FeatureMapKind, PlateauStop, TrainConfig, TrainError,
     WarmStart, WarmStartError,
 };
 use patient_flow::ehr::{generate_cohort, CohortConfig};
@@ -164,8 +164,8 @@ fn warm_retrain_makes_the_same_predictions_as_cold() {
     let dataset = Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(62)));
     let config = chain_config();
 
-    let cold = train_warm(&dataset, &config, None).expect("cold start cannot fail");
-    let warm = train_warm(&dataset, &config, Some(&cold.warm_start()))
+    let cold = train(&dataset, &config, None).expect("cold start cannot fail");
+    let warm = train(&dataset, &config, Some(&cold.warm_start()))
         .expect("state from the same data always matches");
 
     // Retraining from the exit state must land at (or below) the cold
@@ -214,7 +214,7 @@ fn warm_step_along_the_gamma_path_reaches_the_cold_objective_cheaper() {
     config.max_outer_iters = 40;
 
     // Previous γ-point's exit state.
-    let at_low_gamma = train_warm(&dataset, &config, None).expect("cold start cannot fail");
+    let at_low_gamma = train(&dataset, &config, None).expect("cold start cannot fail");
 
     let kind = dataset.default_mcp_kind();
     let samples = dataset.featurize(kind);
@@ -259,21 +259,25 @@ fn warm_step_along_the_gamma_path_reaches_the_cold_objective_cheaper() {
 fn mismatched_warm_start_is_a_typed_error_not_a_panic() {
     let dataset = Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(64)));
     let config = chain_config();
-    let report = train_warm(&dataset, &config, None).expect("cold start cannot fail");
+    let report = train(&dataset, &config, None).expect("cold start cannot fail");
 
     // Wrong θ shape: one feature row too many.
     let mut wrong_shape = report.warm_start();
     wrong_shape.theta = Matrix::zeros(wrong_shape.theta.rows() + 1, wrong_shape.theta.cols());
-    match train_warm(&dataset, &config, Some(&wrong_shape)) {
-        Err(WarmStartError::ShapeMismatch { field, .. }) => assert_eq!(field, "theta"),
+    match train(&dataset, &config, Some(&wrong_shape)) {
+        Err(TrainError::WarmStart(WarmStartError::ShapeMismatch { field, .. })) => {
+            assert_eq!(field, "theta")
+        }
         other => panic!("expected a theta shape mismatch, got {other:?}"),
     }
 
     // Wrong dual shape.
     let mut wrong_dual = report.warm_start();
     wrong_dual.y = Matrix::zeros(1, 1);
-    match train_warm(&dataset, &config, Some(&wrong_dual)) {
-        Err(WarmStartError::ShapeMismatch { field, .. }) => assert_eq!(field, "y"),
+    match train(&dataset, &config, Some(&wrong_dual)) {
+        Err(TrainError::WarmStart(WarmStartError::ShapeMismatch { field, .. })) => {
+            assert_eq!(field, "y")
+        }
         other => panic!("expected a dual shape mismatch, got {other:?}"),
     }
 
@@ -281,20 +285,20 @@ fn mismatched_warm_start_is_a_typed_error_not_a_panic() {
     let mut bad_rho = report.warm_start();
     bad_rho.rho = 0.0;
     assert!(matches!(
-        train_warm(&dataset, &config, Some(&bad_rho)),
-        Err(WarmStartError::InvalidRho(_))
+        train(&dataset, &config, Some(&bad_rho)),
+        Err(TrainError::WarmStart(WarmStartError::InvalidRho(_)))
     ));
 
     // Non-finite carried state.
     let mut bad_theta = report.warm_start();
     bad_theta.theta.set(0, 0, f64::NAN);
     assert!(matches!(
-        train_warm(&dataset, &config, Some(&bad_theta)),
-        Err(WarmStartError::NonFinite { .. })
+        train(&dataset, &config, Some(&bad_theta)),
+        Err(TrainError::WarmStart(WarmStartError::NonFinite { .. }))
     ));
 
     // The error is a proper std error with a readable message.
-    let err = train_warm(&dataset, &config, Some(&bad_rho)).unwrap_err();
+    let err = train(&dataset, &config, Some(&bad_rho)).unwrap_err();
     let msg = format!("{err}");
     assert!(msg.contains("rho"), "unhelpful message: {msg}");
     let _: &dyn std::error::Error = &err;
