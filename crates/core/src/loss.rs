@@ -65,7 +65,7 @@ use pfp_math::Matrix;
 use pfp_optim::SmoothObjective;
 
 use crate::dataset::Sample;
-use crate::stream::SampleShard;
+use crate::stream::{check_samples, SampleShard};
 
 /// Where an [`Objective`]'s feature rows come from.
 ///
@@ -206,7 +206,9 @@ impl<'a> DmcpObjective<'a> {
         num_cus: usize,
         num_durations: usize,
     ) -> Self {
-        let block = SampleShard::pack(0, samples, num_features, num_cus, num_durations);
+        check_samples(samples, num_features, num_cus, num_durations)
+            .unwrap_or_else(|err| panic!("{err}"));
+        let block = SampleShard::pack(0, samples, num_features);
         Self::from_source(block, weights, num_features, num_cus, num_durations)
     }
 }

@@ -1,7 +1,7 @@
 //! The trained DMCP model: conditional probabilities, prediction, and
 //! feature-selection introspection.
 
-use pfp_math::softmax::{argmax, softmax};
+use pfp_math::softmax::{argmax, cross_entropy_softmax_rows};
 use pfp_math::{CsrMatrix, Matrix, SparseVec};
 use serde::{Deserialize, Serialize};
 
@@ -57,15 +57,21 @@ impl DmcpModel {
     /// # Panics
     /// Panics if `features` does not have the model's dimension `M`.
     pub fn scores(&self, features: &SparseVec) -> (Vec<f64>, Vec<f64>) {
+        let mut all = self.score_row(features);
+        let dur = all.split_off(self.num_cus);
+        (all, dur)
+    }
+
+    /// `Θ⊤ f` as one `C + D`-wide row.
+    fn score_row(&self, features: &SparseVec) -> Vec<f64> {
         assert_eq!(
             features.dim(),
             self.num_features(),
             "feature dimension mismatch"
         );
-        let mut all = vec![0.0; self.num_cus + self.num_durations];
-        features.accumulate_scores(&self.theta, &mut all);
-        let dur = all.split_off(self.num_cus);
-        (all, dur)
+        let mut row = vec![0.0; self.num_cus + self.num_durations];
+        features.accumulate_scores(&self.theta, &mut row);
+        row
     }
 
     /// Conditional intensities `λ_c = exp(θ_c⊤ f)` and `λ_d = exp(θ_d⊤ f)`.
@@ -80,8 +86,41 @@ impl DmcpModel {
     /// Conditional class probabilities `p(c | t, H_t)` and `p(d | t, H_t)`
     /// (normalised intensities, Eq. 5).
     pub fn probabilities(&self, features: &SparseVec) -> (Vec<f64>, Vec<f64>) {
-        let (cu, dur) = self.scores(features);
-        (softmax(&cu), softmax(&dur))
+        let mut probs = self.score_row(features);
+        self.normalize_scores(&mut probs, |_, _| {});
+        let dur = probs.split_off(self.num_cus);
+        (probs, dur)
+    }
+
+    /// Normalize a block of score rows in place (rows of `C + D` entries, as
+    /// [`DmcpModel::scores_block_into`] writes them): each row's destination
+    /// head `[0..C]` and duration head `[C..C+D]` become their softmax.  Then
+    /// `each_row(p(c|·), p(d|·))` is called for every row, in order.
+    ///
+    /// The whole block is one call of the training objective's softmax
+    /// kernel, [`cross_entropy_softmax_rows`], whose contract gives each head
+    /// the bits of [`pfp_math::softmax::softmax`] of it, uniform fallback
+    /// included.  So this is bitwise the per-row, per-head softmax, and every
+    /// probability path of the model runs through it.
+    ///
+    /// # Panics
+    /// Panics if `scores` is not a whole number of rows, or a head is empty
+    /// (`C = 0` or `D = 0`).
+    pub fn normalize_scores(&self, scores: &mut [f64], mut each_row: impl FnMut(&[f64], &[f64])) {
+        let c = self.num_cus;
+        let heads = [0..c, c..c + self.num_durations];
+        // The kernel also takes each head's cross-entropy of a target class;
+        // class 0 stands in, and the losses are dropped.
+        cross_entropy_softmax_rows(
+            scores,
+            heads[1].end,
+            &heads,
+            |_| [0, 0],
+            |_, row, _| {
+                let (cu, dur) = row.split_at(c);
+                each_row(cu, dur);
+            },
+        );
     }
 
     /// Raw linear scores for a prebuilt CSR block of `k` featurized samples,
@@ -113,19 +152,17 @@ impl DmcpModel {
     /// one `(p(c|·), p(d|·))` pair per sample, in block-row order.
     ///
     /// Bitwise identical to calling [`DmcpModel::probabilities`] on each row
-    /// independently (the batched scoring pass is exact, and softmax is
-    /// applied per row).
+    /// independently: the batched scoring pass is exact, and
+    /// [`DmcpModel::normalize_scores`] gives every head the bits of a
+    /// per-row softmax.
     pub fn probabilities_block(&self, block: &CsrMatrix) -> Vec<(Vec<f64>, Vec<f64>)> {
-        let width = self.num_cus + self.num_durations;
         let mut scores = Vec::new();
         self.scores_block_into(block, &mut scores);
-        scores
-            .chunks_exact(width)
-            .map(|row| {
-                let (cu, dur) = row.split_at(self.num_cus);
-                (softmax(cu), softmax(dur))
-            })
-            .collect()
+        let mut probs = Vec::with_capacity(block.rows());
+        self.normalize_scores(&mut scores, |cu, dur| {
+            probs.push((cu.to_vec(), dur.to_vec()))
+        });
+        probs
     }
 
     /// MAP prediction `(ĉ, d̂)` for an already-featurized sample.
@@ -394,6 +431,58 @@ mod tests {
             }
             for (a, b) in pd.iter().zip(bd.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    /// [`DmcpModel::normalize_scores`] against one `softmax` per head, bit
+    /// for bit: rows holding `+∞`, `−∞`, NaN or all-equal scores (a head of
+    /// all `−∞`, like a `+∞` or a NaN, takes the uniform fallback), a 1-class
+    /// duration head, and blocks that straddle the kernel's 16-row tile.
+    #[test]
+    fn block_normalization_matches_per_row_softmax_bitwise() {
+        use pfp_math::softmax::softmax;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (num_cus, num_durations) in [(5, 3), (8, 1)] {
+            let width = num_cus + num_durations;
+            let m = DmcpModel {
+                num_cus,
+                num_durations,
+                ..tiny_model()
+            };
+            for rows in [1, 15, 16, 17, 64] {
+                let mut block: Vec<f64> = (0..rows * width)
+                    .map(|j| ((j * 7 % 13) as f64 - 6.0) * 0.75)
+                    .collect();
+                for (i, row) in block.chunks_exact_mut(width).enumerate() {
+                    match i % 6 {
+                        0 => row[i % width] = f64::INFINITY,
+                        1 => row[(i + 1) % width] = f64::NAN,
+                        2 => {
+                            row[..num_cus].fill(f64::NEG_INFINITY);
+                            row[width - 1] = f64::NEG_INFINITY;
+                        }
+                        3 => row.fill(2.5),
+                        4 => row[0] = f64::NEG_INFINITY,
+                        _ => {}
+                    }
+                }
+                let expected: Vec<f64> = block
+                    .chunks_exact(width)
+                    .flat_map(|row| {
+                        let (cu, dur) = row.split_at(num_cus);
+                        [softmax(cu), softmax(dur)].concat()
+                    })
+                    .collect();
+                let mut seen = Vec::new();
+                m.normalize_scores(&mut block, |cu, dur| {
+                    assert_eq!((cu.len(), dur.len()), (num_cus, num_durations));
+                    seen.extend_from_slice(cu);
+                    seen.extend_from_slice(dur);
+                });
+                let shape = format!("{num_cus}+{num_durations} classes, {rows} rows");
+                assert_eq!(bits(&block), bits(&expected), "{shape}");
+                assert_eq!(bits(&seen), bits(&expected), "rows in order, {shape}");
             }
         }
     }

@@ -31,7 +31,7 @@ use pfp_math::{CsrMatrix, SparseVec};
 use crate::dataset::Sample;
 use crate::features::{FeatureMapKind, HistoryFeaturizer, HistoryStay, EVAL_OFFSET_DAYS};
 use crate::loss::{Objective, SampleSource};
-use crate::train::ModelLayout;
+use crate::train::{ModelLayout, TrainError};
 
 /// Featurize every transition sample of one patient, in transition order,
 /// without materializing `RawSample`s: `visit(features, cu_label,
@@ -93,32 +93,37 @@ pub struct SampleShard {
     pub duration_labels: Vec<u32>,
 }
 
+/// Check that every sample fits a layout of `num_features` features and
+/// `num_cus` × `num_durations` classes, as [`SampleShard::pack`] requires.
+///
+/// # Errors
+/// [`TrainError::SampleOutsideLayout`] for the first sample that does not.
+pub(crate) fn check_samples(
+    samples: &[Sample],
+    num_features: usize,
+    num_cus: usize,
+    num_durations: usize,
+) -> Result<(), TrainError> {
+    for (index, s) in samples.iter().enumerate() {
+        let fault = if s.features.dim() != num_features {
+            "feature dimension mismatch"
+        } else if s.cu_label >= num_cus {
+            "destination label out of range"
+        } else if s.duration_label >= num_durations {
+            "duration label out of range"
+        } else {
+            continue;
+        };
+        return Err(TrainError::SampleOutsideLayout { index, fault });
+    }
+    Ok(())
+}
+
 impl SampleShard {
     /// Pack featurized samples into one block whose first row is global
-    /// sample `start`.
-    ///
-    /// # Panics
-    /// Panics if a label is out of range or a feature vector has the wrong
-    /// dimension.
-    pub(crate) fn pack(
-        start: usize,
-        samples: &[Sample],
-        num_features: usize,
-        num_cus: usize,
-        num_durations: usize,
-    ) -> Self {
-        assert!(
-            num_cus >= 1 && num_durations >= 1,
-            "need at least one class per head"
-        );
-        for s in samples {
-            assert_eq!(s.features.dim(), num_features, "feature dimension mismatch");
-            assert!(s.cu_label < num_cus, "destination label out of range");
-            assert!(
-                s.duration_label < num_durations,
-                "duration label out of range"
-            );
-        }
+    /// sample `start`.  The samples must pass [`check_samples`] for the
+    /// same layout.
+    pub(crate) fn pack(start: usize, samples: &[Sample], num_features: usize) -> Self {
         Self {
             start,
             csr: CsrMatrix::from_rows(num_features, samples.iter().map(|s| &s.features)),
@@ -212,12 +217,11 @@ impl ShardedSamples {
             num_durations,
         };
         let m = layout.num_features();
+        check_samples(samples, m, num_cus, num_durations).unwrap_or_else(|err| panic!("{err}"));
         let shards = samples
             .chunks(shard_size)
             .enumerate()
-            .map(|(block_idx, block)| {
-                SampleShard::pack(block_idx * shard_size, block, m, num_cus, num_durations)
-            })
+            .map(|(block_idx, block)| SampleShard::pack(block_idx * shard_size, block, m))
             .collect();
         Self { shards, layout }
     }

@@ -23,7 +23,7 @@ use crate::features::FeatureMapKind;
 use crate::imbalance::ImbalanceStrategy;
 use crate::loss::{Objective, SampleSource};
 use crate::model::DmcpModel;
-use crate::stream::{CohortStream, SampleShard, ShardedSamples};
+use crate::stream::{check_samples, CohortStream, SampleShard, ShardedSamples};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -267,6 +267,12 @@ pub enum TrainError {
     },
     /// The carried warm start does not fit the objective.
     WarmStart(WarmStartError),
+    /// Sample `index` of a `Featurized` source lies outside the declared
+    /// layout; `fault` names how: `"feature dimension mismatch"`,
+    /// `"destination label out of range"` or `"duration label out of range"`.
+    SampleOutsideLayout { index: usize, fault: &'static str },
+    /// A `Stream` source was given `shard_size == 0`.
+    ZeroShardSize,
 }
 
 impl std::fmt::Display for TrainError {
@@ -280,6 +286,12 @@ impl std::fmt::Display for TrainError {
                 write!(f, "featurized under {source:?}, config wants {config:?}")
             }
             TrainError::WarmStart(err) => write!(f, "{err}"),
+            TrainError::SampleOutsideLayout { index, fault } => {
+                write!(f, "featurized sample {index}: {fault}")
+            }
+            TrainError::ZeroShardSize => {
+                write!(f, "the stream source's shard_size must be positive")
+            }
         }
     }
 }
@@ -307,11 +319,9 @@ impl From<WarmStartError> for TrainError {
 /// # Errors
 /// A [`TrainError`] if the source holds no samples or cannot apply
 /// `config.imbalance`, a pre-featurized source's map differs from
-/// `config.feature_map`, or `warm` does not fit the objective.
-///
-/// # Panics
-/// Panics if a `Featurized` sample has a label or feature dimension outside
-/// the declared layout, or a `Stream` source's `shard_size` is zero.
+/// `config.feature_map`, a `Featurized` sample has a label or feature
+/// dimension outside the declared layout, a `Stream` source's `shard_size`
+/// is zero, or `warm` does not fit the objective.
 pub fn train<'a>(
     source: impl Into<TrainSource<'a>>,
     config: &TrainConfig,
@@ -349,12 +359,13 @@ pub fn train<'a>(
                 num_cus,
                 num_durations,
             };
+            // Before the imbalance strategy, which indexes by label.
+            check_samples(&samples, layout.num_features(), num_cus, num_durations)?;
             let (samples, weights) =
                 config
                     .imbalance
                     .apply(samples, num_cus, num_durations, config.seed);
-            let block =
-                SampleShard::pack(0, &samples, layout.num_features(), num_cus, num_durations);
+            let block = SampleShard::pack(0, &samples, layout.num_features());
             solve(layout, block, weights.as_deref(), config, warm)
         }
         TrainSource::Shards(shards) => {
@@ -368,6 +379,9 @@ pub fn train<'a>(
         TrainSource::Stream { cohort, shard_size } => {
             if config.imbalance != ImbalanceStrategy::None {
                 return Err(unsupported("stream"));
+            }
+            if shard_size == 0 {
+                return Err(TrainError::ZeroShardSize);
             }
             let stream = CohortStream::new(cohort, config.feature_map, shard_size);
             solve(stream.layout, stream, None, config, warm)
@@ -760,5 +774,55 @@ mod tests {
         );
         assert!(err.source().is_some());
         assert!(TrainError::NoSamples.source().is_none());
+    }
+
+    /// Every imbalance strategy reads the labels, so the layout is checked
+    /// before any of them runs.
+    #[test]
+    fn featurized_samples_outside_the_layout_are_rejected_with_a_typed_error() {
+        let sample = |dim, cu_label, duration_label| Sample {
+            patient_id: 0,
+            features: SparseVec::binary(dim, vec![0]),
+            cu_label,
+            duration_label,
+        };
+        let faults = [
+            (sample(4, 0, 1), "feature dimension mismatch"),
+            (sample(3, 2, 1), "destination label out of range"),
+            (sample(3, 0, 2), "duration label out of range"),
+        ];
+        let strategies = [
+            ImbalanceStrategy::None,
+            ImbalanceStrategy::Weighted,
+            ImbalanceStrategy::synthetic(),
+        ];
+        for strategy in strategies {
+            for (bad, fault) in &faults {
+                let source = TrainSource::Featurized {
+                    samples: vec![sample(3, 1, 0), bad.clone()],
+                    kind: FeatureMapKind::ModulatedPoisson,
+                    profile_dim: 1,
+                    service_dim: 2,
+                    num_cus: 2,
+                    num_durations: 2,
+                };
+                let config = TrainConfig::fast().with_imbalance(strategy);
+                let err = train(source, &config, None).unwrap_err();
+                assert_eq!(err, TrainError::SampleOutsideLayout { index: 1, fault });
+                assert_eq!(err.to_string(), format!("featurized sample 1: {fault}"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_of_zero_patient_shards_is_rejected_with_a_typed_error() {
+        let cohort = CohortConfig::tiny(31);
+        let source = TrainSource::Stream {
+            cohort: &cohort,
+            shard_size: 0,
+        };
+        let err = train(source, &TrainConfig::fast(), None).unwrap_err();
+        assert_eq!(err, TrainError::ZeroShardSize);
+        assert!(err.to_string().contains("shard_size"), "{err}");
     }
 }

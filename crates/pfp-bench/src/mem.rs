@@ -2,9 +2,10 @@
 //! (`tests/bounded_memory.rs`, `tests/serve_allocations.rs`).
 //!
 //! [`TrackingAllocator`] wraps the system allocator with atomic counters:
-//! live bytes, the high-water mark since the last [`reset_peak`], and the
-//! cumulative bytes and number of allocations since process start.  A test
-//! binary that wants the numbers installs it as its
+//! live bytes, the high-water mark since the last [`reset_peak`], the
+//! cumulative bytes and number of allocations since process start, and the
+//! number of deallocations since process start, in total and made by the
+//! current thread.  A test binary that wants the numbers installs it as its
 //! global allocator:
 //!
 //! ```ignore
@@ -18,12 +19,21 @@
 //! nothing there.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static DEALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Deallocations made by this thread.  A `const` initializer and no
+    /// destructor: the slot is never lazily set up or torn down, so the
+    /// allocator can bump it without allocating, even while a thread exits.
+    static THREAD_DEALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Record `size` bytes allocated.  Public so the bookkeeping is unit-testable
 /// without installing the allocator.
@@ -34,9 +44,11 @@ pub fn record_alloc(size: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Record `size` bytes freed.
+/// Record `size` bytes freed, by the current thread.
 pub fn record_dealloc(size: usize) {
     CURRENT.fetch_sub(size, Ordering::Relaxed);
+    DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_DEALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
 /// High-water mark of live bytes since the last [`reset_peak`] (or process
@@ -56,6 +68,19 @@ pub fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Deallocations since process start, on every thread (a `realloc` counts
+/// as one, as it does in [`allocations`]).
+pub fn deallocations() -> usize {
+    DEALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Deallocations the current thread has made since it started.  Subtract
+/// its difference from that of [`deallocations`] to count the frees of the
+/// other threads over a phase.
+pub fn thread_deallocations() -> usize {
+    THREAD_DEALLOCATIONS.with(Cell::get)
+}
+
 /// Restart peak tracking from the current live size — call between
 /// measurement phases.
 pub fn reset_peak() {
@@ -67,7 +92,7 @@ pub fn reset_peak() {
 pub struct TrackingAllocator;
 
 // SAFETY: delegates every operation to `System` unchanged; the counters are
-// plain atomics and never allocate.
+// plain atomics and a `const` thread-local, and never allocate.
 unsafe impl GlobalAlloc for TrackingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
@@ -111,6 +136,7 @@ mod tests {
         let live = || CURRENT.load(Ordering::Relaxed);
         let base = live();
         let (bytes0, count0) = (allocated_bytes(), allocations());
+        let (frees0, own0) = (deallocations(), thread_deallocations());
         reset_peak();
         assert_eq!(peak_bytes(), base);
 
@@ -132,5 +158,17 @@ mod tests {
 
         assert_eq!(allocated_bytes() - bytes0, 1600, "frees never subtract");
         assert_eq!(allocations() - count0, 3);
+        assert_eq!(deallocations() - frees0, 2);
+        assert_eq!(thread_deallocations() - own0, 2);
+
+        let other = std::thread::spawn(|| {
+            let own = thread_deallocations();
+            record_alloc(10);
+            record_dealloc(10);
+            thread_deallocations() - own
+        });
+        assert_eq!(other.join().expect("counting thread panicked"), 1);
+        assert_eq!(deallocations() - frees0, 3, "every thread's frees count");
+        assert_eq!(thread_deallocations() - own0, 2, "another thread's do not");
     }
 }

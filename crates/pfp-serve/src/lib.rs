@@ -19,15 +19,18 @@
 //!    self-clocking: requests that arrive while one batch is scored form the
 //!    next, so a lone request never waits on a timer and a backlog still
 //!    fills batches.  The dispatcher packs each batch into one reused
-//!    [`pfp_math::CsrMatrix`] and scores it as a single register-blocked
-//!    `CSR × Θ` pass sharded over the pool.
+//!    [`pfp_math::CsrMatrix`], scores it as a single register-blocked
+//!    `CSR × Θ` pass sharded over the pool, and normalizes each shard's
+//!    score rows as one block ([`DmcpModel::normalize_scores`]).
 //! 3. Results fan back in **submission order**; micro-batching is invisible
-//!    to callers except as latency.
+//!    to callers except as latency.  Each reply carries the request's
+//!    feature vector back, so the caller frees what it allocated.
 //!
 //! Batched scoring performs the same floating-point operations in the same
-//! order as scoring each request alone, so the returned distributions are
-//! **bitwise identical** to [`DmcpModel::probabilities`] — batching is purely
-//! a throughput optimisation, never an accuracy trade.
+//! order as scoring each request alone, and the block normalization gives
+//! each head the bits of a per-row softmax, so the returned distributions
+//! are **bitwise identical** to [`DmcpModel::probabilities`] — batching is
+//! purely a throughput optimisation, never an accuracy trade.
 //!
 //! ## Failure semantics
 //!

@@ -8,6 +8,13 @@
 //! a send only notifies when the receiver is actually parked — std's futex
 //! `Condvar` makes a wake syscall on every `notify_one`, even with no
 //! waiter.
+//!
+//! The service sends each request's feature vector back through its slot
+//! together with the answer.  The caller's thread allocated that vector, and
+//! now frees it when it takes the answer; the dispatcher, the one thread
+//! every request passes through, frees no request memory.  Only an answer
+//! sent after its receiver was dropped (an abandoned request) is freed by
+//! the sender, with the slot.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 

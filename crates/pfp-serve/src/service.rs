@@ -1,6 +1,11 @@
 //! The prediction service: a dispatcher thread that micro-batches requests,
-//! scores each batch as one register-blocked `CSR × Θ` pass, and fans the
-//! per-row distributions back to the callers in submission order.
+//! scores each batch as one register-blocked `CSR × Θ` pass, normalizes the
+//! score rows as one block ([`DmcpModel::normalize_scores`]: one call of the
+//! training objective's softmax kernel over both heads), and fans the
+//! distributions back to the callers in submission order.  Each answer's
+//! reply slot also carries the request's [`SparseVec`] back, on every path,
+//! so the caller's thread frees the buffers it allocated: the dispatcher
+//! works batch by batch and frees no request memory.
 //!
 //! The serving path is *self-healing*: a [`pfp_math::Supervisor`] respawns
 //! lost scoring workers (capped exponential backoff, seeded jitter), the
@@ -17,7 +22,6 @@ use std::time::{Duration, Instant};
 
 use pfp_core::DmcpModel;
 use pfp_math::parallel::chunk_ranges;
-use pfp_math::softmax::softmax;
 use pfp_math::supervise::{BackoffConfig, PoolHealth, Supervisor};
 use pfp_math::{CsrMatrix, PoolError, SparseVec};
 
@@ -161,14 +165,32 @@ pub trait FallbackPredictor: Send {
     fn probabilities(&self, features: &SparseVec) -> (Vec<f64>, Vec<f64>);
 }
 
+/// What a reply slot carries back to the caller: the answer, and the
+/// request's feature vector for the caller's thread to free.
+type Reply = (Result<Prediction, ServeError>, SparseVec);
+
+/// One admitted request.
+struct Request {
+    features: SparseVec,
+    /// Absolute expiry, pre-computed at submission; checked at dequeue and
+    /// again immediately before scoring.
+    deadline: Option<Instant>,
+    reply: ReplySender<Reply>,
+}
+
+impl Request {
+    fn expired(&self, now: Instant) -> bool {
+        self.deadline.is_some_and(|d| now > d)
+    }
+
+    /// Answer the request, handing its feature vector back with the answer.
+    fn answer(self, answer: Result<Prediction, ServeError>) {
+        self.reply.send((answer, self.features));
+    }
+}
+
 enum Msg {
-    Predict {
-        features: SparseVec,
-        /// Absolute expiry, pre-computed at submission; checked at dequeue
-        /// and again immediately before scoring.
-        deadline: Option<Instant>,
-        reply: ReplySender<Result<Prediction, ServeError>>,
-    },
+    Predict(Request),
     /// Test/bench hook: kill one scoring worker (fault injection).
     InjectWorkerFailure,
     /// Stop the dispatcher after answering the current batch.  An explicit
@@ -176,17 +198,6 @@ enum Msg {
     /// clones each hold a sender, so the channel alone cannot signal
     /// shutdown while clients are alive.
     Shutdown,
-}
-
-/// One admitted request row while its batch is being assembled and scored.
-struct PendingRow {
-    /// Taken (set to `None`) once the row has been answered — e.g. by the
-    /// pre-scoring deadline pass.
-    reply: Option<ReplySender<Result<Prediction, ServeError>>>,
-    deadline: Option<Instant>,
-    /// Retained so the fallback predictor can re-score the row without
-    /// unpacking the CSR block.
-    features: SparseVec,
 }
 
 /// A running prediction service.  Owns the dispatcher thread; dropping the
@@ -216,14 +227,17 @@ pub struct ServeClient {
 /// handle abandons the request: it is still scored, and its answer is freed
 /// with the slot.
 pub struct PendingPrediction {
-    reply: ReplyReceiver<Result<Prediction, ServeError>>,
+    reply: ReplyReceiver<Reply>,
 }
 
 impl PendingPrediction {
     /// Block for this request's answer.  [`ServeError::ShutDown`] if the
-    /// service stopped before answering it.
+    /// service stopped before answering it.  The request's feature vector
+    /// comes back with the answer and is freed here, on the caller's thread.
     pub fn wait(self) -> Result<Prediction, ServeError> {
-        self.reply.wait().unwrap_or(Err(ServeError::ShutDown))
+        self.reply
+            .wait()
+            .map_or(Err(ServeError::ShutDown), |(answer, _features)| answer)
     }
 }
 
@@ -296,7 +310,9 @@ impl PredictionService {
                 // the index/value capacity, so a steady-state batch packs
                 // with zero allocations.
                 let mut block = CsrMatrix::with_dim(model.num_features());
-                let mut pending: Vec<PendingRow> = Vec::new();
+                // Every admitted request of the batch, in submission order;
+                // a slot is emptied once its request has been answered.
+                let mut pending: Vec<Option<Request>> = Vec::new();
                 let mut stop = false;
                 while !stop {
                     let Some(batch) = collect_batch(&rx, config.max_batch, config.max_wait) else {
@@ -306,27 +322,20 @@ impl PredictionService {
                     pending.clear();
                     for msg in batch {
                         match msg {
-                            Msg::Predict {
-                                features,
-                                deadline,
-                                reply,
-                            } => {
-                                if features.dim() != model.num_features() {
-                                    reply.send(Err(ServeError::FeatureDim {
+                            Msg::Predict(request) => {
+                                let got = request.features.dim();
+                                if got != model.num_features() {
+                                    request.answer(Err(ServeError::FeatureDim {
                                         expected: model.num_features(),
-                                        got: features.dim(),
+                                        got,
                                     }));
-                                } else if deadline.is_some_and(|d| Instant::now() > d) {
+                                } else if request.expired(Instant::now()) {
                                     // Dequeue-time deadline check: the
                                     // request aged out while queued.
-                                    reply.send(Err(ServeError::DeadlineExceeded));
+                                    request.answer(Err(ServeError::DeadlineExceeded));
                                 } else {
-                                    block.push_row(&features);
-                                    pending.push(PendingRow {
-                                        reply: Some(reply),
-                                        deadline,
-                                        features,
-                                    });
+                                    block.push_row(&request.features);
+                                    pending.push(Some(request));
                                 }
                             }
                             Msg::InjectWorkerFailure => {
@@ -357,13 +366,10 @@ impl PredictionService {
                     // while the batch was assembling, without scoring them.
                     let now = Instant::now();
                     let mut alive = 0usize;
-                    for row in pending.iter_mut() {
-                        if row.deadline.is_some_and(|d| now > d) {
-                            if let Some(reply) = row.reply.take() {
-                                reply.send(Err(ServeError::DeadlineExceeded));
-                            }
-                        } else {
-                            alive += 1;
+                    for slot in pending.iter_mut() {
+                        match slot.take_if(|request| request.expired(now)) {
+                            Some(request) => request.answer(Err(ServeError::DeadlineExceeded)),
+                            None => alive += 1,
                         }
                     }
                     if alive == 0 {
@@ -373,10 +379,11 @@ impl PredictionService {
                         Self::answer_from_fallback(fallback.as_deref(), &mut pending, k);
                         continue;
                     }
-                    // Shard the batch across the pool.  Each shard performs
-                    // the same per-row FLOPs in the same order as a
-                    // single-request scoring, so batched results are bitwise
-                    // identical to `model.probabilities` per request.
+                    // Shard the batch across the pool.  Each shard scores its
+                    // rows in one register-blocked pass and normalizes them as
+                    // one block; both keep the bits of scoring each request
+                    // alone, so batched results are bitwise identical to
+                    // `model.probabilities` per request.
                     let shards = chunk_ranges(k, supervisor.pool().workers().max(1));
                     let block_ref = &block;
                     let model_ref = &model;
@@ -384,35 +391,34 @@ impl PredictionService {
                         .into_iter()
                         .map(|range| {
                             move || {
-                                let mut out = vec![0.0; range.len() * width];
+                                let mut scores = vec![0.0; range.len() * width];
+                                let mut predictions = Vec::with_capacity(range.len());
                                 block_ref.accumulate_scores_range(
                                     &model_ref.theta,
                                     range,
-                                    &mut out,
+                                    &mut scores,
                                 );
-                                out.chunks_exact(width)
-                                    .map(|row| {
-                                        let (cu, dur) = row.split_at(model_ref.num_cus);
-                                        Prediction {
-                                            cu_probs: softmax(cu),
-                                            duration_probs: softmax(dur),
-                                            batch_rows: k,
-                                            degraded: false,
-                                        }
-                                    })
-                                    .collect::<Vec<Prediction>>()
+                                model_ref.normalize_scores(&mut scores, |cu, dur| {
+                                    predictions.push(Prediction {
+                                        cu_probs: cu.to_vec(),
+                                        duration_probs: dur.to_vec(),
+                                        batch_rows: k,
+                                        degraded: false,
+                                    });
+                                });
+                                predictions
                             }
                         })
                         .collect();
                     match supervisor.pool().try_run(tasks) {
                         Ok(parts) => {
                             let mut predictions = parts.into_iter().flatten();
-                            for row in pending.drain(..) {
+                            for slot in pending.drain(..) {
                                 let prediction = predictions
                                     .next()
                                     .expect("shard fan-in lost a prediction row");
-                                if let Some(reply) = row.reply {
-                                    reply.send(Ok(prediction));
+                                if let Some(request) = slot {
+                                    request.answer(Ok(prediction));
                                 }
                             }
                         }
@@ -425,10 +431,8 @@ impl PredictionService {
                             if fallback.is_some() {
                                 Self::answer_from_fallback(fallback.as_deref(), &mut pending, k);
                             } else {
-                                for row in pending.drain(..) {
-                                    if let Some(reply) = row.reply {
-                                        reply.send(Err(ServeError::Pool(err.clone())));
-                                    }
+                                for request in pending.drain(..).flatten() {
+                                    request.answer(Err(ServeError::Pool(err.clone())));
                                 }
                             }
                         }
@@ -447,20 +451,18 @@ impl PredictionService {
 
     fn answer_from_fallback(
         fallback: Option<&dyn FallbackPredictor>,
-        pending: &mut Vec<PendingRow>,
+        pending: &mut Vec<Option<Request>>,
         batch_rows: usize,
     ) {
         let fallback = fallback.expect("answer_from_fallback called without a fallback");
-        for row in pending.drain(..) {
-            if let Some(reply) = row.reply {
-                let (cu_probs, duration_probs) = fallback.probabilities(&row.features);
-                reply.send(Ok(Prediction {
-                    cu_probs,
-                    duration_probs,
-                    batch_rows,
-                    degraded: true,
-                }));
-            }
+        for request in pending.drain(..).flatten() {
+            let (cu_probs, duration_probs) = fallback.probabilities(&request.features);
+            request.answer(Ok(Prediction {
+                cu_probs,
+                duration_probs,
+                batch_rows,
+                degraded: true,
+            }));
         }
     }
 
@@ -548,12 +550,12 @@ impl ServeClient {
         features: SparseVec,
         deadline: Option<Instant>,
     ) -> Result<PendingPrediction, ServeError> {
-        let (reply_tx, reply_rx) = reply_slot();
-        match self.tx.try_send(Msg::Predict {
+        let (reply, reply_rx) = reply_slot();
+        match self.tx.try_send(Msg::Predict(Request {
             features,
             deadline,
-            reply: reply_tx,
-        }) {
+            reply,
+        })) {
             Ok(()) => Ok(PendingPrediction { reply: reply_rx }),
             Err(TrySendError::Full(_)) => Err(ServeError::Overloaded {
                 capacity: self.queue_capacity,
@@ -607,5 +609,111 @@ impl ServeClient {
             }
         }
         Err(last_err)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pfp_core::FeatureMapKind;
+    use pfp_math::Matrix;
+
+    struct Uniform;
+
+    impl FallbackPredictor for Uniform {
+        fn dims(&self) -> (usize, usize) {
+            (2, 2)
+        }
+        fn probabilities(&self, _: &SparseVec) -> (Vec<f64>, Vec<f64>) {
+            (vec![0.5; 2], vec![0.5; 2])
+        }
+    }
+
+    fn service(threads: usize, fallback: Option<Box<dyn FallbackPredictor>>) -> PredictionService {
+        let theta = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64 * 0.1);
+        let model = DmcpModel {
+            selection: theta.clone(),
+            theta,
+            kind: FeatureMapKind::ModulatedPoisson,
+            profile_dim: 2,
+            service_dim: 2,
+            num_cus: 2,
+            num_durations: 2,
+        };
+        let config = ServeConfig {
+            threads,
+            // Above 1: with a fallback, every answer is degraded.
+            min_live_fraction: 2.0,
+            ..ServeConfig::default()
+        };
+        PredictionService::start_with_fallback(model, config, fallback)
+    }
+
+    /// Submit `features` (with a latency `budget`, if given) and wait for
+    /// the answer, checking that the request's own feature buffers came back
+    /// with it.
+    fn round_trip(
+        client: &ServeClient,
+        features: SparseVec,
+        budget: Option<Duration>,
+    ) -> Result<Prediction, ServeError> {
+        let buffers = (features.indices().as_ptr(), features.values().as_ptr());
+        let pending = match budget {
+            Some(budget) => client.submit_with_deadline(features, budget),
+            None => client.submit(features),
+        };
+        let (answer, features) = pending
+            .expect("queue has room")
+            .reply
+            .wait()
+            .expect("request answered");
+        assert_eq!(
+            (features.indices().as_ptr(), features.values().as_ptr()),
+            buffers,
+            "{answer:?} came back without its request's buffers"
+        );
+        answer
+    }
+
+    /// Every answer path hands the request's feature vector back to its
+    /// caller: scored, fallback, `FeatureDim`, deadline and pool error.
+    #[test]
+    fn every_answer_carries_its_request_buffers_back() {
+        let features = || SparseVec::from_pairs(4, vec![(0, 1.5), (3, 0.5)]);
+
+        let scored = service(1, None);
+        let client = scored.client();
+        assert!(!round_trip(&client, features(), None).unwrap().degraded);
+        assert!(matches!(
+            round_trip(&client, SparseVec::binary(3, vec![0]), None),
+            Err(ServeError::FeatureDim { .. })
+        ));
+        assert_eq!(
+            round_trip(&client, features(), Some(Duration::ZERO)),
+            Err(ServeError::DeadlineExceeded)
+        );
+        scored.shutdown();
+
+        let degraded = service(1, Some(Box::new(Uniform)));
+        assert!(
+            round_trip(&degraded.client(), features(), None)
+                .unwrap()
+                .degraded
+        );
+        degraded.shutdown();
+
+        // Killing both workers fails the next scored batch with a pool error.
+        let pooled = service(2, None);
+        let client = pooled.client();
+        assert!(round_trip(&client, features(), None).is_ok());
+        pooled.inject_worker_failure();
+        pooled.inject_worker_failure();
+        let failed = (0..200)
+            .map(|_| round_trip(&client, features(), None))
+            .take_while(Result::is_err)
+            .inspect(|answer| assert!(matches!(answer, Err(ServeError::Pool(_))), "{answer:?}"))
+            .count();
+        assert!(failed >= 1, "no batch failed after killing every worker");
+        pooled.shutdown();
     }
 }
