@@ -29,7 +29,10 @@
 //! there is no leakage of the duration target, while `t − t_I` still reflects
 //! the pace of the patient's recent transitions.
 
-use pfp_math::SparseVec;
+use std::cell::RefCell;
+
+use pfp_ehr::patient::Stay;
+use pfp_math::{CsrMatrix, SparseVec};
 use serde::{Deserialize, Serialize};
 
 /// Fixed evaluation offset δ (days) into the current stay.
@@ -95,6 +98,36 @@ pub struct HistoryStay {
     pub services: SparseVec,
 }
 
+/// What the featurizer reads of a historical stay: its entry time and its
+/// service features.  Implemented by [`HistoryStay`] and by the generator's
+/// [`Stay`], so a patient record's stays are featurized where they lie.
+pub trait HistoryEntry {
+    /// Entry time of the stay (days since admission).
+    fn entry_time(&self) -> f64;
+    /// Service features recorded during the stay.
+    fn services(&self) -> &SparseVec;
+}
+
+impl HistoryEntry for HistoryStay {
+    fn entry_time(&self) -> f64 {
+        self.entry_time
+    }
+
+    fn services(&self) -> &SparseVec {
+        &self.services
+    }
+}
+
+impl HistoryEntry for Stay {
+    fn entry_time(&self) -> f64 {
+        self.entry_time
+    }
+
+    fn services(&self) -> &SparseVec {
+        &self.services
+    }
+}
+
 /// Builds combined feature vectors from a patient's profile and stay history.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct HistoryFeaturizer {
@@ -105,6 +138,17 @@ pub struct HistoryFeaturizer {
     /// Dimension of the time-varying (service) block.
     pub service_dim: usize,
 }
+
+/// The part of one weighted stay's service run not yet merged.
+struct Run<'a> {
+    weight: f64,
+    indices: &'a [u32],
+    values: &'a [f64],
+}
+
+/// Runs a featurized row merges without a heap allocation; a longer history
+/// (a long simulated trajectory) puts its runs in a `Vec`.
+const STACK_RUNS: usize = 8;
 
 impl HistoryFeaturizer {
     /// Create a featurizer for the given feature-map kind and block sizes.
@@ -157,10 +201,8 @@ impl HistoryFeaturizer {
     /// * `t_prev` — entry time of the previous stay (0 for the first stay),
     ///   i.e. the `t_I` of the paper.
     ///
-    /// The weighted entries are pushed in arrival order (profile, then each
-    /// stay oldest first) into one buffer sized for all of them, then sorted
-    /// and merged by [`SparseVec::from_pairs`], whose stable sort sums an
-    /// index's contributions oldest stay first.
+    /// The row is [`featurize_into`](Self::featurize_into)'s, built in a
+    /// per-thread buffer and copied out at its exact size.
     ///
     /// # Panics
     /// Panics (debug) if block dimensions do not match.
@@ -171,34 +213,140 @@ impl HistoryFeaturizer {
         t_eval: f64,
         t_prev: f64,
     ) -> SparseVec {
+        thread_local! {
+            static ROW: RefCell<(Vec<u32>, Vec<f64>)> = const {
+                RefCell::new((Vec::new(), Vec::new()))
+            };
+        }
+        ROW.with(|row| {
+            let (indices, values) = &mut *row.borrow_mut();
+            indices.clear();
+            values.clear();
+            self.merge_row(profile, history, t_eval, t_prev, indices, values);
+            SparseVec::from_sorted_parts(self.total_dim(), indices.to_vec(), values.to_vec())
+        })
+    }
+
+    /// Append `f_t` — as [`featurize`](Self::featurize) builds it, with any
+    /// [`HistoryEntry`] as the history — as the next row of `rows`.
+    ///
+    /// The profile run and the stays' service runs are each sorted already,
+    /// so the row is merged from them in one pass: the profile block first
+    /// (its indices lie below every service index), then a merge of the
+    /// weighted service runs in which an index's contributions are summed
+    /// oldest stay first and an exact zero sum is dropped.  That is the
+    /// entry order and sum order a stable sort of all the weighted entries
+    /// would give, so the bits are those of
+    /// [`SparseVec::from_pairs`] on them.
+    ///
+    /// # Panics
+    /// Panics if `rows` is not [`total_dim`](Self::total_dim) wide, and
+    /// (debug) if block dimensions do not match.
+    pub fn featurize_into<S: HistoryEntry>(
+        &self,
+        profile: &SparseVec,
+        history: &[S],
+        t_eval: f64,
+        t_prev: f64,
+        rows: &mut CsrMatrix,
+    ) {
+        assert_eq!(rows.dim(), self.total_dim(), "row dimensionality mismatch");
+        rows.push_row_with(|indices, values| {
+            self.merge_row(profile, history, t_eval, t_prev, indices, values)
+        });
+    }
+
+    /// The merge behind [`featurize_into`](Self::featurize_into), appending
+    /// the row's entries to `indices` and `values`.
+    fn merge_row<S: HistoryEntry>(
+        &self,
+        profile: &SparseVec,
+        history: &[S],
+        t_eval: f64,
+        t_prev: f64,
+        indices: &mut Vec<u32>,
+        values: &mut Vec<f64>,
+    ) {
         debug_assert_eq!(profile.dim(), self.profile_dim);
+        // Profile block, scaled by g(t).
+        let g = self.g(t_eval, t_prev);
+        if g != 0.0 {
+            for (idx, v) in profile.iter() {
+                let x = g * v;
+                if x != 0.0 {
+                    indices.push(idx);
+                    values.push(x);
+                }
+            }
+        }
         // Service block: decayed sum over history (or just the current stay
         // for the LR map).
-        let relevant: &[HistoryStay] = match self.kind {
+        let relevant: &[S] = match self.kind {
             FeatureMapKind::CurrentOnly => &history[history.len().saturating_sub(1)..],
             _ => history,
         };
-        // Profile block, scaled by g(t).
-        let g = self.g(t_eval, t_prev);
-        let profile_len = if g != 0.0 { profile.nnz() } else { 0 };
-        let services_len: usize = relevant.iter().map(|s| s.services.nnz()).sum();
-        let mut pairs = Vec::with_capacity(profile_len + services_len);
-        if g != 0.0 {
-            pairs.extend(profile.iter().map(|(idx, v)| (idx, g * v)));
-        }
-        let offset = self.profile_dim as u32;
-        for stay in relevant {
-            debug_assert_eq!(stay.services.dim(), self.service_dim);
+        let runs = relevant.iter().filter_map(|stay| {
+            let services = stay.services();
+            debug_assert_eq!(services.dim(), self.service_dim);
             debug_assert!(
-                stay.entry_time <= t_eval + 1e-9,
+                stay.entry_time() <= t_eval + 1e-9,
                 "history must precede t_eval"
             );
-            let w = self.h(t_eval, stay.entry_time);
-            if w != 0.0 {
-                pairs.extend(stay.services.iter().map(|(idx, v)| (offset + idx, w * v)));
+            let weight = self.h(t_eval, stay.entry_time());
+            (weight != 0.0).then(|| Run {
+                weight,
+                indices: services.indices(),
+                values: services.values(),
+            })
+        });
+        let offset = self.profile_dim as u32;
+        if relevant.len() <= STACK_RUNS {
+            let mut stack: [Run; STACK_RUNS] = std::array::from_fn(|_| Run {
+                weight: 0.0,
+                indices: &[],
+                values: &[],
+            });
+            let mut len = 0;
+            for run in runs {
+                stack[len] = run;
+                len += 1;
+            }
+            merge_runs(&mut stack[..len], offset, indices, values);
+        } else {
+            merge_runs(&mut runs.collect::<Vec<_>>(), offset, indices, values);
+        }
+    }
+}
+
+/// Merge weighted sorted runs into `indices` / `values` (shifted by
+/// `offset`): each index once, in increasing order, its weighted
+/// contributions summed in run order, exact zero sums dropped.
+fn merge_runs(runs: &mut [Run], offset: u32, indices: &mut Vec<u32>, values: &mut Vec<f64>) {
+    if let [run] = runs {
+        for (&idx, &v) in run.indices.iter().zip(run.values) {
+            let x = run.weight * v;
+            if x != 0.0 {
+                indices.push(offset + idx);
+                values.push(x);
             }
         }
-        SparseVec::from_pairs(self.total_dim(), pairs)
+        return;
+    }
+    while let Some(next) = runs.iter().filter_map(|r| r.indices.first()).min().copied() {
+        let mut sum = None;
+        for run in runs.iter_mut() {
+            if run.indices.first() == Some(&next) {
+                let x = run.weight * run.values[0];
+                sum = Some(sum.map_or(x, |s| s + x));
+                run.indices = &run.indices[1..];
+                run.values = &run.values[1..];
+            }
+        }
+        let sum = sum.expect("the smallest head belongs to a run");
+        if sum != 0.0 {
+            indices.push(offset + next);
+            values.push(sum);
+        }
     }
 }
 
@@ -250,10 +398,12 @@ mod tests {
     }
 
     proptest! {
-        /// `featurize` equals the insert-per-entry oracle bit for bit under
+        /// `featurize`, and `featurize_into` appending a row after an
+        /// earlier one, equal the insert-per-entry oracle bit for bit under
         /// every feature map, on histories whose stays repeat each other's
         /// indices, with zero kernel weights (a tiny σ underflows
-        /// `exp(−z²)`) and `g = 0` (`t_prev ≥ t_eval`).
+        /// `exp(−z²)`), `g = 0` (`t_prev ≥ t_eval`), and more stays than
+        /// the merge keeps on the stack.
         #[test]
         fn featurize_matches_the_insertion_oracle_bitwise(
             kind in 0u8..4,
@@ -261,7 +411,7 @@ mod tests {
             profile in proptest::collection::vec((0u32..6, 0usize..6), 0..8),
             stays in proptest::collection::vec(
                 (0.0f64..40.0, proptest::collection::vec((0u32..9, 0usize..6), 0..10)),
-                0..6,
+                0..STACK_RUNS + 3,
             ),
             t_prev_mode in 0u8..3,
         ) {
@@ -290,6 +440,22 @@ mod tests {
             let bits = |v: &SparseVec| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&got), bits(&expected));
             prop_assert!(got.values().iter().all(|&v| v != 0.0), "unpruned zero");
+
+            // The CSR entry point, reading the generator's stays, appends
+            // the same row after an earlier one and leaves that one be.
+            let stays: Vec<Stay> = history
+                .iter()
+                .map(|h| Stay { cu: 0, entry_time: h.entry_time, dwell_days: 1.0, services: h.services.clone() })
+                .collect();
+            let earlier = sparse(f.total_dim(), &[(2, 0), (11, 4)]);
+            let mut rows = CsrMatrix::from_rows(f.total_dim(), [&earlier]);
+            f.featurize_into(&profile, &stays, t_eval, t_prev, &mut rows);
+            prop_assert_eq!(rows.rows(), 2);
+            prop_assert_eq!(rows.row(0), (earlier.indices(), earlier.values()));
+            let (indices, values) = rows.row(1);
+            prop_assert_eq!(indices, expected.indices());
+            let value_bits: Vec<u64> = values.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(value_bits, bits(&expected));
         }
     }
 

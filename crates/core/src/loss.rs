@@ -26,8 +26,9 @@
 //!   construction into a single CSR block;
 //! * [`ShardedDmcpObjective`](crate::stream::ShardedDmcpObjective) — retained
 //!   CSR shard blocks ([`ShardedSamples`](crate::stream::ShardedSamples));
-//! * [`StreamingDmcpObjective`](crate::stream::StreamingDmcpObjective) — the cohort regenerated and re-featurized
-//!   one patient at a time on every evaluation.
+//! * [`StreamingDmcpObjective`](crate::stream::StreamingDmcpObjective) — the
+//!   cohort regenerated and re-featurized on every evaluation, into reused
+//!   blocks of [`ROW_BLOCK`](crate::stream::ROW_BLOCK) rows.
 //!
 //! Every evaluation is a fold of the batched kernel over the source's rows.
 //! The kernel has a *residual half* — one `CSR × Θ` scores pass and one
@@ -72,7 +73,9 @@ use crate::stream::{check_samples, SampleShard};
 /// A source walks a global sample range as `(block, local rows)` segments, in
 /// sample order: `local` indexes rows of `block`, whose row `i` is global
 /// sample `block.start + i`.  Retained sources hand out their own blocks;
-/// the regenerated cohort fills a reused scratch block per patient.
+/// the regenerated cohort refills one reused scratch block per
+/// [`ROW_BLOCK`](crate::stream::ROW_BLOCK) rows, so a block may end in the
+/// middle of a patient's samples.
 pub trait SampleSource: Sync {
     /// Whether a walk regenerates its rows instead of handing out retained
     /// blocks.  A second walk over the same range would then regenerate them

@@ -1,5 +1,6 @@
 //! The bounded-memory sample sources of the one DMCP [`Objective`], fed by
-//! the seeded, resumable [`CohortShards`] generator.
+//! the seeded, resumable cohort generator ([`generate_patient_into`],
+//! [`CohortShards`]).
 //!
 //! The materialized path ([`crate::dataset::Dataset`] →
 //! [`DmcpObjective`](crate::loss::DmcpObjective)) holds the cohort several
@@ -8,10 +9,13 @@
 //! beyond that is the memory ceiling.  The sources here hold less:
 //!
 //! * [`ShardedSamples`] retains only the featurized per-shard [`CsrMatrix`]
-//!   blocks and labels, built one patient shard at a time.
+//!   blocks and labels, built one patient at a time.
 //! * [`CohortStream`] retains only an 8-byte-per-patient sample-offset index
-//!   and regenerates and re-featurizes the cohort, one patient at a time, on
-//!   every evaluation, so peak memory is independent of the cohort size.
+//!   and regenerates and re-featurizes the cohort on every evaluation, so
+//!   peak memory is independent of the cohort size.  A walk regenerates each
+//!   patient into one reused record, merges its rows from the record's own
+//!   stays straight into one reused CSR block, and hands the kernel that
+//!   block every [`ROW_BLOCK`] rows, so it does not allocate per patient.
 //!
 //! Both reproduce the materialized objective **bitwise at a fixed thread
 //! count** and to ≤1e-12 across thread counts, for *any* shard size: shard
@@ -24,55 +28,14 @@
 use std::ops::Range;
 
 use pfp_ehr::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
-use pfp_ehr::{CohortConfig, CohortShards, PatientRecord};
+use pfp_ehr::{generate_patient_into, CohortConfig, CohortShards, PatientRecord};
 use pfp_math::parallel::intersect_ranges;
-use pfp_math::{CsrMatrix, SparseVec};
+use pfp_math::CsrMatrix;
 
 use crate::dataset::Sample;
-use crate::features::{FeatureMapKind, HistoryFeaturizer, HistoryStay, EVAL_OFFSET_DAYS};
+use crate::features::{FeatureMapKind, HistoryFeaturizer, EVAL_OFFSET_DAYS};
 use crate::loss::{Objective, SampleSource};
 use crate::train::{ModelLayout, TrainError};
-
-/// Featurize every transition sample of one patient, in transition order,
-/// without materializing `RawSample`s: `visit(features, cu_label,
-/// duration_label)` is called once per transition.
-///
-/// Produces exactly the features
-/// [`extract_patient_samples`](crate::dataset::extract_patient_samples) +
-/// [`HistoryFeaturizer::featurize`] would — the history prefix passed for
-/// transition `i` is identical content in identical order — so the streamed
-/// features match the materialized ones bitwise.  The full history is built
-/// once per patient and sliced per transition, instead of re-cloning a
-/// growing prefix per sample.
-pub fn for_each_patient_sample(
-    patient: &PatientRecord,
-    featurizer: &HistoryFeaturizer,
-    mut visit: impl FnMut(SparseVec, usize, usize),
-) {
-    let transitions = patient.transitions();
-    if transitions.is_empty() {
-        return;
-    }
-    let history: Vec<HistoryStay> = patient
-        .stays
-        .iter()
-        .map(|s| HistoryStay {
-            entry_time: s.entry_time,
-            services: s.services.clone(),
-        })
-        .collect();
-    for t in &transitions {
-        let current = t.from_stay;
-        let t_prev = if current == 0 {
-            0.0
-        } else {
-            patient.stays[current - 1].entry_time
-        };
-        let t_eval = patient.stays[current].entry_time + EVAL_OFFSET_DAYS;
-        let features = featurizer.featurize(&patient.profile, &history[..=current], t_eval, t_prev);
-        visit(features, t.destination, t.duration_class);
-    }
-}
 
 /// One block of featurized samples: a CSR block plus their labels.  Row `i`
 /// of `csr` is global sample `start + i`.
@@ -163,6 +126,36 @@ impl SampleShard {
         self.cu_labels.clear();
         self.duration_labels.clear();
     }
+
+    /// Append transition `i` of `patient` (the transfer out of its stay `i`)
+    /// as the next sample: its features under `featurizer`, merged from the
+    /// record's own stays straight into the CSR block, and its two labels.
+    ///
+    /// The row is the one [`extract_patient_samples`] +
+    /// [`HistoryFeaturizer::featurize`] give that transition: the same
+    /// history prefix, the same evaluation and previous-transfer times, so
+    /// streamed features match the materialized ones bitwise.
+    ///
+    /// [`extract_patient_samples`]: crate::dataset::extract_patient_samples
+    pub(crate) fn push_transition(
+        &mut self,
+        featurizer: &HistoryFeaturizer,
+        patient: &PatientRecord,
+        i: usize,
+    ) {
+        let stays = &patient.stays;
+        let t_prev = if i == 0 { 0.0 } else { stays[i - 1].entry_time };
+        let t_eval = stays[i].entry_time + EVAL_OFFSET_DAYS;
+        featurizer.featurize_into(
+            &patient.profile,
+            &stays[..=i],
+            t_eval,
+            t_prev,
+            &mut self.csr,
+        );
+        self.cu_labels.push(stays[i + 1].cu as u32);
+        self.duration_labels.push(stays[i].duration_class() as u32);
+    }
 }
 
 /// One retained block starting at sample 0: the materialized objective's
@@ -227,28 +220,39 @@ impl ShardedSamples {
     }
 
     /// Stream the cohort of `config` into featurized shard blocks of the
-    /// samples of (at most) `shard_size` patients each, holding one patient
-    /// shard in memory at a time.  `kind` overrides the feature map; `None`
-    /// selects the paper default, whose σ — and so every feature — matches
-    /// the materialized [`Dataset`](crate::dataset::Dataset) path bitwise.
+    /// samples of (at most) `shard_size` patients each, regenerating one
+    /// patient at a time into one reused record.  `kind` overrides the
+    /// feature map; `None` selects the paper default, whose σ — and so every
+    /// feature — matches the materialized [`Dataset`](crate::dataset::Dataset)
+    /// path bitwise (a pre-pass of `shard_size`-patient shards sums it).
+    ///
+    /// # Panics
+    /// Panics if `shard_size == 0`.
     pub fn stream_cohort(
         config: &CohortConfig,
         kind: Option<FeatureMapKind>,
         shard_size: usize,
     ) -> Self {
-        let layout = cohort_layout(config, kind, shard_size);
-        let featurizer =
-            HistoryFeaturizer::new(layout.kind, layout.profile_dim, layout.service_dim);
+        assert!(shard_size > 0, "shard_size must be positive");
+        let kind = kind.unwrap_or_else(|| {
+            let mut dwell = DwellSum::default();
+            for shard in CohortShards::new(config, shard_size) {
+                shard.patients.iter().for_each(|p| dwell.add(p));
+            }
+            dwell.paper_default_kind()
+        });
+        let layout = cohort_layout(config, kind);
+        let featurizer = layout.featurizer();
+        let mut record = PatientRecord::default();
         let mut shards = Vec::new();
         let mut total_samples = 0usize;
-        for patient_shard in CohortShards::new(config, shard_size) {
+        for first in (0..config.num_patients).step_by(shard_size) {
             let mut shard = SampleShard::empty(total_samples, layout.num_features());
-            for patient in &patient_shard.patients {
-                for_each_patient_sample(patient, &featurizer, |features, cu, dur| {
-                    shard.csr.push_row(&features);
-                    shard.cu_labels.push(cu as u32);
-                    shard.duration_labels.push(dur as u32);
-                });
+            for id in first..(first + shard_size).min(config.num_patients) {
+                generate_patient_into(config, id, &mut record);
+                for i in 0..record.num_transitions() {
+                    shard.push_transition(&featurizer, &record, i);
+                }
             }
             total_samples += shard.len();
             shards.push(shard);
@@ -367,31 +371,8 @@ impl<'a> ShardedDmcpObjective<'a> {
     }
 }
 
-/// The layout of the cohort of `config` under `kind`.  `None` selects the
-/// paper default, whose σ a streaming pre-pass sums in exactly
-/// [`pfp_ehr::stats::mean_dwell_days`]' order (patients in id order, stays
-/// in chronological order), so σ matches the materialized path bitwise.
-fn cohort_layout(
-    config: &CohortConfig,
-    kind: Option<FeatureMapKind>,
-    shard_size: usize,
-) -> ModelLayout {
-    let kind = kind.unwrap_or_else(|| {
-        let mut sum = 0.0f64;
-        let mut count = 0usize;
-        for shard in CohortShards::new(config, shard_size) {
-            for p in &shard.patients {
-                for s in &p.stays {
-                    sum += s.dwell_days;
-                    count += 1;
-                }
-            }
-        }
-        let mean = if count == 0 { 1.0 } else { sum / count as f64 };
-        FeatureMapKind::MutuallyCorrecting {
-            sigma: mean.max(0.5),
-        }
-    });
+/// The layout of the cohort of `config` under `kind`.
+fn cohort_layout(config: &CohortConfig, kind: FeatureMapKind) -> ModelLayout {
     ModelLayout {
         kind,
         profile_dim: config.features.profile,
@@ -401,11 +382,52 @@ fn cohort_layout(
     }
 }
 
+/// A streamed cohort's dwell-time sum, added in exactly
+/// [`pfp_ehr::stats::mean_dwell_days`]' order (patients in id order, stays in
+/// chronological order), so the paper-default σ matches the materialized
+/// path bitwise.
+#[derive(Default)]
+struct DwellSum {
+    sum: f64,
+    count: usize,
+}
+
+impl DwellSum {
+    fn add(&mut self, patient: &PatientRecord) {
+        for s in &patient.stays {
+            self.sum += s.dwell_days;
+            self.count += 1;
+        }
+    }
+
+    /// The paper default: the mutually-correcting map with σ the mean dwell
+    /// time (1 for an empty cohort), at least half a day.
+    fn paper_default_kind(&self) -> FeatureMapKind {
+        let mean = if self.count == 0 {
+            1.0
+        } else {
+            self.sum / self.count as f64
+        };
+        FeatureMapKind::MutuallyCorrecting {
+            sigma: mean.max(0.5),
+        }
+    }
+}
+
+/// Rows a [`CohortStream`] walk hands the kernel per block: enough to spread
+/// the kernel's per-call cost, few enough that the block's `rows × (C+D)`
+/// score rows (8 KiB at 16 outputs) stay in L1.
+pub const ROW_BLOCK: usize = 64;
+
 /// The regenerated sample source: the cohort of a [`CohortConfig`],
 /// regenerated from its seed and re-featurized on every walk, retaining only
-/// an 8-byte-per-patient sample-offset index.  A walk holds one patient and
-/// its rows in a reused scratch CSR block ([`CsrMatrix::clear_rows`]) per
-/// worker thread, flushing them through the visitor before the next patient.
+/// an 8-byte-per-patient sample-offset index.
+///
+/// A walk regenerates each patient into one reused [`PatientRecord`]
+/// ([`generate_patient_into`]), merges each wanted transition's row from the
+/// record's own stays straight into a reused CSR block, and hands the
+/// objective that block every [`ROW_BLOCK`] rows (and once more for the
+/// rest), so past its first patients a walk allocates nothing.
 pub struct CohortStream {
     config: CohortConfig,
     featurizer: HistoryFeaturizer,
@@ -417,26 +439,30 @@ pub struct CohortStream {
 }
 
 impl CohortStream {
-    /// The source behind [`StreamingDmcpObjective::new`].
+    /// The source behind [`StreamingDmcpObjective::new`]: one construction
+    /// walk over `shard_size`-patient shards builds the sample-offset index
+    /// and, when `kind` is `None`, sums the paper-default σ on the way.
     pub(crate) fn new(
         config: &CohortConfig,
         kind: Option<FeatureMapKind>,
         shard_size: usize,
     ) -> Self {
         assert!(shard_size > 0, "shard_size must be positive");
-        let layout = cohort_layout(config, kind, shard_size);
         let mut sample_offsets = Vec::with_capacity(config.num_patients + 1);
         sample_offsets.push(0);
         let mut total = 0usize;
+        let mut dwell = DwellSum::default();
         for shard in CohortShards::new(config, shard_size) {
             for p in &shard.patients {
+                dwell.add(p);
                 total += p.num_transitions();
                 sample_offsets.push(total);
             }
         }
+        let layout = cohort_layout(config, kind.unwrap_or_else(|| dwell.paper_default_kind()));
         Self {
             config: config.clone(),
-            featurizer: HistoryFeaturizer::new(layout.kind, layout.profile_dim, layout.service_dim),
+            featurizer: layout.featurizer(),
             sample_offsets,
             layout,
         }
@@ -457,30 +483,30 @@ impl SampleSource for CohortStream {
         mut visit: impl FnMut(&SampleShard, Range<usize>),
     ) {
         let mut block = SampleShard::empty(range.start, self.layout.num_features());
+        let mut record = PatientRecord::default();
         // First patient whose sample range ends after the range starts.
         let first = self.sample_offsets[1..].partition_point(|&end| end <= range.start);
         for p in first..self.config.num_patients {
-            let p_range = self.sample_offsets[p]..self.sample_offsets[p + 1];
-            if p_range.start >= range.end {
+            let p_start = self.sample_offsets[p];
+            if p_start >= range.end {
                 break;
             }
-            let overlap = intersect_ranges(&range, &p_range);
+            let overlap = intersect_ranges(&range, &(p_start..self.sample_offsets[p + 1]));
             if overlap.is_empty() {
                 continue;
             }
-            let (record, _) = pfp_ehr::generate_patient_record(&self.config, p);
-            let mut s_idx = p_range.start;
-            for_each_patient_sample(&record, &self.featurizer, |features, cu, dur| {
-                if overlap.contains(&s_idx) {
-                    block.csr.push_row(&features);
-                    block.cu_labels.push(cu as u32);
-                    block.duration_labels.push(dur as u32);
+            generate_patient_into(&self.config, p, &mut record);
+            for sample in overlap {
+                block.push_transition(&self.featurizer, &record, sample - p_start);
+                if block.len() == ROW_BLOCK {
+                    visit(&block, 0..ROW_BLOCK);
+                    block.start += ROW_BLOCK;
+                    block.clear();
                 }
-                s_idx += 1;
-            });
-            block.start = overlap.start;
+            }
+        }
+        if !block.is_empty() {
             visit(&block, 0..block.len());
-            block.clear();
         }
     }
 }
@@ -489,15 +515,16 @@ impl SampleSource for CohortStream {
 /// memory-bound end of the trade-off, paying one cohort generation and
 /// featurization per evaluation, where [`ShardedDmcpObjective`] (retained CSR
 /// blocks) is the speed-bound end.  Both are bitwise-identical to the
-/// materialized objective (segment boundaries, here at patient granularity, do
-/// not change the operation order).  Per-sample weights are not supported:
+/// materialized objective (segment boundaries, here every [`ROW_BLOCK`] rows,
+/// do not change the operation order).  Per-sample weights are not supported:
 /// they would need a per-evaluation streaming re-count.
 pub type StreamingDmcpObjective = Objective<'static, CohortStream>;
 
 impl StreamingDmcpObjective {
     /// Build the objective for the cohort of `config` under `kind` (`None`:
-    /// the paper default), with `shard_size` patients per streaming pre-pass
-    /// (σ, then the sample-offset index).
+    /// the paper default), with `shard_size` patients per shard of the one
+    /// construction walk (the sample-offset index and, for the paper
+    /// default, σ).
     ///
     /// # Panics
     /// Panics if the cohort yields zero transition samples or
@@ -540,16 +567,20 @@ mod tests {
         let kind = ds.default_mcp_kind();
         let materialized = ds.featurize(kind);
         let featurizer = ds.featurizer(kind);
-        let mut streamed = Vec::new();
+        let mut streamed = SampleShard::empty(0, featurizer.total_dim());
         for p in &cohort.patients {
-            for_each_patient_sample(p, &featurizer, |features, cu, dur| {
-                streamed.push((features, cu, dur));
-            });
+            for i in 0..p.num_transitions() {
+                streamed.push_transition(&featurizer, p, i);
+            }
         }
         assert_eq!(streamed.len(), materialized.len());
-        for ((f, cu, dur), m) in streamed.iter().zip(&materialized) {
-            assert_eq!(f, &m.features, "features must match bitwise");
-            assert_eq!((*cu, *dur), (m.cu_label, m.duration_label));
+        for (row, m) in materialized.iter().enumerate() {
+            let (indices, values) = streamed.csr.row(row);
+            assert_eq!(indices, m.features.indices());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(values), bits(m.features.values()), "row {row}");
+            let labels = (streamed.cu_labels[row], streamed.duration_labels[row]);
+            assert_eq!(labels, (m.cu_label as u32, m.duration_label as u32));
         }
     }
 

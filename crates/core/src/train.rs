@@ -19,7 +19,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{Dataset, Sample};
-use crate::features::FeatureMapKind;
+use crate::features::{FeatureMapKind, HistoryFeaturizer};
 use crate::imbalance::ImbalanceStrategy;
 use crate::loss::{Objective, SampleSource};
 use crate::model::DmcpModel;
@@ -231,7 +231,8 @@ pub enum TrainSource<'a> {
     /// [`ImbalanceStrategy::Weighted`] (weights streamed from the labels).
     Shards(&'a ShardedSamples),
     /// The cohort regenerated on every evaluation ([`CohortStream`]), with
-    /// `shard_size` patients per pre-pass; accepts only [`ImbalanceStrategy::None`].
+    /// `shard_size` patients per construction-walk shard; accepts only
+    /// [`ImbalanceStrategy::None`].
     Stream {
         cohort: &'a CohortConfig,
         shard_size: usize,
@@ -417,6 +418,11 @@ pub(crate) struct ModelLayout {
 impl ModelLayout {
     pub(crate) fn num_features(&self) -> usize {
         self.profile_dim + self.service_dim
+    }
+
+    /// The featurizer of this layout's map and blocks.
+    pub(crate) fn featurizer(&self) -> HistoryFeaturizer {
+        HistoryFeaturizer::new(self.kind, self.profile_dim, self.service_dim)
     }
 }
 

@@ -22,9 +22,7 @@
 //!    learners while remaining sparse and high-dimensional.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::rc::Rc;
+use std::ops::Range;
 
 use pfp_math::rng::{bernoulli, derive_seed, sample_categorical, seeded_rng};
 use pfp_math::SparseVec;
@@ -32,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::departments::{CareUnit, NUM_CARE_UNITS};
+use crate::departments::{CareUnit, NUM_CARE_UNITS, NUM_DURATION_CLASSES};
 use crate::features::{FeatureDictionary, FeatureDomain};
 use crate::patient::{PatientRecord, Stay};
 
@@ -285,13 +283,37 @@ pub fn generate_cohort(config: &CohortConfig) -> Cohort {
 /// `derive_seed(config.seed, id)`, so any patient can be generated without
 /// generating its predecessors — the property that makes [`CohortShards`]
 /// resumable from an arbitrary shard.  [`generate_cohort`] is exactly this
-/// call in a loop, so streamed and materialized cohorts are identical.
+/// call in a loop, so streamed and materialized cohorts are identical.  It is
+/// [`generate_patient_into`] on a fresh record.
 pub fn generate_patient_record(config: &CohortConfig, id: usize) -> (PatientRecord, Archetype) {
+    let mut record = PatientRecord::default();
+    let archetype = generate_patient_into(config, id, &mut record);
+    (record, archetype)
+}
+
+/// Generate patient `id` of the cohort described by `config` into `record`,
+/// overwriting whatever patient it held, and return the patient's archetype.
+///
+/// The result equals [`generate_patient_record`]'s bit for bit, but the
+/// record's buffers are reused: its stays vector, its profile vector and
+/// each stay's service vector keep their capacity, and the service vectors
+/// of stays a shorter patient drops are kept per thread for the next longer
+/// one.  A pass that regenerates a cohort patient by patient into one record
+/// therefore stops allocating once the record has held its largest patient.
+pub fn generate_patient_into(
+    config: &CohortConfig,
+    id: usize,
+    record: &mut PatientRecord,
+) -> Archetype {
     let mut rng = seeded_rng(derive_seed(config.seed, id as u64));
     let archetype = sample_archetype(&mut rng);
-    let record = generate_patient(id, archetype, config, &mut rng);
+    GENERATOR.with(|generator| {
+        generator
+            .borrow_mut()
+            .generate(id, archetype, config, &mut rng, record)
+    });
     record.validate();
-    (record, archetype)
+    archetype
 }
 
 /// One block of consecutively-numbered patients produced by [`CohortShards`].
@@ -429,135 +451,229 @@ fn sample_archetype(rng: &mut StdRng) -> Archetype {
     Archetype::MIXTURE[sample_categorical(rng, &MIXTURE_WEIGHTS)].0
 }
 
-/// The signature sets of one `(dictionary, seed)` pair, keyed by
-/// `(domain, key, count)`; [`FeatureDomain::Profile`] stands for
-/// [`FeatureDictionary::profile_signature_indices`].
-struct SignatureMemo {
-    dict: FeatureDictionary,
-    seed: u64,
-    sets: HashMap<SignatureKey, Rc<[u32]>, BuildHasherDefault<FxHasher>>,
+/// Most stays one patient has: the entry unit plus at most six transitions
+/// ([`sample_transition_count`] caps them).
+const MAX_STAYS: usize = 7;
+
+/// Number of [`Archetype`]s.
+const NUM_ARCHETYPES: usize = Archetype::MIXTURE.len();
+
+/// The slots of a [`SignatureTable`].  For a fixed config every planted
+/// signature's `(domain, key, count)` is a function of a few small indices
+/// (archetype, care unit, next care unit, duration class), so the signatures
+/// are numbered densely by those indices, one block per call site.
+mod slot {
+    use super::NUM_ARCHETYPES;
+    use crate::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
+
+    /// Profile block of each archetype.
+    pub(super) const PROFILE: usize = 0;
+    /// The severity marker block.
+    pub(super) const SEVERITY: usize = PROFILE + NUM_ARCHETYPES;
+    /// Treatment, nursing and medication signatures of each care unit.
+    pub(super) const DEPARTMENT: usize = SEVERITY + 1;
+    /// Treatment signature of each (care unit, next care unit) transfer.
+    pub(super) const DESTINATION_TREATMENT: usize = DEPARTMENT + 3 * NUM_CARE_UNITS;
+    /// Nursing signature of each next care unit, sized by the current one.
+    pub(super) const DESTINATION_NURSING: usize =
+        DESTINATION_TREATMENT + NUM_CARE_UNITS * NUM_CARE_UNITS;
+    /// Nursing signature of each duration class, sized by the care unit.
+    pub(super) const DURATION_NURSING: usize =
+        DESTINATION_NURSING + NUM_CARE_UNITS * NUM_CARE_UNITS;
+    /// Medication signature of each duration class.
+    pub(super) const DURATION_MEDICATION: usize =
+        DURATION_NURSING + NUM_CARE_UNITS * NUM_DURATION_CLASSES;
+    /// Therapy signature of each archetype, sized by the care unit.
+    pub(super) const THERAPY: usize = DURATION_MEDICATION + NUM_DURATION_CLASSES;
+    /// Number of slots.
+    pub(super) const COUNT: usize = THERAPY + NUM_CARE_UNITS * NUM_ARCHETYPES;
 }
 
 /// `(domain, key, count)` of one signature set.
 type SignatureKey = (FeatureDomain, u64, usize);
 
-/// A multiplicative (Fx-style) hasher for the memo's small integer keys: one
-/// rotate, xor and multiply per word, where `std`'s SipHash spends tens of
-/// cycles per key.  It resists no adversarial keys, and needs not: the keys
-/// are the generator's own constants.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// The memoized form of [`FeatureDictionary::signature_indices`] and
-/// [`FeatureDictionary::profile_signature_indices`], bitwise equal to them.
+/// The planted signature sets of one config, in the form of
+/// [`FeatureDictionary::signature_indices`] and
+/// [`FeatureDictionary::profile_signature_indices`] and bitwise equal to
+/// them, looked up by [`slot`] number: no hashing, no reference count.
 ///
 /// Each reference call runs a full Fisher–Yates shuffle of the domain to keep
 /// a handful of indices, yet its result depends only on the arguments, and a
-/// cohort asks for the same few hundred sets over and over.  The memo is
-/// thread-local (every pool worker builds its own, once) and holds a single
-/// `(dictionary, seed)` slot, replaced when either changes, so it stays at
-/// tens of KiB however many configs a thread generates in turn.
-fn signature(
-    dict: &FeatureDictionary,
+/// cohort asks for the same few hundred sets over and over.  A set is
+/// computed on its slot's first use and kept in one flat index array.  The
+/// table is thread-local (every pool worker builds its own) and holds a
+/// single config, replaced when the dictionary, seed or activation counts
+/// change, so it stays at tens of KiB however many configs a thread
+/// generates in turn.
+struct SignatureTable {
+    dict: FeatureDictionary,
     seed: u64,
-    domain: FeatureDomain,
-    key: u64,
-    count: usize,
-) -> Rc<[u32]> {
-    thread_local! {
-        static MEMO: RefCell<Option<SignatureMemo>> = const { RefCell::new(None) };
-    }
-    MEMO.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        if !matches!(&*slot, Some(memo) if memo.dict == *dict && memo.seed == seed) {
-            *slot = Some(SignatureMemo {
-                dict: *dict,
-                seed,
-                sets: HashMap::default(),
-            });
-        }
-        let memo = slot.as_mut().expect("slot filled above");
-        memo.sets
-            .entry((domain, key, count))
-            .or_insert_with(|| {
-                match domain {
-                    FeatureDomain::Profile => dict.profile_signature_indices(key, count, seed),
-                    _ => dict.signature_indices(domain, key, count, seed),
-                }
-                .into()
-            })
-            .clone()
-    })
+    profile_actives: usize,
+    stay_actives: usize,
+    /// Every computed set, back to back.
+    indices: Vec<u32>,
+    /// Per slot, once computed: the set's range in `indices` and its key.
+    spans: Vec<Option<(Range<usize>, SignatureKey)>>,
 }
 
-fn generate_patient(
-    id: usize,
-    archetype: Archetype,
-    config: &CohortConfig,
-    rng: &mut StdRng,
-) -> PatientRecord {
-    // Severity in [0.5, 2.0]: scales dwell times and couples (weakly) with the
-    // downstream destinations through longer ICU chains.
-    let severity = 0.5 + 1.5 * rng.gen::<f64>();
-
-    // --- stay sequence ---------------------------------------------------
-    let target_transitions = sample_transition_count(archetype, rng);
-    let mut cus = vec![archetype.entry_unit(rng)];
-    let mut visit_counts = [0usize; NUM_CARE_UNITS];
-    visit_counts[cus[0]] += 1;
-    while cus.len() < target_transitions + 1 {
-        let current = *cus.last().expect("non-empty");
-        let next = sample_next_unit(archetype, current, &visit_counts, severity, rng);
-        visit_counts[next] += 1;
-        cus.push(next);
-        // Once on the ward, most trajectories terminate.
-        if next == CareUnit::Gw.index() && bernoulli(rng, 0.75) {
-            break;
+impl SignatureTable {
+    fn new(config: &CohortConfig) -> Self {
+        Self {
+            dict: config.features,
+            seed: config.seed,
+            profile_actives: config.profile_actives,
+            stay_actives: config.stay_actives,
+            indices: Vec::new(),
+            spans: vec![None; slot::COUNT],
         }
     }
 
-    // --- dwell times -------------------------------------------------------
-    let mut stays = Vec::with_capacity(cus.len());
-    let mut t = 0.0;
-    for (i, &cu) in cus.iter().enumerate() {
-        let dwell = sample_dwell_days(cu, severity, rng);
-        let next_cu = cus.get(i + 1).copied();
-        let services = generate_stay_features(archetype, cu, next_cu, dwell, config, rng);
-        stays.push(Stay {
-            cu,
-            entry_time: t,
-            dwell_days: dwell,
-            services,
-        });
-        t += dwell;
+    fn serves(&self, config: &CohortConfig) -> bool {
+        self.dict == config.features
+            && self.seed == config.seed
+            && self.profile_actives == config.profile_actives
+            && self.stay_actives == config.stay_actives
     }
 
-    // --- profile features ----------------------------------------------------
-    let profile = generate_profile_features(archetype, severity, config, rng);
+    /// The set of `slot`, which is the signature `key` names.
+    fn get(&mut self, slot: usize, key: SignatureKey) -> &[u32] {
+        let span = match &self.spans[slot] {
+            Some((span, stored)) => {
+                debug_assert_eq!(*stored, key, "slot {slot} holds another signature");
+                span.clone()
+            }
+            None => {
+                let (domain, key_id, count) = key;
+                let set = match domain {
+                    FeatureDomain::Profile => self
+                        .dict
+                        .profile_signature_indices(key_id, count, self.seed),
+                    _ => self
+                        .dict
+                        .signature_indices(domain, key_id, count, self.seed),
+                };
+                let span = self.indices.len()..self.indices.len() + set.len();
+                self.indices.extend(set);
+                self.spans[slot] = Some((span.clone(), key));
+                span
+            }
+        };
+        &self.indices[span]
+    }
+}
 
-    PatientRecord { id, profile, stays }
+/// Per-thread generator state: the signature table of the config generated
+/// last, and the service vectors of stays a reused record dropped, kept for
+/// the next record that grows (at most [`MAX_STAYS`] of them).
+struct Generator {
+    table: Option<SignatureTable>,
+    spare_services: Vec<SparseVec>,
+}
+
+thread_local! {
+    static GENERATOR: RefCell<Generator> = const {
+        RefCell::new(Generator {
+            table: None,
+            spare_services: Vec::new(),
+        })
+    };
+}
+
+/// Push each index of `signature` that survives its keep draw onto `active`:
+/// one uniform draw per index, in order, kept when below `keep_prob` — the
+/// test [`bernoulli`] makes — but written unconditionally and counted by the
+/// outcome, so an unpredictable draw costs no mispredicted branch.
+fn push_kept(active: &mut Vec<u32>, signature: &[u32], keep_prob: f64, rng: &mut StdRng) {
+    let keep_prob = keep_prob.clamp(0.0, 1.0);
+    let mut kept = active.len();
+    active.resize(kept + signature.len(), 0);
+    for &idx in signature {
+        active[kept] = idx;
+        kept += usize::from(rng.gen::<f64>() < keep_prob);
+    }
+    active.truncate(kept);
+}
+
+impl Generator {
+    /// Fill `record` with patient `id`, reusing its buffers.
+    fn generate(
+        &mut self,
+        id: usize,
+        archetype: Archetype,
+        config: &CohortConfig,
+        rng: &mut StdRng,
+        record: &mut PatientRecord,
+    ) {
+        if !self.table.as_ref().is_some_and(|t| t.serves(config)) {
+            self.table = Some(SignatureTable::new(config));
+        }
+        let table = self.table.as_mut().expect("table set above");
+
+        // Severity in [0.5, 2.0]: scales dwell times and couples (weakly) with
+        // the downstream destinations through longer ICU chains.
+        let severity = 0.5 + 1.5 * rng.gen::<f64>();
+
+        // --- stay sequence ---------------------------------------------------
+        let target_transitions = sample_transition_count(archetype, rng);
+        let mut cus = [0usize; MAX_STAYS];
+        let mut len = 1;
+        cus[0] = archetype.entry_unit(rng);
+        let mut visit_counts = [0usize; NUM_CARE_UNITS];
+        visit_counts[cus[0]] += 1;
+        while len < target_transitions + 1 {
+            let next = sample_next_unit(archetype, cus[len - 1], &visit_counts, severity, rng);
+            visit_counts[next] += 1;
+            cus[len] = next;
+            len += 1;
+            // Once on the ward, most trajectories terminate.
+            if next == CareUnit::Gw.index() && bernoulli(rng, 0.75) {
+                break;
+            }
+        }
+        let cus = &cus[..len];
+
+        // --- dwell times -------------------------------------------------------
+        record.id = id;
+        while record.stays.len() > cus.len() {
+            let dropped = record.stays.pop().expect("longer than the new patient");
+            if self.spare_services.len() < MAX_STAYS {
+                self.spare_services.push(dropped.services);
+            }
+        }
+        record.stays.reserve_exact(cus.len() - record.stays.len());
+        let mut t = 0.0;
+        for (i, &cu) in cus.iter().enumerate() {
+            let dwell = sample_dwell_days(cu, severity, rng);
+            if i == record.stays.len() {
+                let services = self.spare_services.pop().unwrap_or_default();
+                record.stays.push(Stay {
+                    cu,
+                    entry_time: t,
+                    dwell_days: dwell,
+                    services,
+                });
+            }
+            let stay = &mut record.stays[i];
+            stay.cu = cu;
+            stay.entry_time = t;
+            stay.dwell_days = dwell;
+            let next_cu = cus.get(i + 1).copied();
+            generate_stay_features(
+                archetype,
+                cu,
+                next_cu,
+                dwell,
+                config,
+                rng,
+                table,
+                &mut stay.services,
+            );
+            t += dwell;
+        }
+
+        // --- profile features ----------------------------------------------------
+        generate_profile_features(archetype, severity, config, rng, table, &mut record.profile);
+    }
 }
 
 fn sample_transition_count(archetype: Archetype, rng: &mut StdRng) -> usize {
@@ -565,7 +681,7 @@ fn sample_transition_count(archetype: Archetype, rng: &mut StdRng) -> usize {
     let mean = archetype.mean_transitions();
     let mut n = 0usize;
     let continue_p = mean / (1.0 + mean);
-    while n < 6 && bernoulli(rng, continue_p) {
+    while n < MAX_STAYS - 1 && bernoulli(rng, continue_p) {
         n += 1;
     }
     n
@@ -617,7 +733,9 @@ fn generate_profile_features(
     severity: f64,
     config: &CohortConfig,
     rng: &mut StdRng,
-) -> SparseVec {
+    table: &mut SignatureTable,
+    profile: &mut SparseVec,
+) {
     let dict = &config.features;
     // Profile richness differs per archetype so the per-department Table 2
     // domain proportions come out imbalanced the same way as the paper:
@@ -630,38 +748,27 @@ fn generate_profile_features(
     };
     let count = ((config.profile_actives as f64) * richness).round() as usize;
     let noise = (count / 5).max(1);
-    // Room for the archetype block, the severity block and the noise.
-    let mut active: Vec<u32> = Vec::with_capacity(count.max(1) + 4 + noise);
-    // Archetype signature block: deterministic indices keyed by the archetype.
-    let archetype_block = signature(
-        dict,
-        config.seed,
-        FeatureDomain::Profile,
-        archetype.index() as u64,
-        count.max(1),
-    );
-    for &idx in archetype_block.iter() {
-        if bernoulli(rng, 0.85) {
-            active.push(idx);
+    profile.refill_binary(dict.profile, |active| {
+        // Room for the archetype block, the severity block and the noise.
+        active.reserve(count.max(1) + 4 + noise);
+        // Archetype signature block: deterministic indices keyed by the
+        // archetype.
+        let a = archetype.index();
+        let key = (FeatureDomain::Profile, a as u64, count.max(1));
+        push_kept(active, table.get(slot::PROFILE + a, key), 0.85, rng);
+        // Severity marker block (shared across archetypes).
+        if severity > 1.4 {
+            let key = (FeatureDomain::Profile, 100, 4);
+            active.extend_from_slice(table.get(slot::SEVERITY, key));
         }
-    }
-    // Severity marker block (shared across archetypes).
-    if severity > 1.4 {
-        active.extend_from_slice(&signature(
-            dict,
-            config.seed,
-            FeatureDomain::Profile,
-            100,
-            4,
-        ));
-    }
-    // A little noise.
-    for _ in 0..noise {
-        active.push(rng.gen_range(0..dict.profile) as u32);
-    }
-    SparseVec::binary(dict.profile, active)
+        // A little noise.
+        for _ in 0..noise {
+            active.push(rng.gen_range(0..dict.profile) as u32);
+        }
+    });
 }
 
+#[allow(clippy::too_many_arguments)]
 fn generate_stay_features(
     archetype: Archetype,
     cu: usize,
@@ -669,7 +776,9 @@ fn generate_stay_features(
     dwell_days: f64,
     config: &CohortConfig,
     rng: &mut StdRng,
-) -> SparseVec {
+    table: &mut SignatureTable,
+    services: &mut SparseVec,
+) {
     let dict = &config.features;
     let table2 = crate::departments::paper_table2()[cu];
     // Per-domain budgets proportional to the Table 2 targets for this CU,
@@ -681,58 +790,85 @@ fn generate_stay_features(
     let nurse_budget = budget(table2[2]);
     let med_budget = budget(table2[3]);
 
-    // Every planted signature as (domain, key, count, keep probability), in
-    // the order its keep draws consume the RNG.
+    // Every planted signature as (slot, (domain, key, count), keep
+    // probability), in the order its keep draws consume the RNG.
     let department = [
         // Department signature (what care in this unit looks like).
         (
-            FeatureDomain::Treatment,
-            1000 + cu as u64,
-            treat_budget / 2 + 1,
+            slot::DEPARTMENT + 3 * cu,
+            (
+                FeatureDomain::Treatment,
+                1000 + cu as u64,
+                treat_budget / 2 + 1,
+            ),
             0.9,
         ),
         (
-            FeatureDomain::Nursing,
-            2000 + cu as u64,
-            nurse_budget / 2 + 1,
+            slot::DEPARTMENT + 3 * cu + 1,
+            (
+                FeatureDomain::Nursing,
+                2000 + cu as u64,
+                nurse_budget / 2 + 1,
+            ),
             0.85,
         ),
-        (FeatureDomain::Medication, 3000 + cu as u64, med_budget, 0.8),
+        (
+            slot::DEPARTMENT + 3 * cu + 2,
+            (FeatureDomain::Medication, 3000 + cu as u64, med_budget),
+            0.8,
+        ),
     ];
     // Next-destination signal: services ordered in preparation of the transfer
     // (e.g. pre-operative work-up before cardiac surgery).  This is the signal
     // the discriminative learners are supposed to pick up.
     let destination = next_cu.map(|next| {
+        let transfer = cu * NUM_CARE_UNITS + next;
         [
             (
-                FeatureDomain::Treatment,
-                5000 + (cu * NUM_CARE_UNITS + next) as u64,
-                treat_budget / 2 + 1,
+                slot::DESTINATION_TREATMENT + transfer,
+                (
+                    FeatureDomain::Treatment,
+                    5000 + transfer as u64,
+                    treat_budget / 2 + 1,
+                ),
                 0.85,
             ),
             (
-                FeatureDomain::Nursing,
-                9000 + next as u64,
-                (nurse_budget / 3).max(1),
+                slot::DESTINATION_NURSING + transfer,
+                (
+                    FeatureDomain::Nursing,
+                    9000 + next as u64,
+                    (nurse_budget / 3).max(1),
+                ),
                 0.7,
             ),
         ]
     });
-    let dur_class = crate::departments::duration_class(dwell_days) as u64;
+    let dur_class = crate::departments::duration_class(dwell_days);
     let rest = [
         // Duration signal: long stays accumulate characteristic nursing items.
         (
-            FeatureDomain::Nursing,
-            7000 + dur_class,
-            (nurse_budget / 2).max(1),
+            slot::DURATION_NURSING + cu * NUM_DURATION_CLASSES + dur_class,
+            (
+                FeatureDomain::Nursing,
+                7000 + dur_class as u64,
+                (nurse_budget / 2).max(1),
+            ),
             0.8,
         ),
-        (FeatureDomain::Medication, 8000 + dur_class, 1, 0.6),
+        (
+            slot::DURATION_MEDICATION + dur_class,
+            (FeatureDomain::Medication, 8000 + dur_class as u64, 1),
+            0.6,
+        ),
         // Archetype-wide therapy signature.
         (
-            FeatureDomain::Treatment,
-            400 + archetype.index() as u64,
-            (treat_budget / 3).max(1),
+            slot::THERAPY + cu * NUM_ARCHETYPES + archetype.index(),
+            (
+                FeatureDomain::Treatment,
+                400 + archetype.index() as u64,
+                (treat_budget / 3).max(1),
+            ),
             0.75,
         ),
     ];
@@ -745,20 +881,17 @@ fn generate_stay_features(
     // Unstructured noise spread across the whole time-varying vector.
     let noise = (config.stay_actives / 4).max(1);
 
-    // A signature keeps at most `count` indices, so this never reallocates.
-    let mut active: Vec<u32> = Vec::with_capacity(planted().map(|s| s.2).sum::<usize>() + noise);
-    for &(domain, key, count, keep_prob) in planted() {
-        for &idx in signature(dict, config.seed, domain, key, count).iter() {
-            if bernoulli(rng, keep_prob) {
-                active.push(idx);
-            }
+    services.refill_binary(dict.time_varying_dim(), |active| {
+        // A signature keeps at most `count` indices, so this never
+        // reallocates.
+        active.reserve(planted().map(|s| s.1 .2).sum::<usize>() + noise);
+        for &(slot, key, keep_prob) in planted() {
+            push_kept(active, table.get(slot, key), keep_prob, rng);
         }
-    }
-    for _ in 0..noise {
-        active.push(rng.gen_range(0..dict.time_varying_dim()) as u32);
-    }
-
-    SparseVec::binary(dict.time_varying_dim(), active)
+        for _ in 0..noise {
+            active.push(rng.gen_range(0..dict.time_varying_dim()) as u32);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -946,6 +1079,64 @@ mod tests {
         assert_eq!(shards.num_shards(), 0);
         assert_eq!(shards.size_hint(), (0, Some(0)));
         assert!(shards.next().is_none());
+    }
+
+    /// Every bit of two records: ids, profiles, and each stay's unit, times
+    /// and services.
+    fn assert_records_identical(got: &PatientRecord, expected: &PatientRecord) {
+        let bits = |v: &SparseVec| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.id, expected.id);
+        assert_eq!(got.profile.dim(), expected.profile.dim());
+        assert_eq!(got.profile.indices(), expected.profile.indices());
+        assert_eq!(bits(&got.profile), bits(&expected.profile));
+        assert_eq!(got.stays.len(), expected.stays.len(), "patient {}", got.id);
+        for (g, e) in got.stays.iter().zip(&expected.stays) {
+            assert_eq!(g.cu, e.cu);
+            assert_eq!(g.entry_time.to_bits(), e.entry_time.to_bits());
+            assert_eq!(g.dwell_days.to_bits(), e.dwell_days.to_bits());
+            assert_eq!(g.services.dim(), e.services.dim());
+            assert_eq!(g.services.indices(), e.services.indices());
+            assert_eq!(bits(&g.services), bits(&e.services));
+        }
+    }
+
+    /// A record reused for another patient — left dirty by one with more
+    /// stays and longer vectors, or by the previous patient of a walk —
+    /// holds exactly the fresh record of the patient generated into it.
+    #[test]
+    fn generating_into_a_dirty_record_matches_a_fresh_record_bitwise() {
+        for config in [
+            CohortConfig::tiny(3),
+            CohortConfig::tiny(8),
+            CohortConfig::scaled(0.01, 3),
+            CohortConfig::scaled(0.01, 8),
+        ] {
+            let fresh: Vec<(PatientRecord, Archetype)> = (0..config.num_patients)
+                .map(|id| generate_patient_record(&config, id))
+                .collect();
+            // The two largest patients: most stays, then most entries.
+            let size = |p: &PatientRecord| {
+                let entries: usize = p.stays.iter().map(|s| s.services.nnz()).sum();
+                (p.stays.len(), entries + p.profile.nnz())
+            };
+            let mut by_size: Vec<usize> = (0..fresh.len()).collect();
+            by_size.sort_by_key(|&id| std::cmp::Reverse(size(&fresh[id].0)));
+            assert!(fresh[by_size[1]].0.stays.len() >= 4, "two long patients");
+            let mut walked = PatientRecord::default();
+            let mut dirty = PatientRecord::default();
+            for (id, (expected, archetype)) in fresh.iter().enumerate() {
+                let big = if id == by_size[0] {
+                    by_size[1]
+                } else {
+                    by_size[0]
+                };
+                generate_patient_into(&config, big, &mut dirty);
+                assert_eq!(generate_patient_into(&config, id, &mut dirty), *archetype);
+                assert_records_identical(&dirty, expected);
+                assert_eq!(generate_patient_into(&config, id, &mut walked), *archetype);
+                assert_records_identical(&walked, expected);
+            }
+        }
     }
 
     #[test]

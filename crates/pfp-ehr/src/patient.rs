@@ -54,7 +54,11 @@ pub struct Transition {
 }
 
 /// A complete synthetic patient record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The [`Default`] record, with no stays, is not a valid patient: it is an
+/// empty buffer to generate patients into
+/// ([`generate_patient_into`](crate::cohort::generate_patient_into)).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PatientRecord {
     /// Patient identifier (dense, unique within a cohort).
     pub id: usize,

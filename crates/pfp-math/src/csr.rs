@@ -107,6 +107,42 @@ impl CsrMatrix {
         self.indptr.push(self.indices.len());
     }
 
+    /// Append one row whose entries `fill` pushes onto the ends of the index
+    /// and value arrays, in strictly increasing index order: a row built in
+    /// place, with no [`SparseVec`] in between.  `fill` must only append,
+    /// the same number of indices as values.
+    ///
+    /// ```
+    /// use pfp_math::CsrMatrix;
+    ///
+    /// let mut csr = CsrMatrix::with_dim(5);
+    /// csr.push_row_with(|indices, values| {
+    ///     indices.extend([1, 4]);
+    ///     values.extend([0.5, 2.0]);
+    /// });
+    /// assert_eq!(csr.row(0), (&[1, 4][..], &[0.5, 2.0][..]));
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if the appended indices and values differ in number, or the
+    /// indices are not strictly increasing and below `dim`.
+    pub fn push_row_with(&mut self, fill: impl FnOnce(&mut Vec<u32>, &mut Vec<f64>)) {
+        let start = self.indices.len();
+        fill(&mut self.indices, &mut self.values);
+        assert!(
+            self.indices.len() == self.values.len() && self.indices.len() >= start,
+            "a row must append as many indices as values"
+        );
+        let row = &self.indices[start..];
+        assert!(
+            row.windows(2).all(|w| w[0] < w[1])
+                && row.last().is_none_or(|&i| (i as usize) < self.dim),
+            "row indices must be strictly increasing and below {}",
+            self.dim
+        );
+        self.indptr.push(self.indices.len());
+    }
+
     /// Drop all rows, keeping `dim` and the allocated capacity, so one buffer
     /// can be reused across micro-batch flushes (and across streaming shard
     /// repacks) without per-batch allocation.
@@ -691,6 +727,48 @@ mod tests {
         let (idx, val) = m.row(0);
         assert_eq!(idx, row.indices());
         assert_eq!(val, row.values());
+    }
+
+    /// Rows appended in place equal the same rows pushed as vectors.
+    #[test]
+    fn push_row_with_matches_push_row() {
+        let rows = [
+            SparseVec::from_pairs(6, vec![(0, 1.5), (5, -2.0)]),
+            SparseVec::new(6),
+            SparseVec::from_pairs(6, vec![(2, 0.25), (3, 4.0), (4, 1.0)]),
+        ];
+        let mut built = CsrMatrix::with_dim(6);
+        for row in &rows {
+            built.push_row_with(|indices, values| {
+                indices.extend_from_slice(row.indices());
+                values.extend_from_slice(row.values());
+            });
+        }
+        assert_eq!(built, CsrMatrix::from_rows(6, rows.iter()));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing and below 6")]
+    fn push_row_with_rejects_unsorted_indices() {
+        CsrMatrix::with_dim(6).push_row_with(|indices, values| {
+            indices.extend([3, 1]);
+            values.extend([1.0, 1.0]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing and below 6")]
+    fn push_row_with_rejects_out_of_range_indices() {
+        CsrMatrix::with_dim(6).push_row_with(|indices, values| {
+            indices.push(6);
+            values.push(1.0);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "as many indices as values")]
+    fn push_row_with_rejects_unpaired_entries() {
+        CsrMatrix::with_dim(6).push_row_with(|indices, _| indices.push(1));
     }
 
     #[test]

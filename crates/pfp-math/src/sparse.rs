@@ -90,7 +90,38 @@ impl SparseVec {
     /// array and the values are the only other allocation.  `k` is the same
     /// bits as summing `k` ones.
     pub fn binary(dim: usize, active: impl IntoIterator<Item = u32>) -> Self {
-        let mut indices: Vec<u32> = active.into_iter().collect();
+        let mut v = Self {
+            dim,
+            indices: active.into_iter().collect(),
+            values: Vec::new(),
+        };
+        v.merge_binary_runs();
+        v
+    }
+
+    /// Rebuild `self` in place as [`binary`](Self::binary)`(dim, active)`,
+    /// where `fill` pushes `active` onto the (emptied) index array.  Both
+    /// arrays keep their capacity, so a vector refilled over and over stops
+    /// allocating once it has held its largest content.
+    ///
+    /// ```
+    /// use pfp_math::SparseVec;
+    ///
+    /// let mut v = SparseVec::binary(4, vec![1, 2]);
+    /// v.refill_binary(6, |active| active.extend([5, 0, 5]));
+    /// assert_eq!(v, SparseVec::binary(6, vec![5, 0, 5]));
+    /// ```
+    pub fn refill_binary(&mut self, dim: usize, fill: impl FnOnce(&mut Vec<u32>)) {
+        self.dim = dim;
+        self.indices.clear();
+        fill(&mut self.indices);
+        self.merge_binary_runs();
+    }
+
+    /// Turn the index array, holding active indices in any order, into the
+    /// sorted indices of a binary vector and their multiplicities.
+    fn merge_binary_runs(&mut self) {
+        let (dim, indices) = (self.dim, &mut self.indices);
         indices.sort_unstable();
         if let Some(&max) = indices.last() {
             assert!(
@@ -98,7 +129,9 @@ impl SparseVec {
                 "index {max} out of bounds for dim {dim}"
             );
         }
-        let mut values: Vec<f64> = Vec::with_capacity(indices.len());
+        let values = &mut self.values;
+        values.clear();
+        values.reserve(indices.len());
         let mut kept = 0;
         for k in 0..indices.len() {
             let i = indices[k];
@@ -111,6 +144,30 @@ impl SparseVec {
             }
         }
         indices.truncate(kept);
+    }
+
+    /// Build from strictly increasing `indices` and their parallel `values`,
+    /// taking both arrays as they are (no sort, merge or pruning).
+    ///
+    /// # Panics
+    /// Panics if the arrays differ in length, the indices are not strictly
+    /// increasing, or an index is out of range.
+    pub fn from_sorted_parts(dim: usize, indices: Vec<u32>, values: Vec<f64>) -> Self {
+        assert_eq!(
+            indices.len(),
+            values.len(),
+            "indices and values differ in length"
+        );
+        assert!(
+            indices.windows(2).all(|w| w[0] < w[1]),
+            "indices must be strictly increasing"
+        );
+        if let Some(&max) = indices.last() {
+            assert!(
+                (max as usize) < dim,
+                "index {max} out of bounds for dim {dim}"
+            );
+        }
         Self {
             dim,
             indices,
@@ -425,6 +482,45 @@ mod tests {
             SparseVec::from_pairs(3, ones)
         );
         assert!(SparseVec::binary(4, Vec::new()).is_empty());
+    }
+
+    /// A vector refilled in place equals the fresh binary vector of the same
+    /// indices, whatever it held before, and keeps its buffers.
+    #[test]
+    fn refill_binary_matches_binary_and_keeps_capacity() {
+        let mut v = SparseVec::binary(50, (0..40).rev());
+        let (indices_cap, values_cap) = (v.indices.capacity(), v.values.capacity());
+        for active in [vec![7, 3, 7, 0], vec![], vec![9, 9, 9, 1, 2]] {
+            v.refill_binary(10, |buf| buf.extend_from_slice(&active));
+            assert_eq!(v, SparseVec::binary(10, active));
+            assert_eq!(v.indices.capacity(), indices_cap);
+            assert_eq!(v.values.capacity(), values_cap);
+        }
+    }
+
+    #[test]
+    fn from_sorted_parts_takes_the_arrays_as_they_are() {
+        let v = SparseVec::from_sorted_parts(8, vec![1, 4, 7], vec![0.5, 0.0, -2.0]);
+        assert_eq!(v.indices(), &[1, 4, 7]);
+        assert_eq!(v.values(), &[0.5, 0.0, -2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn from_sorted_parts_rejects_repeated_indices() {
+        let _ = SparseVec::from_sorted_parts(8, vec![1, 1], vec![1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn from_sorted_parts_rejects_out_of_range_index() {
+        let _ = SparseVec::from_sorted_parts(8, vec![8], vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn from_sorted_parts_rejects_unpaired_arrays() {
+        let _ = SparseVec::from_sorted_parts(8, vec![1], vec![]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! Pinned fingerprints guard the generator's output itself and the featurized
 //! samples built from it, and the memo isolation test guards the per-thread
-//! signature-set memo inside the generator.
+//! signature table inside the generator.
 
 use patient_flow::core::{Dataset, Sample};
 use patient_flow::ehr::{
@@ -242,9 +242,10 @@ fn featurized_samples_match_their_pinned_fingerprint() {
 }
 
 /// Configs that pairwise share a seed but not a dictionary (`a`/`b`, `a`/`d`,
-/// where `d` differs in one domain size only) or a dictionary but not a seed
-/// (`a`/`c`): the generator's per-thread signature memo must never serve one
-/// of them a set drawn for another.
+/// where `d` differs in one domain size only), a dictionary but not a seed
+/// (`a`/`c`), or both but not the activation counts that size the signature
+/// sets (`a`/`e`): the generator's per-thread signature table must never
+/// serve one of them a set drawn for another.
 fn memo_isolation_configs() -> Vec<CohortConfig> {
     let a = CohortConfig::tiny(5);
     let b = CohortConfig {
@@ -254,13 +255,18 @@ fn memo_isolation_configs() -> Vec<CohortConfig> {
     let c = CohortConfig::tiny(6);
     let mut d = CohortConfig::tiny(5);
     d.features.nursing += 1;
-    vec![a, b, c, d]
+    let e = CohortConfig {
+        profile_actives: 9,
+        stay_actives: 14,
+        ..CohortConfig::tiny(5)
+    };
+    vec![a, b, c, d, e]
 }
 
 const MEMO_ISOLATION_PATIENTS: usize = 40;
 
 /// Each config's patients `0..MEMO_ISOLATION_PATIENTS`, generated alone on a
-/// fresh thread (so with a fresh memo).
+/// fresh thread (so with a fresh signature table).
 fn fresh_thread_records(config: &CohortConfig) -> Vec<PatientRecord> {
     let config = config.clone();
     std::thread::spawn(move || {

@@ -26,9 +26,12 @@ use proptest::prelude::*;
 
 use patient_flow::core::dataset::Sample;
 use patient_flow::core::loss::{per_sample_value_and_gradient, DmcpObjective};
-use patient_flow::core::stream::{ShardedDmcpObjective, ShardedSamples, StreamingDmcpObjective};
+use patient_flow::core::stream::{
+    ShardedDmcpObjective, ShardedSamples, StreamingDmcpObjective, ROW_BLOCK,
+};
 use patient_flow::core::{Dataset, FeatureMapKind};
 use patient_flow::ehr::{generate_cohort, CohortConfig};
+use patient_flow::math::parallel::chunk_ranges;
 use patient_flow::math::{Matrix, SparseVec};
 use patient_flow::optim::SmoothObjective;
 
@@ -297,6 +300,66 @@ fn streaming_objective_matches_materialized_bitwise_at_fixed_thread_counts() {
             );
         }
     }
+}
+
+/// The out-of-core objective hands the kernel one block per
+/// [`ROW_BLOCK`] rows, so on a cohort of several blocks per thread chunk a
+/// block is flushed inside a chunk and a chunk boundary splits a patient's
+/// samples (both asserted below).  Neither may change a bit: the streamed
+/// value and gradient equal the materialized objective's at 1, 2 and 3
+/// threads, and the per-sample oracle's on one.
+#[test]
+fn streamed_row_blocks_split_inside_chunks_and_patients_bitwise() {
+    let cohort_config = CohortConfig {
+        num_patients: 600,
+        ..CohortConfig::tiny(29)
+    };
+    let cohort = generate_cohort(&cohort_config);
+    let ds = Dataset::from_cohort(&cohort);
+    let samples = ds.featurize(ds.default_mcp_kind());
+    let (m, cols) = (ds.total_feature_dim(), ds.num_cus + ds.num_durations);
+    let theta = Matrix::from_fn(m, cols, |r, c| 0.02 * ((r % 7) as f64) - 0.015 * (c as f64));
+    let mut grad_oracle = Matrix::zeros(m, cols);
+    let value_oracle = per_sample_value_and_gradient(
+        &samples,
+        None,
+        ds.num_cus,
+        ds.num_durations,
+        &theta,
+        &mut grad_oracle,
+    );
+    // Global sample index at which each patient's samples start.
+    let mut patient_starts = vec![0usize];
+    for p in &cohort.patients {
+        patient_starts.push(patient_starts.last().unwrap() + p.num_transitions());
+    }
+    let mut split_a_patient = false;
+    for threads in [1usize, 2, 3] {
+        let chunks = chunk_ranges(samples.len(), threads);
+        assert!(
+            chunks.iter().all(|c| c.len() > 2 * ROW_BLOCK),
+            "threads={threads}: a chunk of under two row blocks"
+        );
+        split_a_patient |= chunks[1..]
+            .iter()
+            .any(|c| patient_starts.binary_search(&c.start).is_err());
+
+        let reference = DmcpObjective::new(&samples, None, m, ds.num_cus, ds.num_durations)
+            .with_threads(threads);
+        let mut grad_ref = Matrix::zeros(m, cols);
+        let value_ref = reference.value_and_gradient(&theta, &mut grad_ref);
+        let obj = StreamingDmcpObjective::new(&cohort_config, None, 64).with_threads(threads);
+        let mut grad = Matrix::zeros(m, cols);
+        let value = obj.value_and_gradient(&theta, &mut grad);
+        assert_eq!(value.to_bits(), value_ref.to_bits(), "threads={threads}");
+        assert_eq!(grad, grad_ref, "threads={threads}");
+        assert_eq!(obj.value(&theta).to_bits(), value_ref.to_bits());
+        assert!(
+            matches_oracle(threads, (value, &grad), (value_oracle, &grad_oracle)),
+            "oracle, threads={threads}"
+        );
+    }
+    assert!(split_a_patient, "no chunk boundary fell inside a patient");
 }
 
 /// A fixed thread count must reproduce the sharded fold bitwise across

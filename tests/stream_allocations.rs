@@ -2,8 +2,12 @@
 //! evaluation regenerates and re-featurizes every patient of the cohort, and
 //! must stay under a fixed number of heap allocations and bytes per patient.
 //! Both are noise-free counters, so the bounds are exact where a timing could
-//! only be statistical: a generator or featurizer that goes back to building
-//! its sparse vectors one allocation per entry blows through them.
+//! only be statistical.  A walk regenerates each patient into one reused
+//! record and merges its rows into one reused CSR block, so it allocates only
+//! while those buffers grow to their largest patient and block: a few dozen
+//! times per evaluation, none per patient.  A generator or featurizer that
+//! goes back to a fresh buffer per patient, stay or sample blows through the
+//! bounds.
 //!
 //! The binary installs the counting global allocator and holds exactly one
 //! `#[test]`: a concurrently running test would pollute the counters.
@@ -20,12 +24,14 @@ static ALLOC: mem::TrackingAllocator = mem::TrackingAllocator;
 const SCALE: f64 = 0.05;
 const SEED: u64 = 1;
 const SHARD_SIZE: usize = 256;
-/// Heap allocations per patient of one evaluation (the sort-and-insert
-/// builders made 35.0).
-const MAX_ALLOCATIONS_PER_PATIENT: f64 = 20.0;
-/// Heap bytes per patient of one evaluation (the sort-and-insert builders
-/// allocated 6,328).
-const MAX_BYTES_PER_PATIENT: f64 = 4_096.0;
+/// Heap allocations per patient of one evaluation: 0.053 with the reused
+/// buffers (12.2 with a fresh record and row per patient, 35.0 with the
+/// sort-and-insert builders).
+const MAX_ALLOCATIONS_PER_PATIENT: f64 = 0.1;
+/// Heap bytes per patient of one evaluation: 143 with the reused buffers
+/// (3,193 with a fresh record and row per patient, 6,328 with the
+/// sort-and-insert builders).
+const MAX_BYTES_PER_PATIENT: f64 = 280.0;
 
 #[test]
 fn one_streamed_evaluation_allocates_a_bounded_amount_per_patient() {
@@ -45,7 +51,7 @@ fn one_streamed_evaluation_allocates_a_bounded_amount_per_patient() {
     let patients = config.num_patients as f64;
     let (per_patient_count, per_patient_bytes) = (count as f64 / patients, bytes as f64 / patients);
     eprintln!(
-        "one evaluation over {} patients: {per_patient_count:.1} allocations and \
+        "one evaluation over {} patients: {per_patient_count:.3} allocations and \
          {per_patient_bytes:.0} B per patient",
         config.num_patients
     );
