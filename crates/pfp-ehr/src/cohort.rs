@@ -489,22 +489,115 @@ mod slot {
     pub(super) const COUNT: usize = THERAPY + NUM_CARE_UNITS * NUM_ARCHETYPES;
 }
 
+/// The template numbers of a [`SignatureTable`].  A stay's planted
+/// signatures are fixed by its archetype, care unit, next care unit (or none)
+/// and duration class, a profile's by its archetype and whether the patient
+/// is severe, so each combination is numbered densely.
+mod template {
+    use super::NUM_ARCHETYPES;
+    use crate::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
+
+    /// Next-unit choices of a stay: each care unit, or none for the last.
+    const NEXT_UNITS: usize = NUM_CARE_UNITS + 1;
+    /// Number of stay templates.
+    const STAYS: usize = NUM_ARCHETYPES * NUM_CARE_UNITS * NEXT_UNITS * NUM_DURATION_CLASSES;
+    /// Number of templates.
+    pub(super) const COUNT: usize = STAYS + 2 * NUM_ARCHETYPES;
+
+    /// The template of a stay.
+    pub(super) fn stay(
+        archetype: usize,
+        cu: usize,
+        next_cu: Option<usize>,
+        dur_class: usize,
+    ) -> usize {
+        let next = next_cu.unwrap_or(NUM_CARE_UNITS);
+        ((archetype * NUM_CARE_UNITS + cu) * NEXT_UNITS + next) * NUM_DURATION_CLASSES + dur_class
+    }
+
+    /// The template of a profile.
+    pub(super) fn profile(archetype: usize, severe: bool) -> usize {
+        STAYS + 2 * archetype + usize::from(severe)
+    }
+}
+
 /// `(domain, key, count)` of one signature set.
 type SignatureKey = (FeatureDomain, u64, usize);
+
+/// A planted signature: its slot, its key, and the probability that each of
+/// its indices survives its keep draw.
+type Planted = (usize, SignatureKey, f64);
+
+/// Marks a template number whose template is not built yet, and a template
+/// with no signature kept without a draw.
+const NONE: u16 = u16::MAX;
+const _: () = assert!(template::COUNT < NONE as usize);
+const _: () = assert!(slot::COUNT < NONE as usize);
+
+/// A range of one of a [`SignatureTable`]'s arenas.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    fn new(range: Range<usize>) -> Self {
+        let offset = |at: usize| u32::try_from(at).expect("table arenas fit u32 offsets");
+        Self {
+            start: offset(range.start),
+            end: offset(range.end),
+        }
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// One slot of a [`SignatureTable`], once its set is computed: the set's
+/// span in the index arena, and the probability that each of its indices
+/// survives its keep draw (every use of a slot plants it with the same).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    set: Span,
+    keep_prob: f64,
+}
+
+/// A built template: its entries, the slots whose keep draws decide them in
+/// draw order, and the slot kept without a draw ([`NONE`] if none).
+#[derive(Debug, Clone, Copy)]
+struct Template {
+    entries: Span,
+    drawn: Span,
+    always: u16,
+}
 
 /// The planted signature sets of one config, in the form of
 /// [`FeatureDictionary::signature_indices`] and
 /// [`FeatureDictionary::profile_signature_indices`] and bitwise equal to
-/// them, looked up by [`slot`] number: no hashing, no reference count.
+/// them, looked up by [`slot`] number: no hashing, no reference count.  And
+/// per stay or profile key, the *template* those sets make together.
 ///
 /// Each reference call runs a full Fisher–Yates shuffle of the domain to keep
 /// a handful of indices, yet its result depends only on the arguments, and a
 /// cohort asks for the same few hundred sets over and over.  A set is
-/// computed on its slot's first use and kept in one flat index array.  The
-/// table is thread-local (every pool worker builds its own) and holds a
+/// computed on its slot's first use and kept in one flat index arena.
+///
+/// A template is the union of its key's sets, sorted once by index, each
+/// entry stored as its position in the index arena: that position also
+/// numbers the entry's keep flag, so one `u32` gives both the index and the
+/// draw that decides it.  Beside the entries, a template lists its drawn
+/// slots in draw order and the slot it keeps without a draw (the severity
+/// block).  Drawing a vector writes each drawn slot's keep flags in draw
+/// order, then walks the template and keeps the indices whose flags came up,
+/// already in order, so only the few noise indices are ever sorted.  A
+/// template is built on its number's first use into flat arenas, like the
+/// sets.
+///
+/// The table is thread-local (every pool worker builds its own) and holds a
 /// single config, replaced when the dictionary, seed or activation counts
-/// change, so it stays at tens of KiB however many configs a thread
-/// generates in turn.
+/// change.  [`generator_table_bytes`] reports its size.
 struct SignatureTable {
     dict: FeatureDictionary,
     seed: u64,
@@ -512,8 +605,19 @@ struct SignatureTable {
     stay_actives: usize,
     /// Every computed set, back to back.
     indices: Vec<u32>,
-    /// Per slot, once computed: the set's range in `indices` and its key.
-    spans: Vec<Option<(Range<usize>, SignatureKey)>>,
+    /// Per slot number, once its set is computed.
+    slots: Vec<Option<Slot>>,
+    /// Per template number: its position in `templates`, or [`NONE`].
+    template_ids: Vec<u16>,
+    /// Every built template.
+    templates: Vec<Template>,
+    /// Every built template's entries back to back, each template's sorted
+    /// by index: positions in `indices`.
+    entries: Vec<u32>,
+    /// Every built template's drawn slots back to back, in draw order.
+    drawn: Vec<u16>,
+    /// Scratch of a template build: its `(index, position)` entries.
+    build: Vec<(u32, u32)>,
 }
 
 impl SignatureTable {
@@ -524,7 +628,12 @@ impl SignatureTable {
             profile_actives: config.profile_actives,
             stay_actives: config.stay_actives,
             indices: Vec::new(),
-            spans: vec![None; slot::COUNT],
+            slots: vec![None; slot::COUNT],
+            template_ids: vec![NONE; template::COUNT],
+            templates: Vec::new(),
+            entries: Vec::new(),
+            drawn: Vec::new(),
+            build: Vec::new(),
         }
     }
 
@@ -535,38 +644,170 @@ impl SignatureTable {
             && self.stay_actives == config.stay_actives
     }
 
-    /// The set of `slot`, which is the signature `key` names.
-    fn get(&mut self, slot: usize, key: SignatureKey) -> &[u32] {
-        let span = match &self.spans[slot] {
-            Some((span, stored)) => {
-                debug_assert_eq!(*stored, key, "slot {slot} holds another signature");
-                span.clone()
-            }
-            None => {
-                let (domain, key_id, count) = key;
-                let set = match domain {
-                    FeatureDomain::Profile => self
-                        .dict
-                        .profile_signature_indices(key_id, count, self.seed),
-                    _ => self
-                        .dict
-                        .signature_indices(domain, key_id, count, self.seed),
-                };
-                let span = self.indices.len()..self.indices.len() + set.len();
-                self.indices.extend(set);
-                self.spans[slot] = Some((span.clone(), key));
-                span
-            }
+    /// The set of `slot`, which is the signature `key` names, planted with
+    /// `keep_prob`: its span in `indices`.
+    fn set(&mut self, slot: usize, key: SignatureKey, keep_prob: f64) -> Span {
+        let keep_prob = keep_prob.clamp(0.0, 1.0);
+        if let Some(computed) = self.slots[slot] {
+            debug_assert_eq!(computed.keep_prob, keep_prob, "slot {slot} planted alike");
+            return computed.set;
+        }
+        let (domain, key_id, count) = key;
+        let set = match domain {
+            FeatureDomain::Profile => self
+                .dict
+                .profile_signature_indices(key_id, count, self.seed),
+            _ => self
+                .dict
+                .signature_indices(domain, key_id, count, self.seed),
         };
-        &self.indices[span]
+        let span = Span::new(self.indices.len()..self.indices.len() + set.len());
+        self.indices.extend(set);
+        self.slots[slot] = Some(Slot {
+            set: span,
+            keep_prob,
+        });
+        span
+    }
+
+    /// The template numbered `id`, built on its number's first use from what
+    /// `planted` returns: the signatures whose keep draws consume the RNG,
+    /// in draw order, and at most one signature kept without a draw.
+    fn template<I: IntoIterator<Item = Planted>>(
+        &mut self,
+        id: usize,
+        planted: impl FnOnce() -> (I, Option<(usize, SignatureKey)>),
+    ) -> Template {
+        if let Some(&built) = self.templates.get(usize::from(self.template_ids[id])) {
+            return built;
+        }
+        let (drawn, always) = planted();
+        let mut build = std::mem::take(&mut self.build);
+        build.clear();
+        let drawn_start = self.drawn.len();
+        let mut add = |table: &mut Self, slot: usize, key: SignatureKey, keep_prob: f64| {
+            let set = table.set(slot, key, keep_prob).range();
+            debug_assert!(build.iter().all(|&(_, at)| !set.contains(&(at as usize))));
+            build.extend(set.clone().map(|at| (table.indices[at], at as u32)));
+            u16::try_from(slot).expect("below NONE")
+        };
+        for (slot, key, keep_prob) in drawn {
+            let slot = add(self, slot, key, keep_prob);
+            self.drawn.push(slot);
+        }
+        let always = always.map_or(NONE, |(slot, key)| add(self, slot, key, 1.0));
+        build.sort_unstable();
+        let entries_start = self.entries.len();
+        self.entries.extend(build.iter().map(|&(_, at)| at));
+        self.build = build;
+        let built = Template {
+            entries: Span::new(entries_start..self.entries.len()),
+            drawn: Span::new(drawn_start..self.drawn.len()),
+            always,
+        };
+        self.template_ids[id] = u16::try_from(self.templates.len()).expect("below NONE");
+        self.templates.push(built);
+        built
+    }
+
+    /// Heap bytes the table holds, from its buffers' capacities.
+    fn heap_bytes(&self) -> usize {
+        capacity_bytes(&self.indices)
+            + capacity_bytes(&self.slots)
+            + capacity_bytes(&self.template_ids)
+            + capacity_bytes(&self.templates)
+            + capacity_bytes(&self.entries)
+            + capacity_bytes(&self.drawn)
+            + capacity_bytes(&self.build)
+    }
+}
+
+/// Heap bytes of a vector's buffer.
+fn capacity_bytes<T>(buffer: &Vec<T>) -> usize {
+    buffer.capacity() * std::mem::size_of::<T>()
+}
+
+/// The buffers one vector's draw goes through: the keep flags, one per
+/// position of the table's index arena, the template indices they keep, and
+/// the noise indices.
+struct Scratch {
+    flags: Vec<u8>,
+    kept: Vec<u32>,
+    noise: Vec<u32>,
+}
+
+impl Scratch {
+    const fn new() -> Self {
+        Self {
+            flags: Vec::new(),
+            kept: Vec::new(),
+            noise: Vec::new(),
+        }
+    }
+
+    /// Refill `out` with one draw of `template` plus `noise` uniform indices
+    /// below `dim`, consuming the RNG in the order of drawing each signature
+    /// index's keep bit, signature after signature, then the noise: one
+    /// uniform draw per index, kept when below its slot's `keep_prob` — the
+    /// test [`bernoulli`] makes.
+    ///
+    /// The walk over the sorted template writes every entry but advances
+    /// past it only when its flag is set, so an unpredictable draw costs no
+    /// mispredicted branch, and the kept indices come out sorted.  Only the
+    /// noise is sorted before both merge into `out`, an index listed `k`
+    /// times storing `k` as [`SparseVec::binary`] does.
+    fn draw(
+        &mut self,
+        table: &SignatureTable,
+        template: Template,
+        noise: usize,
+        dim: usize,
+        rng: &mut StdRng,
+        out: &mut SparseVec,
+    ) {
+        let flags = &mut self.flags;
+        flags.resize(table.indices.len(), 0);
+        let slot = |slot: u16| table.slots[usize::from(slot)].expect("template slots are set");
+        for &drawn in &table.drawn[template.drawn.range()] {
+            let Slot { set, keep_prob } = slot(drawn);
+            for flag in &mut flags[set.range()] {
+                *flag = u8::from(rng.gen::<f64>() < keep_prob);
+            }
+        }
+        if template.always != NONE {
+            flags[slot(template.always).set.range()].fill(1);
+        }
+
+        let entries = &table.entries[template.entries.range()];
+        let kept = &mut self.kept;
+        kept.resize(entries.len(), 0);
+        let mut len = 0;
+        for &at in entries {
+            kept[len] = table.indices[at as usize];
+            len += usize::from(flags[at as usize]);
+        }
+        kept.truncate(len);
+
+        let noise_indices = &mut self.noise;
+        noise_indices.clear();
+        noise_indices.extend((0..noise).map(|_| rng.gen_range(0..dim) as u32));
+        noise_indices.sort_unstable();
+        out.refill_binary_merged(dim, kept, noise_indices);
+    }
+
+    /// Heap bytes the buffers hold, from their capacities.
+    fn heap_bytes(&self) -> usize {
+        capacity_bytes(&self.flags) + capacity_bytes(&self.kept) + capacity_bytes(&self.noise)
     }
 }
 
 /// Per-thread generator state: the signature table of the config generated
-/// last, and the service vectors of stays a reused record dropped, kept for
-/// the next record that grows (at most [`MAX_STAYS`] of them).
+/// last, the draw buffers, and the service vectors of stays a reused record
+/// dropped, kept for the next record that grows (at most [`MAX_STAYS`] of
+/// them).
 struct Generator {
     table: Option<SignatureTable>,
+    scratch: Scratch,
     spare_services: Vec<SparseVec>,
 }
 
@@ -574,24 +815,25 @@ thread_local! {
     static GENERATOR: RefCell<Generator> = const {
         RefCell::new(Generator {
             table: None,
+            scratch: Scratch::new(),
             spare_services: Vec::new(),
         })
     };
 }
 
-/// Push each index of `signature` that survives its keep draw onto `active`:
-/// one uniform draw per index, in order, kept when below `keep_prob` — the
-/// test [`bernoulli`] makes — but written unconditionally and counted by the
-/// outcome, so an unpredictable draw costs no mispredicted branch.
-fn push_kept(active: &mut Vec<u32>, signature: &[u32], keep_prob: f64, rng: &mut StdRng) {
-    let keep_prob = keep_prob.clamp(0.0, 1.0);
-    let mut kept = active.len();
-    active.resize(kept + signature.len(), 0);
-    for &idx in signature {
-        active[kept] = idx;
-        kept += usize::from(rng.gen::<f64>() < keep_prob);
-    }
-    active.truncate(kept);
+/// Heap bytes the calling thread's generator holds in its signature table
+/// and draw buffers, computed from their capacities: a noise-free gauge of
+/// what generation keeps per thread (the records it fills are the caller's).
+/// Zero on a thread that has generated no patient.
+pub fn generator_table_bytes() -> usize {
+    GENERATOR.with(|generator| {
+        let generator = generator.borrow();
+        generator
+            .table
+            .as_ref()
+            .map_or(0, SignatureTable::heap_bytes)
+            + generator.scratch.heap_bytes()
+    })
 }
 
 impl Generator {
@@ -608,6 +850,7 @@ impl Generator {
             self.table = Some(SignatureTable::new(config));
         }
         let table = self.table.as_mut().expect("table set above");
+        let scratch = &mut self.scratch;
 
         // Severity in [0.5, 2.0]: scales dwell times and couples (weakly) with
         // the downstream destinations through longer ICU chains.
@@ -641,6 +884,7 @@ impl Generator {
             }
         }
         record.stays.reserve_exact(cus.len() - record.stays.len());
+        let time_varying_dim = config.features.time_varying_dim();
         let mut t = 0.0;
         for (i, &cu) in cus.iter().enumerate() {
             let dwell = sample_dwell_days(cu, severity, rng);
@@ -658,21 +902,22 @@ impl Generator {
             stay.entry_time = t;
             stay.dwell_days = dwell;
             let next_cu = cus.get(i + 1).copied();
-            generate_stay_features(
-                archetype,
-                cu,
-                next_cu,
-                dwell,
-                config,
-                rng,
+            let (template, noise) = stay_template(table, config, archetype, cu, next_cu, dwell);
+            scratch.draw(
                 table,
+                template,
+                noise,
+                time_varying_dim,
+                rng,
                 &mut stay.services,
             );
             t += dwell;
         }
 
         // --- profile features ----------------------------------------------------
-        generate_profile_features(archetype, severity, config, rng, table, &mut record.profile);
+        let (template, noise) = profile_template(table, config, archetype, severity);
+        let dim = config.features.profile;
+        scratch.draw(table, template, noise, dim, rng, &mut record.profile);
     }
 }
 
@@ -728,15 +973,8 @@ fn sample_dwell_days(cu: usize, severity: f64, rng: &mut StdRng) -> f64 {
     d.clamp(0.3, 60.0)
 }
 
-fn generate_profile_features(
-    archetype: Archetype,
-    severity: f64,
-    config: &CohortConfig,
-    rng: &mut StdRng,
-    table: &mut SignatureTable,
-    profile: &mut SparseVec,
-) {
-    let dict = &config.features;
+/// Size of an archetype's profile block (zero for the thinnest profiles).
+fn profile_count(config: &CohortConfig, archetype: Archetype) -> usize {
     // Profile richness differs per archetype so the per-department Table 2
     // domain proportions come out imbalanced the same way as the paper:
     // trauma and ward-only patients have very thin profiles.
@@ -746,40 +984,67 @@ fn generate_profile_features(
         Archetype::Medical | Archetype::Obstetric => 1.5,
         _ => 1.0,
     };
-    let count = ((config.profile_actives as f64) * richness).round() as usize;
-    let noise = (count / 5).max(1);
-    profile.refill_binary(dict.profile, |active| {
-        // Room for the archetype block, the severity block and the noise.
-        active.reserve(count.max(1) + 4 + noise);
-        // Archetype signature block: deterministic indices keyed by the
-        // archetype.
-        let a = archetype.index();
-        let key = (FeatureDomain::Profile, a as u64, count.max(1));
-        push_kept(active, table.get(slot::PROFILE + a, key), 0.85, rng);
-        // Severity marker block (shared across archetypes).
-        if severity > 1.4 {
-            let key = (FeatureDomain::Profile, 100, 4);
-            active.extend_from_slice(table.get(slot::SEVERITY, key));
-        }
-        // A little noise.
-        for _ in 0..noise {
-            active.push(rng.gen_range(0..dict.profile) as u32);
-        }
-    });
+    ((config.profile_actives as f64) * richness).round() as usize
 }
 
-#[allow(clippy::too_many_arguments)]
-fn generate_stay_features(
+/// The profile template of a patient, and how many noise indices its draw
+/// adds.
+fn profile_template(
+    table: &mut SignatureTable,
+    config: &CohortConfig,
+    archetype: Archetype,
+    severity: f64,
+) -> (Template, usize) {
+    let count = profile_count(config, archetype);
+    // A little noise.
+    let noise = (count / 5).max(1);
+    let a = archetype.index();
+    let severe = severity > 1.4;
+    let template = table.template(template::profile(a, severe), || {
+        // Archetype signature block: deterministic indices keyed by the
+        // archetype.
+        let block = (
+            slot::PROFILE + a,
+            (FeatureDomain::Profile, a as u64, count.max(1)),
+            0.85,
+        );
+        // Severity marker block (shared across archetypes), always kept.
+        let severity_block = severe.then_some((slot::SEVERITY, (FeatureDomain::Profile, 100, 4)));
+        ([block], severity_block)
+    });
+    (template, noise)
+}
+
+/// The template of a stay, and how many noise indices its draw adds.
+fn stay_template(
+    table: &mut SignatureTable,
+    config: &CohortConfig,
     archetype: Archetype,
     cu: usize,
     next_cu: Option<usize>,
     dwell_days: f64,
+) -> (Template, usize) {
+    let dur_class = crate::departments::duration_class(dwell_days);
+    let id = template::stay(archetype.index(), cu, next_cu, dur_class);
+    let template = table.template(id, || {
+        (
+            stay_signatures(config, archetype, cu, next_cu, dur_class),
+            None,
+        )
+    });
+    // Unstructured noise spread across the whole time-varying vector.
+    (template, (config.stay_actives / 4).max(1))
+}
+
+/// Every signature planted in a stay, in the order its keep draws consume
+/// the RNG.
+fn stay_signatures(
     config: &CohortConfig,
-    rng: &mut StdRng,
-    table: &mut SignatureTable,
-    services: &mut SparseVec,
-) {
-    let dict = &config.features;
+    archetype: Archetype,
+    cu: usize,
+    next_cu: Option<usize>,
+    dur_class: usize,
+) -> impl Iterator<Item = Planted> {
     let table2 = crate::departments::paper_table2()[cu];
     // Per-domain budgets proportional to the Table 2 targets for this CU,
     // excluding the profile share (handled at the patient level).
@@ -790,8 +1055,6 @@ fn generate_stay_features(
     let nurse_budget = budget(table2[2]);
     let med_budget = budget(table2[3]);
 
-    // Every planted signature as (slot, (domain, key, count), keep
-    // probability), in the order its keep draws consume the RNG.
     let department = [
         // Department signature (what care in this unit looks like).
         (
@@ -844,7 +1107,6 @@ fn generate_stay_features(
             ),
         ]
     });
-    let dur_class = crate::departments::duration_class(dwell_days);
     let rest = [
         // Duration signal: long stays accumulate characteristic nursing items.
         (
@@ -872,26 +1134,10 @@ fn generate_stay_features(
             0.75,
         ),
     ];
-    let planted = || {
-        department
-            .iter()
-            .chain(destination.iter().flatten())
-            .chain(&rest)
-    };
-    // Unstructured noise spread across the whole time-varying vector.
-    let noise = (config.stay_actives / 4).max(1);
-
-    services.refill_binary(dict.time_varying_dim(), |active| {
-        // A signature keeps at most `count` indices, so this never
-        // reallocates.
-        active.reserve(planted().map(|s| s.1 .2).sum::<usize>() + noise);
-        for &(slot, key, keep_prob) in planted() {
-            push_kept(active, table.get(slot, key), keep_prob, rng);
-        }
-        for _ in 0..noise {
-            active.push(rng.gen_range(0..dict.time_varying_dim()) as u32);
-        }
-    });
+    department
+        .into_iter()
+        .chain(destination.into_iter().flatten())
+        .chain(rest)
 }
 
 #[cfg(test)]
@@ -1137,6 +1383,208 @@ mod tests {
                 assert_records_identical(&walked, expected);
             }
         }
+    }
+
+    /// Push each index of `signature` that survives its keep draw onto
+    /// `active`: one uniform draw per index, in order, kept when below
+    /// `keep_prob`.
+    fn push_kept(active: &mut Vec<u32>, signature: &[u32], keep_prob: f64, rng: &mut StdRng) {
+        let keep_prob = keep_prob.clamp(0.0, 1.0);
+        let mut kept = active.len();
+        active.resize(kept + signature.len(), 0);
+        for &idx in signature {
+            active[kept] = idx;
+            kept += usize::from(rng.gen::<f64>() < keep_prob);
+        }
+        active.truncate(kept);
+    }
+
+    /// The generator as it drew every vector before templates: each kept
+    /// signature index pushed as its draw comes up, signature after
+    /// signature, then the noise, and one sort of the lot
+    /// ([`SparseVec::binary`]) into a fresh vector.  The signature sets come
+    /// from the dictionary's reference functions, memoized by their
+    /// arguments.
+    struct Oracle {
+        config: CohortConfig,
+        sets: std::collections::HashMap<SignatureKey, Vec<u32>>,
+    }
+
+    impl Oracle {
+        fn new(config: &CohortConfig) -> Self {
+            Self {
+                config: config.clone(),
+                sets: std::collections::HashMap::new(),
+            }
+        }
+
+        /// Push the set `key` names onto `active`: the indices that survive
+        /// their keep draws, or all of them when `keep_prob` is `None`.
+        fn push(
+            &mut self,
+            active: &mut Vec<u32>,
+            key: SignatureKey,
+            keep_prob: Option<f64>,
+            rng: &mut StdRng,
+        ) {
+            let (dict, seed) = (self.config.features, self.config.seed);
+            let set = self.sets.entry(key).or_insert_with(|| match key.0 {
+                FeatureDomain::Profile => dict.profile_signature_indices(key.1, key.2, seed),
+                domain => dict.signature_indices(domain, key.1, key.2, seed),
+            });
+            match keep_prob {
+                Some(keep_prob) => push_kept(active, set, keep_prob, rng),
+                None => active.extend_from_slice(set),
+            }
+        }
+
+        /// Patient `id`, its archetype, and whether its profile holds the
+        /// severity block.
+        fn patient(&mut self, id: usize) -> (PatientRecord, Archetype, bool) {
+            let config = self.config.clone();
+            let mut rng = seeded_rng(derive_seed(config.seed, id as u64));
+            let rng = &mut rng;
+            let archetype = sample_archetype(rng);
+            let severity = 0.5 + 1.5 * rng.gen::<f64>();
+            let target_transitions = sample_transition_count(archetype, rng);
+            let mut cus = vec![archetype.entry_unit(rng)];
+            let mut visit_counts = [0usize; NUM_CARE_UNITS];
+            visit_counts[cus[0]] += 1;
+            while cus.len() < target_transitions + 1 {
+                let current = cus[cus.len() - 1];
+                let next = sample_next_unit(archetype, current, &visit_counts, severity, rng);
+                visit_counts[next] += 1;
+                cus.push(next);
+                if next == CareUnit::Gw.index() && bernoulli(rng, 0.75) {
+                    break;
+                }
+            }
+            let dim = config.features.time_varying_dim();
+            let mut stays = Vec::new();
+            let mut t = 0.0;
+            for (i, &cu) in cus.iter().enumerate() {
+                let dwell = sample_dwell_days(cu, severity, rng);
+                let dur_class = crate::departments::duration_class(dwell);
+                let next_cu = cus.get(i + 1).copied();
+                let planted: Vec<Planted> =
+                    stay_signatures(&config, archetype, cu, next_cu, dur_class).collect();
+                let mut active = Vec::new();
+                for (_, key, keep_prob) in planted {
+                    self.push(&mut active, key, Some(keep_prob), rng);
+                }
+                for _ in 0..(config.stay_actives / 4).max(1) {
+                    active.push(rng.gen_range(0..dim) as u32);
+                }
+                stays.push(Stay {
+                    cu,
+                    entry_time: t,
+                    dwell_days: dwell,
+                    services: SparseVec::binary(dim, active),
+                });
+                t += dwell;
+            }
+            let count = profile_count(&config, archetype);
+            let a = archetype.index() as u64;
+            let severe = severity > 1.4;
+            let mut active = Vec::new();
+            let block = (FeatureDomain::Profile, a, count.max(1));
+            self.push(&mut active, block, Some(0.85), rng);
+            if severe {
+                self.push(&mut active, (FeatureDomain::Profile, 100, 4), None, rng);
+            }
+            for _ in 0..(count / 5).max(1) {
+                active.push(rng.gen_range(0..config.features.profile) as u32);
+            }
+            let profile = SparseVec::binary(config.features.profile, active);
+            (PatientRecord { id, profile, stays }, archetype, severe)
+        }
+    }
+
+    /// Template generation draws exactly the vectors of the sorting path it
+    /// replaced, stays and profiles, into records reused dirty: along a walk,
+    /// and after the cohort's last patient for every other id.  The configs
+    /// span the test dictionaries, prefixes of the scaled ones and the paper
+    /// scale, and one whose signatures hit the domain caps and overlap, so
+    /// that planted indices repeat and store values of 2 and more.  Every
+    /// config draws profiles of both templates, severe and not.
+    #[test]
+    fn template_generation_matches_the_sorting_oracle_bitwise() {
+        let mut overlap = CohortConfig::tiny(5);
+        overlap.stay_actives = 400;
+        overlap.profile_actives = 40;
+        let cases = [
+            (CohortConfig::tiny(3), 150),
+            (CohortConfig::small(4), 400),
+            (CohortConfig::scaled(0.01, 5), 300),
+            (CohortConfig::scaled(0.05, 6), 300),
+            (CohortConfig::scaled(1.0, 7), 150),
+            (CohortConfig::paper_scale(8), 150),
+            (overlap.clone(), 150),
+        ];
+        for (config, patients) in cases {
+            let mut oracle = Oracle::new(&config);
+            let mut record = PatientRecord::default();
+            let mut severe = [0usize; 2];
+            let (mut repeated_services, mut repeated_profiles) = (0usize, 0usize);
+            for id in 0..patients {
+                if id % 2 == 1 {
+                    generate_patient_into(&config, config.num_patients - 1, &mut record);
+                }
+                let (expected, archetype, is_severe) = oracle.patient(id);
+                assert_eq!(generate_patient_into(&config, id, &mut record), archetype);
+                assert_records_identical(&record, &expected);
+                severe[usize::from(is_severe)] += 1;
+                let repeats = |v: &SparseVec| v.values().iter().filter(|&&x| x >= 2.0).count();
+                repeated_services += record
+                    .stays
+                    .iter()
+                    .map(|s| repeats(&s.services))
+                    .sum::<usize>();
+                repeated_profiles += repeats(&record.profile);
+            }
+            assert!(
+                severe.iter().all(|&n| n > 0),
+                "both profile templates drawn: {severe:?}"
+            );
+            if config.stay_actives == overlap.stay_actives {
+                assert!(repeated_services > patients, "{repeated_services} repeats");
+                assert!(repeated_profiles > 0, "{repeated_profiles} repeats");
+            }
+        }
+    }
+
+    /// What the generator keeps per thread, from capacities, on a fresh
+    /// thread after a walk over `patients` patients of `config`.
+    fn table_bytes_after(config: CohortConfig, patients: usize) -> usize {
+        std::thread::spawn(move || {
+            assert_eq!(generator_table_bytes(), 0, "a fresh thread holds no table");
+            let mut record = PatientRecord::default();
+            for id in 0..patients {
+                generate_patient_into(&config, id, &mut record);
+            }
+            generator_table_bytes()
+        })
+        .join()
+        .expect("generator thread")
+    }
+
+    /// The per-thread generator table is a noise-free memory gate: its
+    /// signature sets, templates and draw buffers hold 93,556 B after a
+    /// scale-0.05 cohort (1,534 patients, seed 1) and 213,524 B after the
+    /// first 4,000 paper-scale patients (seed 1), each walked on a fresh
+    /// thread.  Templates of 8-byte `(index, draw)` entries with one
+    /// `(length, keep_prob)` record per draw group held 203,112 B and
+    /// 424,680 B; the sets alone, before templates, ~18 KiB and ~22 KiB.
+    #[test]
+    fn generator_table_stays_small() {
+        let scaled = CohortConfig::scaled(0.05, 1);
+        let scaled_bytes = table_bytes_after(scaled.clone(), scaled.num_patients);
+        let paper_bytes = table_bytes_after(CohortConfig::paper_scale(1), 4_000);
+        eprintln!(
+            "generator table: {scaled_bytes} B at scale 0.05, {paper_bytes} B at paper scale"
+        );
+        assert!(scaled_bytes <= 100 * 1024, "{scaled_bytes} B at scale 0.05");
+        assert!(paper_bytes <= 224 * 1024, "{paper_bytes} B at paper scale");
     }
 
     #[test]

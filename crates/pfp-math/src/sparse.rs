@@ -99,23 +99,59 @@ impl SparseVec {
         v
     }
 
-    /// Rebuild `self` in place as [`binary`](Self::binary)`(dim, active)`,
-    /// where `fill` pushes `active` onto the (emptied) index array.  Both
-    /// arrays keep their capacity, so a vector refilled over and over stops
-    /// allocating once it has held its largest content.
+    /// Rebuild `self` in place as [`binary`](Self::binary)`(dim, a ++ b)`
+    /// from two sorted index lists, without sorting: one merge writes each
+    /// index once, an index listed `k` times across both lists storing the
+    /// value `k`.  Both arrays keep their capacity, so a vector refilled over
+    /// and over stops allocating once it has held its largest content.
+    ///
+    /// # Panics
+    /// Panics if either list is not sorted (non-decreasing) or an index is
+    /// out of range.
     ///
     /// ```
     /// use pfp_math::SparseVec;
     ///
     /// let mut v = SparseVec::binary(4, vec![1, 2]);
-    /// v.refill_binary(6, |active| active.extend([5, 0, 5]));
-    /// assert_eq!(v, SparseVec::binary(6, vec![5, 0, 5]));
+    /// v.refill_binary_merged(6, &[0, 5, 5], &[2, 5]);
+    /// assert_eq!(v.indices(), &[0, 2, 5]);
+    /// assert_eq!(v.values(), &[1.0, 1.0, 3.0]);
+    /// assert_eq!(v, SparseVec::binary(6, vec![5, 0, 5, 2, 5]));
     /// ```
-    pub fn refill_binary(&mut self, dim: usize, fill: impl FnOnce(&mut Vec<u32>)) {
+    pub fn refill_binary_merged(&mut self, dim: usize, a: &[u32], b: &[u32]) {
+        assert!(
+            a.is_sorted() && b.is_sorted(),
+            "merged index lists must be sorted"
+        );
+        if let Some(&max) = a.last().max(b.last()) {
+            assert!(
+                (max as usize) < dim,
+                "index {max} out of bounds for dim {dim}"
+            );
+        }
         self.dim = dim;
-        self.indices.clear();
-        fill(&mut self.indices);
-        self.merge_binary_runs();
+        let (indices, values) = (&mut self.indices, &mut self.values);
+        indices.clear();
+        values.clear();
+        indices.reserve(a.len() + b.len());
+        values.reserve(a.len() + b.len());
+        let mut push = |i: u32| {
+            if indices.last() == Some(&i) {
+                *values.last_mut().expect("values parallel to indices") += 1.0;
+            } else {
+                indices.push(i);
+                values.push(1.0);
+            }
+        };
+        let (mut ia, mut ib) = (0, 0);
+        while ia < a.len() && ib < b.len() {
+            // Select rather than branch: which list runs next is data.
+            let from_b = b[ib] < a[ia];
+            push(if from_b { b[ib] } else { a[ia] });
+            ib += usize::from(from_b);
+            ia += usize::from(!from_b);
+        }
+        a[ia..].iter().chain(&b[ib..]).for_each(|&i| push(i));
     }
 
     /// Turn the index array, holding active indices in any order, into the
@@ -484,18 +520,44 @@ mod tests {
         assert!(SparseVec::binary(4, Vec::new()).is_empty());
     }
 
-    /// A vector refilled in place equals the fresh binary vector of the same
-    /// indices, whatever it held before, and keeps its buffers.
+    /// A vector refilled from two sorted lists equals the fresh binary
+    /// vector of their concatenation, whatever it held before, and keeps its
+    /// buffers: repeats within a list, across the lists and both at once.
     #[test]
-    fn refill_binary_matches_binary_and_keeps_capacity() {
+    fn refill_binary_merged_matches_binary_and_keeps_capacity() {
         let mut v = SparseVec::binary(50, (0..40).rev());
         let (indices_cap, values_cap) = (v.indices.capacity(), v.values.capacity());
-        for active in [vec![7, 3, 7, 0], vec![], vec![9, 9, 9, 1, 2]] {
-            v.refill_binary(10, |buf| buf.extend_from_slice(&active));
-            assert_eq!(v, SparseVec::binary(10, active));
+        let cases: [(&[u32], &[u32]); 8] = [
+            (&[0, 3, 7, 7], &[]),
+            (&[], &[1, 1, 9]),
+            (&[], &[]),
+            (&[2, 4], &[1, 3, 5]),
+            (&[2, 4, 4], &[4, 9]),
+            (&[0, 0, 9], &[0, 9, 9]),
+            (&[9], &[0]),
+            (&[5, 5, 5], &[5, 5]),
+        ];
+        for (a, b) in cases {
+            v.refill_binary_merged(10, a, b);
+            assert_eq!(v, SparseVec::binary(10, a.iter().chain(b).copied()));
             assert_eq!(v.indices.capacity(), indices_cap);
             assert_eq!(v.values.capacity(), values_cap);
         }
+        v.refill_binary_merged(10, &[5, 5, 5], &[5, 5]);
+        assert_eq!(v.indices(), &[5]);
+        assert_eq!(v.values()[0].to_bits(), 5.0f64.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn refill_binary_merged_rejects_out_of_range_index() {
+        SparseVec::new(4).refill_binary_merged(4, &[0, 1], &[2, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be sorted")]
+    fn refill_binary_merged_rejects_unsorted_lists() {
+        SparseVec::new(4).refill_binary_merged(4, &[0, 1], &[3, 2]);
     }
 
     #[test]

@@ -24,9 +24,10 @@ static ALLOC: mem::TrackingAllocator = mem::TrackingAllocator;
 const SCALE: f64 = 0.05;
 const SEED: u64 = 1;
 const SHARD_SIZE: usize = 256;
-/// Heap allocations per patient of one evaluation: 0.053 with the reused
-/// buffers (12.2 with a fresh record and row per patient, 35.0 with the
-/// sort-and-insert builders).
+/// Heap allocations per patient of one evaluation: 0.054 with the reused
+/// buffers and the generator's templates (0.053 before templates, 12.2 with
+/// a fresh record and row per patient, 35.0 with the sort-and-insert
+/// builders).
 const MAX_ALLOCATIONS_PER_PATIENT: f64 = 0.1;
 /// Heap bytes per patient of one evaluation: 143 with the reused buffers
 /// (3,193 with a fresh record and row per patient, 6,328 with the
