@@ -451,11 +451,14 @@ mod tests {
             let mut rows = CsrMatrix::from_rows(f.total_dim(), [&earlier]);
             f.featurize_into(&profile, &stays, t_eval, t_prev, &mut rows);
             prop_assert_eq!(rows.rows(), 2);
-            prop_assert_eq!(rows.row(0), (earlier.indices(), earlier.values()));
-            let (indices, values) = rows.row(1);
-            prop_assert_eq!(indices, expected.indices());
-            let value_bits: Vec<u64> = values.iter().map(|x| x.to_bits()).collect();
-            prop_assert_eq!(value_bits, bits(&expected));
+            let entry_bits = |entries: Vec<(u32, f64)>| {
+                entries.into_iter().map(|(i, v)| (i, v.to_bits())).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(rows.row_entries(0).collect::<Vec<_>>(), earlier.iter().collect::<Vec<_>>());
+            prop_assert_eq!(
+                entry_bits(rows.row_entries(1).collect()),
+                entry_bits(expected.iter().collect())
+            );
         }
     }
 

@@ -60,7 +60,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
-use pfp_math::parallel::{chunk_ranges, tree_reduce_matrices, tree_reduce_sums, WorkerPool};
+use pfp_math::parallel::{chunk_ranges, tree_reduce_into, tree_reduce_sums, WorkerPool};
 use pfp_math::softmax::{cross_entropy, cross_entropy_softmax_rows, softmax_in_place};
 use pfp_math::Matrix;
 use pfp_optim::SmoothObjective;
@@ -124,10 +124,14 @@ fn total_weight(weights: Option<&[f64]>, samples: usize) -> f64 {
 /// ([`pfp_math::parallel::chunk_ranges`] over the *total* sample count),
 /// folds each chunk through the kernel segment by segment in sample order,
 /// and combines the chunk partials with a fixed-order tree reduction
-/// ([`pfp_math::parallel::tree_reduce_matrices`]).  The chunk closures run on
-/// a persistent [`WorkerPool`] created once in [`with_threads`](Self::with_threads)
-/// (i.e. once per ADMM solve), so repeated evaluations pay a channel send
-/// rather than a thread spawn.
+/// ([`pfp_math::parallel::tree_reduce_matrices`]' order, run in place by
+/// [`pfp_math::parallel::tree_reduce_into`]).  Chunk 0 scatters into the
+/// caller's `grad` and each later chunk into a Θ-sized partial the objective
+/// keeps and reuses, so after its first evaluation a pooled objective
+/// allocates no Θ-sized buffer.  The chunk closures run on a persistent
+/// [`WorkerPool`] created once in [`with_threads`](Self::with_threads) (i.e.
+/// once per ADMM solve), so repeated evaluations pay a channel send rather
+/// than a thread spawn.
 ///
 /// * **Fixed thread count ⇒ bitwise-deterministic results, for every
 ///   source.**  Chunk boundaries and the reduction order are pure functions
@@ -192,6 +196,9 @@ pub struct Objective<'a, S> {
     /// the two phases of `value_then_gradient` and reused across
     /// evaluations.
     residuals: Mutex<Vec<Vec<f64>>>,
+    /// One Θ-sized gradient partial per chunk after the first (chunk 0
+    /// scatters into the caller's `grad`), reused across evaluations.
+    partials: Mutex<Vec<Matrix>>,
 }
 
 impl<'a> DmcpObjective<'a> {
@@ -241,6 +248,7 @@ impl<'a, S: SampleSource> Objective<'a, S> {
             threads: 1,
             pool: None,
             residuals: Mutex::new(Vec::new()),
+            partials: Mutex::new(Vec::new()),
         }
     }
 
@@ -280,8 +288,8 @@ impl<'a, S: SampleSource> Objective<'a, S> {
     }
 
     /// The residual half of the kernel on one segment: the `CSR × Θ` scores
-    /// of `local` (rows of `block`) accumulated into `out`, which holds
-    /// `local.len() · (C+D)` zeros, then each row's two softmax heads turned
+    /// of `local` (rows of `block`) written into `out`, which holds
+    /// `local.len() · (C+D)` entries, then each row's two softmax heads turned
     /// into weighted residuals in place, adding the weighted, un-normalised
     /// cross-entropy to `*loss` row by row.
     ///
@@ -373,11 +381,15 @@ impl<'a, S: SampleSource> Objective<'a, S> {
         SCORE_BLOCK.with(|cell| {
             let mut scratch = cell.borrow_mut();
             self.source.for_each_segment(chunk, |block, local| {
-                scratch.clear();
-                scratch.resize(local.len() * k, 0.0);
-                self.residual_half(theta, block, local.clone(), &mut scratch, &mut loss);
+                // The scores pass overwrites the block: no zero-fill.
+                let len = local.len() * k;
+                if scratch.len() < len {
+                    scratch.resize(len, 0.0);
+                }
+                let scratch = &mut scratch[..len];
+                self.residual_half(theta, block, local.clone(), scratch, &mut loss);
                 if let Some(grad) = grad.as_deref_mut() {
-                    block.csr.scatter_gradient_range(&scratch, local, grad);
+                    block.csr.scatter_gradient_range(scratch, local, grad);
                 }
             });
         });
@@ -388,7 +400,7 @@ impl<'a, S: SampleSource> Objective<'a, S> {
     /// order into `kept`.  Returns the chunk's un-normalised loss.
     fn residual_chunk(&self, theta: &Matrix, chunk: Range<usize>, kept: &mut Vec<f64>) -> f64 {
         let k = self.num_outputs();
-        kept.clear();
+        // Every row is overwritten by its segment's scores pass.
         kept.resize(chunk.len() * k, 0.0);
         let mut rest = kept.as_mut_slice();
         let mut loss = 0.0;
@@ -424,23 +436,43 @@ impl<'a, S: SampleSource> Objective<'a, S> {
         }
     }
 
+    /// Run `task(item, partial)` for every item — one per chunk — on the
+    /// pool, each with a zeroed Θ-sized gradient partial: `grad` itself for
+    /// the first, a kept partial for each later one.  The partials are then
+    /// reduced into `grad` in the fixed tree order.  Returns the tasks'
+    /// results in item order.
+    fn per_chunk_gradient<I: Send, T: Send>(
+        &self,
+        items: Vec<I>,
+        grad: &mut Matrix,
+        task: impl Fn(I, &mut Matrix) -> T + Sync,
+    ) -> Vec<T> {
+        debug_assert_eq!(grad.shape(), self.shape(), "gradient shape mismatch");
+        // Every partial is zeroed before it is written, so one left behind by
+        // a panicked evaluation is as good as a fresh one.
+        let mut partials = self.partials.lock().unwrap_or_else(PoisonError::into_inner);
+        let (rows, cols) = self.shape();
+        partials.resize_with(items.len().saturating_sub(1), || Matrix::zeros(rows, cols));
+        let targets = std::iter::once(&mut *grad).chain(partials.iter_mut());
+        let results = self.per_chunk(
+            items.into_iter().zip(targets).collect(),
+            |(item, partial)| {
+                partial.fill(0.0);
+                task(item, partial)
+            },
+        );
+        tree_reduce_into(grad, &mut partials);
+        results
+    }
+
     /// The fused evaluation: per-thread chunks on the pool, each folded in
-    /// one walk, partials tree-reduced in chunk order.
+    /// one walk into its gradient partial, partials tree-reduced in chunk
+    /// order.
     fn fold(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        let n = self.total_samples();
-        let chunks = chunk_ranges(n, self.threads);
-        if chunks.len() <= 1 {
-            grad.fill(0.0);
-            return self.fold_chunk(theta, 0..n, Some(grad)) / self.total_weight;
-        }
-        let (rows, cols) = grad.shape();
-        let partials = self.per_chunk(chunks, |chunk| {
-            let mut partial = Matrix::zeros(rows, cols);
-            let loss = self.fold_chunk(theta, chunk, Some(&mut partial));
-            (loss, partial)
+        let chunks = chunk_ranges(self.total_samples(), self.threads);
+        let losses = self.per_chunk_gradient(chunks, grad, |chunk, partial| {
+            self.fold_chunk(theta, chunk, Some(partial))
         });
-        let (losses, grads): (Vec<f64>, Vec<Matrix>) = partials.into_iter().unzip();
-        *grad = tree_reduce_matrices(grads).expect("at least one gradient chunk");
         tree_reduce_sums(losses) / self.total_weight
     }
 }
@@ -470,8 +502,7 @@ impl<S: SampleSource> SmoothObjective for Objective<'_, S> {
             let value = self.fold(theta, grad);
             return (value, accept(value));
         }
-        let n = self.total_samples();
-        let chunks = chunk_ranges(n, self.threads);
+        let chunks = chunk_ranges(self.total_samples(), self.threads);
         // Every buffer is rewritten before it is read, so one left behind by
         // a panicked evaluation is as good as a fresh one.
         let mut kept = self
@@ -485,19 +516,10 @@ impl<S: SampleSource> SmoothObjective for Objective<'_, S> {
         if !accept(value) {
             return (value, false);
         }
-        if chunks.len() <= 1 {
-            grad.fill(0.0);
-            self.scatter_chunk(0..n, &kept[0], grad);
-        } else {
-            let (rows, cols) = grad.shape();
-            let items = chunks.into_iter().zip(kept.iter()).collect();
-            let partials = self.per_chunk(items, |(chunk, buf)| {
-                let mut partial = Matrix::zeros(rows, cols);
-                self.scatter_chunk(chunk, buf, &mut partial);
-                partial
-            });
-            *grad = tree_reduce_matrices(partials).expect("at least one gradient chunk");
-        }
+        let items = chunks.into_iter().zip(kept.iter()).collect();
+        self.per_chunk_gradient(items, grad, |(chunk, buf), partial| {
+            self.scatter_chunk(chunk, buf, partial)
+        });
         (value, true)
     }
 
@@ -520,8 +542,7 @@ impl<S: SampleSource> SmoothObjective for Objective<'_, S> {
             .for_each_segment(0..self.total_samples(), |block, local| {
                 for i in local {
                     let w = self.weight(block.start + i);
-                    let (indices, values) = block.csr.row(i);
-                    for (&idx, &v) in indices.iter().zip(values) {
+                    for (idx, v) in block.csr.row_entries(i) {
                         sums[idx as usize] += w * v * v;
                     }
                 }
@@ -583,6 +604,9 @@ pub fn per_sample_value_and_gradient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::FeatureMapKind;
+    use crate::stream::{ShardedDmcpObjective, ShardedSamples};
+    use pfp_math::csr::PANEL_COLS;
     use pfp_math::SparseVec;
 
     fn toy_samples() -> Vec<Sample> {
@@ -870,6 +894,169 @@ mod tests {
         explicit.gradient(&theta, &mut b);
         assert_eq!(a, b);
         assert!(serial.value(&theta) == explicit.value(&theta));
+    }
+
+    /// Three full CSR column panels and part of a fourth.
+    const WIDE: usize = 3 * PANEL_COLS + 17;
+
+    /// Synthetic samples over [`WIDE`] features whose rows cross every panel
+    /// boundary; some rows live in the first panel only, some miss the
+    /// middle panels, and one is empty.
+    fn wide_samples(num_cus: usize, num_durations: usize) -> Vec<Sample> {
+        (0..90)
+            .map(|i| {
+                let pairs: Vec<(u32, f64)> = match i % 5 {
+                    0 => (0..6)
+                        .map(|j| ((i * 13 + j * 101) % PANEL_COLS, j))
+                        .collect(),
+                    1 => vec![(3, 0), (PANEL_COLS - 1, 1), (3 * PANEL_COLS + i % 17, 2)],
+                    2 if i == 7 => vec![],
+                    _ => (0..25).map(|j| ((i * 7919 + j * 1543) % WIDE, j)).collect(),
+                }
+                .into_iter()
+                .map(|(c, j)| {
+                    (
+                        c as u32,
+                        0.25 + 0.5 * (j % 7) as f64 - 0.01 * (i % 3) as f64,
+                    )
+                })
+                .collect();
+                Sample {
+                    patient_id: i / 3,
+                    features: SparseVec::from_pairs(WIDE, pairs),
+                    cu_label: i % num_cus,
+                    duration_label: (i / 2) % num_durations,
+                }
+            })
+            .collect()
+    }
+
+    fn wide_theta(cols: usize, shift: f64) -> Matrix {
+        Matrix::from_fn(WIDE, cols, |r, c| {
+            ((r * cols + c) as f64 * 0.37 + shift).sin() * 0.3
+        })
+    }
+
+    /// The objectives over [`wide_samples`]: materialized, and sharded into
+    /// blocks of seven samples.
+    fn wide_objectives<'a>(
+        samples: &[Sample],
+        sharded: &'a ShardedSamples,
+        weights: Option<&'a [f64]>,
+        threads: usize,
+    ) -> (DmcpObjective<'a>, ShardedDmcpObjective<'a>) {
+        let (c, d) = (sharded.num_cus(), sharded.num_durations());
+        (
+            DmcpObjective::new(samples, weights, WIDE, c, d).with_threads(threads),
+            ShardedDmcpObjective::new(sharded, weights).with_threads(threads),
+        )
+    }
+
+    fn shard_wide(samples: &[Sample], num_cus: usize, num_durations: usize) -> ShardedSamples {
+        let kind = FeatureMapKind::ModulatedPoisson;
+        ShardedSamples::from_samples(samples, 7, kind, 17, WIDE - 17, num_cus, num_durations)
+    }
+
+    fn matrix_bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Above the panel width, on one thread, the materialized and sharded
+    /// objectives equal the per-sample oracle bit for bit, on the blocked
+    /// (K = 16) and the generic (K = 7) kernel paths, weighted and not.
+    #[test]
+    fn objectives_above_the_panel_width_match_the_oracle_bitwise() {
+        for (c, d) in [(8, 8), (3, 4)] {
+            let samples = wide_samples(c, d);
+            let sharded = shard_wide(&samples, c, d);
+            let weights: Vec<f64> = (0..samples.len()).map(|i| 0.5 + (i % 4) as f64).collect();
+            let theta = wide_theta(c + d, 0.0);
+            for weights in [None, Some(&weights[..])] {
+                let mut oracle = Matrix::zeros(WIDE, c + d);
+                let value =
+                    per_sample_value_and_gradient(&samples, weights, c, d, &theta, &mut oracle);
+                let (materialized, sharded) = wide_objectives(&samples, &sharded, weights, 1);
+                for (name, objective) in [
+                    ("materialized", &materialized as &dyn SmoothObjective),
+                    ("sharded", &sharded),
+                ] {
+                    let mut grad = Matrix::zeros(WIDE, c + d);
+                    let v = objective.value_and_gradient(&theta, &mut grad);
+                    assert_eq!(v.to_bits(), value.to_bits(), "{name}, K={}", c + d);
+                    assert_eq!(
+                        matrix_bits(&grad),
+                        matrix_bits(&oracle),
+                        "{name}, K={}",
+                        c + d
+                    );
+                    assert_eq!(objective.value(&theta).to_bits(), value.to_bits());
+                }
+            }
+        }
+    }
+
+    /// Above the panel width, two and three threads agree with one to
+    /// rounding, and a repeated evaluation, reusing the kept partials,
+    /// repeats its bits.
+    #[test]
+    fn pooled_objectives_above_the_panel_width_agree_with_one_thread() {
+        let (c, d) = (8, 8);
+        let samples = wide_samples(c, d);
+        let sharded = shard_wide(&samples, c, d);
+        let theta = wide_theta(c + d, 1.0);
+        let mut serial = Matrix::zeros(WIDE, c + d);
+        let value = per_sample_value_and_gradient(&samples, None, c, d, &theta, &mut serial);
+        for threads in [2, 3] {
+            let (materialized, sharded) = wide_objectives(&samples, &sharded, None, threads);
+            for objective in [&materialized as &dyn SmoothObjective, &sharded] {
+                let mut first = Matrix::zeros(WIDE, c + d);
+                let v = objective.value_and_gradient(&theta, &mut first);
+                assert!((v - value).abs() <= 1e-12, "threads={threads}: value drift");
+                assert!(
+                    first.sub(&serial).max_abs() <= 1e-12,
+                    "threads={threads}: gradient drift"
+                );
+                let mut again = Matrix::from_fn(WIDE, c + d, |_, _| f64::NAN);
+                let w = objective.value_and_gradient(&theta, &mut again);
+                assert_eq!(w.to_bits(), v.to_bits());
+                assert_eq!(
+                    matrix_bits(&again),
+                    matrix_bits(&first),
+                    "threads={threads}"
+                );
+            }
+        }
+    }
+
+    /// Above the panel width, an accepted `value_then_gradient` gives the
+    /// fused evaluation's bits, and a rejected one leaves `grad` untouched.
+    #[test]
+    fn value_then_gradient_above_the_panel_width_matches_the_fused_bits() {
+        let (c, d) = (8, 8);
+        let samples = wide_samples(c, d);
+        let sharded = shard_wide(&samples, c, d);
+        for threads in [1, 2, 3] {
+            let (materialized, sharded) = wide_objectives(&samples, &sharded, None, threads);
+            for objective in [&materialized as &dyn SmoothObjective, &sharded] {
+                for shift in [0.0, 2.0] {
+                    let theta = wide_theta(c + d, shift);
+                    let mut fused = Matrix::zeros(WIDE, c + d);
+                    let value = objective.value_and_gradient(&theta, &mut fused);
+                    let sentinel = Matrix::from_fn(WIDE, c + d, |r, k| (r + k) as f64);
+                    let mut grad = sentinel.clone();
+                    let (v, accepted) =
+                        objective.value_then_gradient(&theta, &mut grad, &mut |_| false);
+                    assert!(!accepted);
+                    assert_eq!(v.to_bits(), value.to_bits(), "threads={threads}");
+                    assert_eq!(matrix_bits(&grad), matrix_bits(&sentinel), "rejected");
+                    let (v, accepted) =
+                        objective.value_then_gradient(&theta, &mut grad, &mut |_| true);
+                    assert!(accepted);
+                    assert_eq!(v.to_bits(), value.to_bits(), "threads={threads}");
+                    assert_eq!(matrix_bits(&grad), matrix_bits(&fused), "threads={threads}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl DmcpModel {
         );
         let width = self.num_cus + self.num_durations;
         let k = block.rows();
-        out.clear();
+        // The scores pass writes every entry: no zero-fill.
         out.resize(k * width, 0.0);
         block.accumulate_scores_range(&self.theta, 0..k, out);
     }
@@ -400,7 +400,7 @@ mod tests {
         let m = tiny_model();
         let f = SparseVec::from_pairs(4, vec![(0, 1.5), (2, -0.25), (3, 0.5)]);
         let block = CsrMatrix::from_rows(4, [&f]);
-        let mut out = Vec::new();
+        let mut out = vec![f64::NAN; 2]; // stale garbage must be overwritten
         m.scores_block_into(&block, &mut out);
         let (cu, dur) = m.scores(&f);
         let walk: Vec<f64> = cu.iter().chain(dur.iter()).copied().collect();

@@ -575,10 +575,18 @@ mod tests {
         }
         assert_eq!(streamed.len(), materialized.len());
         for (row, m) in materialized.iter().enumerate() {
-            let (indices, values) = streamed.csr.row(row);
-            assert_eq!(indices, m.features.indices());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(values), bits(m.features.values()), "row {row}");
+            let bits = |entries: Vec<(u32, f64)>| {
+                entries
+                    .into_iter()
+                    .map(|(i, v)| (i, v.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            let streamed_row = streamed.csr.row_entries(row).collect();
+            assert_eq!(
+                bits(streamed_row),
+                bits(m.features.iter().collect()),
+                "row {row}"
+            );
             let labels = (streamed.cu_labels[row], streamed.duration_labels[row]);
             assert_eq!(labels, (m.cu_label as u32, m.duration_label as u32));
         }
@@ -599,9 +607,8 @@ mod tests {
             assert_eq!(shard.start, global);
             for local in 0..shard.len() {
                 let s = &samples[global];
-                let (idx, val) = shard.csr.row(local);
-                assert_eq!(idx, s.features.indices());
-                assert_eq!(val, s.features.values());
+                let entries: Vec<_> = shard.csr.row_entries(local).collect();
+                assert_eq!(entries, s.features.iter().collect::<Vec<_>>());
                 assert_eq!(shard.cu_labels[local] as usize, s.cu_label);
                 assert_eq!(shard.duration_labels[local] as usize, s.duration_label);
                 global += 1;

@@ -4,9 +4,22 @@
 //! evaluation (scores `Θ⊤ f_i`, then the gradient scatter).  Stored as one
 //! [`SparseVec`] per sample, each walk chases a separate pair of heap
 //! allocations; packing the cohort into one CSR matrix once per solve makes
-//! each evaluation two linear passes over three contiguous arrays — one
+//! each evaluation two linear passes over contiguous arrays — one
 //! `CSR × Θ` scores pass and one `CSRᵀ` scatter — with both row kernels
 //! register-blocked over the output columns.
+//!
+//! # Column panels
+//!
+//! The nonzeros are stored as column panels of [`PANEL_COLS`] features: each
+//! panel is a CSR matrix of its own over all rows, with its own row pointers,
+//! holding the entries whose feature index falls in its column span.  A
+//! row's indices are sorted, so its panels split them in storage order.
+//! Both kernels run panel by panel on the outside and row by row on the
+//! inside, so each panel's slice of `Θ` (and of the gradient) is the only
+//! part of it a pass touches at a time.  At the paper's `M = 17,672` rows
+//! and `C + D = 16` columns, `Θ` is 2.26 MB — more than a 2 MiB per-core L2 —
+//! while one panel's slice is 512 KiB and fits in L2 beside its gradient
+//! slice.  A matrix with `dim ≤ PANEL_COLS` has one panel.
 //!
 //! # Kernel determinism contract
 //!
@@ -22,15 +35,22 @@
 //!   never call `mul_add`, and Rust never contracts `a * b + c` on its own,
 //!   even where an instantiation's target features (`avx512f` implies
 //!   `fma`) make a fused instruction available.
-//! * **Per-column accumulation in storage order.**  Each output column
-//!   accumulates independently, over a row's nonzeros in the order they are
-//!   stored, and rows are visited in increasing order.  Vectorizing across
-//!   the columns therefore changes no column's summation order.
+//! * **Per-column accumulation in storage order.**  Each score column
+//!   accumulates independently, starting from `+0.0`, over a row's nonzeros
+//!   in the order they are stored.  The panels split a row's nonzeros in
+//!   storage order and are visited in increasing order, each carrying the
+//!   row's running sums in `out` on to the next, so the panelling changes no
+//!   column's summation order.  Vectorizing across the columns changes none
+//!   either.
+//! * **One panel per gradient element, rows in increasing order.**  Each
+//!   gradient element belongs to exactly one panel's column span, and that
+//!   panel visits the rows in increasing order, so every element receives
+//!   its updates in the order of the per-sample loop.
 //! * **The dispatch choice changes no bit.**  Each kernel has one body,
 //!   compiled three times: portably, inside an `avx2`-enabled function and
 //!   inside an `avx512f`-enabled one.  At run time the widest one the CPU
 //!   supports is chosen, AVX-512 before AVX2 ([`kernel_path`] reports
-//!   which).  By the two rules above, every instantiation produces the same
+//!   which).  By the rules above, every instantiation produces the same
 //!   bits; the unit tests here call each one the CPU can run directly and
 //!   compare them bitwise.
 
@@ -40,8 +60,73 @@ use std::ops::Range;
 use crate::dense::Matrix;
 use crate::sparse::SparseVec;
 
+/// Feature columns per panel of a [`CsrMatrix`].
+///
+/// 4,096 columns make a 512 KiB slice of `Θ` at `C + D = 16` output
+/// columns, which fits in a 2 MiB L2 beside the matching slice of a gradient
+/// partial.  Panels of 3–6 K columns measured alike on the paper-scale
+/// cohort; 1 K columns were slower.
+pub const PANEL_COLS: usize = 4096;
+
+/// One column panel: a CSR matrix over all rows of the entries whose feature
+/// index lies in the panel's column span.  Indices are global feature
+/// indices.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Panel {
+    indptr: Vec<usize>,
+    indices: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl Panel {
+    fn empty() -> Self {
+        Self {
+            indptr: vec![0],
+            indices: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// The row pointers of `range`: `range.len() + 1` entries whose windows
+    /// are the rows' spans of `indices` and `values`.
+    #[inline(always)]
+    fn spans(&self, range: &Range<usize>) -> &[usize] {
+        &self.indptr[range.start..range.end + 1]
+    }
+
+    /// Append one row's entries (global indices) and close it.
+    fn push(&mut self, indices: &[u32], values: &[f64]) {
+        self.indices.extend_from_slice(indices);
+        self.values.extend_from_slice(values);
+        self.indptr.push(self.indices.len());
+    }
+}
+
+/// Number of panels of a `dim`-column matrix (at least one).
+fn panel_count(dim: usize) -> usize {
+    dim.div_ceil(PANEL_COLS).max(1)
+}
+
+/// Append one row, given by its sorted `indices` and parallel `values`, to
+/// `panels`, the panels from number `first` on to the last: each takes the
+/// entries of its column span, the last one all that remain (so a
+/// one-panel matrix appends the row as it is, with no search).
+fn push_split(panels: &mut [Panel], first: usize, mut indices: &[u32], mut values: &[f64]) {
+    let Some((last, inner)) = panels.split_last_mut() else {
+        return;
+    };
+    for (p, panel) in inner.iter_mut().enumerate() {
+        let end = (first + p + 1) * PANEL_COLS;
+        let n = indices.partition_point(|&c| (c as usize) < end);
+        panel.push(&indices[..n], &values[..n]);
+        (indices, values) = (&indices[n..], &values[n..]);
+    }
+    last.push(indices, values);
+}
+
 /// Immutable sample-major CSR matrix: row `i` holds sample `i`'s sparse
-/// feature vector over `dim` feature columns.
+/// feature vector over `dim` feature columns, stored as column panels (see
+/// the [module docs](self)).
 ///
 /// ```
 /// use pfp_math::{CsrMatrix, Matrix, SparseVec};
@@ -54,21 +139,19 @@ use crate::sparse::SparseVec;
 /// assert_eq!((csr.rows(), csr.dim(), csr.nnz()), (2, 3, 3));
 ///
 /// let theta = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-/// let mut scores = vec![0.0; 4];
+/// let mut scores = vec![f64::NAN; 4];
 /// csr.accumulate_scores_range(&theta, 0..2, &mut scores);
 /// assert_eq!(scores, vec![11.0, 14.0, -3.0, -4.0]); // [Θ⊤f_0, Θ⊤f_1]
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CsrMatrix {
     dim: usize,
-    indptr: Vec<usize>,
-    indices: Vec<u32>,
-    values: Vec<f64>,
+    panels: Vec<Panel>,
 }
 
 impl Default for CsrMatrix {
     /// An empty 0-row, 0-column matrix.  (A derived `Default` would leave
-    /// `indptr` empty, making `rows()` underflow on a defaulted value.)
+    /// it without panels and row pointers.)
     fn default() -> Self {
         Self::with_dim(0)
     }
@@ -87,9 +170,7 @@ impl CsrMatrix {
     pub fn with_dim(dim: usize) -> Self {
         Self {
             dim,
-            indptr: vec![0],
-            indices: Vec::new(),
-            values: Vec::new(),
+            panels: (0..panel_count(dim)).map(|_| Panel::empty()).collect(),
         }
     }
 
@@ -102,15 +183,17 @@ impl CsrMatrix {
     /// Panics if the row's dimensionality differs from this matrix's `dim`.
     pub fn push_row(&mut self, row: &SparseVec) {
         assert_eq!(row.dim(), self.dim, "row dimensionality mismatch");
-        self.indices.extend_from_slice(row.indices());
-        self.values.extend_from_slice(row.values());
-        self.indptr.push(self.indices.len());
+        push_split(&mut self.panels, 0, row.indices(), row.values());
     }
 
     /// Append one row whose entries `fill` pushes onto the ends of the index
     /// and value arrays, in strictly increasing index order: a row built in
     /// place, with no [`SparseVec`] in between.  `fill` must only append,
     /// the same number of indices as values.
+    ///
+    /// `fill` appends to the first panel's arrays; on a matrix of more than
+    /// one panel the entries past its column span then move on to the
+    /// others.
     ///
     /// ```
     /// use pfp_math::CsrMatrix;
@@ -120,74 +203,103 @@ impl CsrMatrix {
     ///     indices.extend([1, 4]);
     ///     values.extend([0.5, 2.0]);
     /// });
-    /// assert_eq!(csr.row(0), (&[1, 4][..], &[0.5, 2.0][..]));
+    /// assert_eq!(csr.row_entries(0).collect::<Vec<_>>(), [(1, 0.5), (4, 2.0)]);
     /// ```
     ///
     /// # Panics
     /// Panics if the appended indices and values differ in number, or the
     /// indices are not strictly increasing and below `dim`.
     pub fn push_row_with(&mut self, fill: impl FnOnce(&mut Vec<u32>, &mut Vec<f64>)) {
-        let start = self.indices.len();
-        fill(&mut self.indices, &mut self.values);
+        let (first, rest) = self
+            .panels
+            .split_first_mut()
+            .expect("a matrix has at least one panel");
+        let start = first.indices.len();
+        fill(&mut first.indices, &mut first.values);
         assert!(
-            self.indices.len() == self.values.len() && self.indices.len() >= start,
+            first.indices.len() == first.values.len() && first.indices.len() >= start,
             "a row must append as many indices as values"
         );
-        let row = &self.indices[start..];
+        let row = &first.indices[start..];
         assert!(
             row.windows(2).all(|w| w[0] < w[1])
                 && row.last().is_none_or(|&i| (i as usize) < self.dim),
             "row indices must be strictly increasing and below {}",
             self.dim
         );
-        self.indptr.push(self.indices.len());
+        if !rest.is_empty() {
+            let split = start + row.partition_point(|&c| (c as usize) < PANEL_COLS);
+            push_split(rest, 1, &first.indices[split..], &first.values[split..]);
+            first.indices.truncate(split);
+            first.values.truncate(split);
+        }
+        first.indptr.push(first.indices.len());
     }
 
     /// Drop all rows, keeping `dim` and the allocated capacity, so one buffer
     /// can be reused across micro-batch flushes (and across streaming shard
     /// repacks) without per-batch allocation.
     ///
-    /// Re-establishes the leading `indptr` sentinel explicitly rather than
-    /// truncating to it: a value whose `indptr` is empty (e.g. deserialized
-    /// from hostile input) would otherwise stay sentinel-less, and every
-    /// subsequent [`push_row`](Self::push_row) would record offsets against a
+    /// Re-establishes each panel's leading row-pointer sentinel (and the
+    /// panel count) explicitly rather than truncating to them: a value
+    /// deserialized from hostile input may lack either, and every subsequent
+    /// [`push_row`](Self::push_row) would otherwise record offsets against a
     /// missing base, corrupting the row layout.
     pub fn clear_rows(&mut self) {
-        self.indices.clear();
-        self.values.clear();
-        self.indptr.clear();
-        self.indptr.push(0);
+        self.panels.resize_with(panel_count(self.dim), Panel::empty);
+        for panel in &mut self.panels {
+            panel.indices.clear();
+            panel.values.clear();
+            panel.indptr.clear();
+            panel.indptr.push(0);
+        }
     }
 
-    /// Pack sparse rows (each of dimensionality `dim`) into CSR form.
+    /// Pack sparse rows (each of dimensionality `dim`) into CSR form, each
+    /// panel's arrays allocated once at their final size.  (Growing them row
+    /// by row instead left the peak RSS of a paper-scale train 4–7 MiB
+    /// higher, on a 2-vCPU Xeon guest.)
     ///
     /// # Panics
     /// Panics if a row's dimensionality differs from `dim`.
     pub fn from_rows<'a>(dim: usize, rows: impl IntoIterator<Item = &'a SparseVec>) -> Self {
-        let mut indptr = vec![0usize];
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for row in rows {
+        let rows: Vec<&SparseVec> = rows.into_iter().collect();
+        let mut csr = Self::with_dim(dim);
+        let mut nnz = vec![0usize; csr.panels.len()];
+        for row in &rows {
             assert_eq!(row.dim(), dim, "row dimensionality mismatch");
-            indices.extend_from_slice(row.indices());
-            values.extend_from_slice(row.values());
-            indptr.push(indices.len());
+            // Split as `push_split` does: the last panel takes the rest.
+            let (last, inner) = nnz
+                .split_last_mut()
+                .expect("a matrix has at least one panel");
+            let mut rest = row.indices();
+            for (p, n) in inner.iter_mut().enumerate() {
+                let k = rest.partition_point(|&c| (c as usize) < (p + 1) * PANEL_COLS);
+                *n += k;
+                rest = &rest[k..];
+            }
+            *last += rest.len();
         }
-        Self {
-            dim,
-            indptr,
-            indices,
-            values,
+        for (panel, n) in csr.panels.iter_mut().zip(nnz) {
+            panel.indptr.reserve_exact(rows.len());
+            panel.indices.reserve_exact(n);
+            panel.values.reserve_exact(n);
         }
+        for row in rows {
+            push_split(&mut csr.panels, 0, row.indices(), row.values());
+        }
+        csr
     }
 
     /// Number of rows (samples).
     ///
-    /// Robust to a deserialized value with an empty `indptr` (reported as
-    /// zero rows rather than underflowing).
+    /// Robust to a deserialized value without panels or row pointers
+    /// (reported as zero rows rather than panicking or underflowing).
     #[inline]
     pub fn rows(&self) -> usize {
-        self.indptr.len().saturating_sub(1)
+        self.panels
+            .first()
+            .map_or(0, |p| p.indptr.len().saturating_sub(1))
     }
 
     /// Number of feature columns.
@@ -199,27 +311,32 @@ impl CsrMatrix {
     /// Total stored nonzeros.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.indices.len()
+        self.panels.iter().map(|p| p.indices.len()).sum()
     }
 
-    /// Row `i` as parallel `(indices, values)` slices.
-    #[inline]
-    pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
-        let span = self.indptr[i]..self.indptr[i + 1];
-        (&self.indices[span.clone()], &self.values[span])
+    /// Row `i`'s `(index, value)` entries in increasing index order.
+    pub fn row_entries(&self, i: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.panels.iter().flat_map(move |p| {
+            let span = p.indptr[i]..p.indptr[i + 1];
+            let values = &p.values[span.clone()];
+            p.indices[span].iter().copied().zip(values.iter().copied())
+        })
     }
 
-    /// Batched scores pass: for every row `i` in `range`, accumulate
-    /// `out[local·K + k] += Σ_j v_ij · theta[col_ij][k]` where
+    /// Batched scores pass: for every row `i` in `range`, write
+    /// `out[local·K + k] = Σ_j v_ij · theta[col_ij][k]` where
     /// `local = i − range.start` and `K = theta.cols()`.
     ///
-    /// `out` must hold `range.len() · K` entries and is **accumulated into**
-    /// (callers zero it).  The inner multiply-accumulate is register-blocked
-    /// over the output columns: for the workspace-wide `K = 16` (and the
-    /// small-cohort `K = 4` / `K = 8` shapes) the accumulator lives in a
-    /// fixed-size stack array across a row's whole nonzero walk, so scores
-    /// stay in registers instead of round-tripping through `out` per entry.
-    /// See the [module docs](self) for the determinism contract.
+    /// `out` must hold `range.len() · K` entries and is **overwritten**: its
+    /// prior contents are never read, so callers need not zero it.  The pass
+    /// runs panel by panel, carrying each row's running sums in `out` from
+    /// one panel to the next.  The inner multiply-accumulate is
+    /// register-blocked over the output columns: for the workspace-wide
+    /// `K = 16` (and the small-cohort `K = 4` / `K = 8` shapes) the
+    /// accumulator lives in a fixed-size stack array across a row's nonzero
+    /// walk in a panel, so scores stay in registers instead of round-tripping
+    /// through `out` per entry.  See the [module docs](self) for the
+    /// determinism contract.
     ///
     /// # Panics
     /// Panics (debug) on shape mismatches.
@@ -273,16 +390,17 @@ impl CsrMatrix {
     #[inline(always)]
     fn scores_blocked<const K: usize>(&self, theta: &Matrix, range: Range<usize>, out: &mut [f64]) {
         let data = theta.as_slice();
-        for (local, i) in range.enumerate() {
-            let (indices, values) = self.row(i);
-            let mut acc = [0.0f64; K];
-            for (&col, &v) in indices.iter().zip(values) {
-                for (a, &t) in acc.iter_mut().zip(tile::<K>(data, col as usize * K)) {
-                    *a += v * t;
+        for (p, panel) in self.panels.iter().enumerate() {
+            for (local, span) in panel.spans(&range).windows(2).enumerate() {
+                let dst = tile_mut::<K>(out, local * K);
+                let mut acc = if p == 0 { [0.0f64; K] } else { *dst };
+                let span = span[0]..span[1];
+                for (&col, &v) in panel.indices[span.clone()].iter().zip(&panel.values[span]) {
+                    for (a, &t) in acc.iter_mut().zip(tile::<K>(data, col as usize * K)) {
+                        *a += v * t;
+                    }
                 }
-            }
-            for (o, a) in tile_mut::<K>(out, local * K).iter_mut().zip(acc) {
-                *o += a;
+                *dst = acc;
             }
         }
     }
@@ -291,13 +409,18 @@ impl CsrMatrix {
     fn scores_generic(&self, theta: &Matrix, range: Range<usize>, out: &mut [f64]) {
         let cols = theta.cols();
         let data = theta.as_slice();
-        for (local, i) in range.enumerate() {
-            let (indices, values) = self.row(i);
-            let dst = &mut out[local * cols..(local + 1) * cols];
-            for (&col, &v) in indices.iter().zip(values) {
-                let row = &data[col as usize * cols..col as usize * cols + cols];
-                for (o, &t) in dst.iter_mut().zip(row) {
-                    *o += v * t;
+        for (p, panel) in self.panels.iter().enumerate() {
+            for (local, span) in panel.spans(&range).windows(2).enumerate() {
+                let dst = &mut out[local * cols..(local + 1) * cols];
+                if p == 0 {
+                    dst.fill(0.0);
+                }
+                let span = span[0]..span[1];
+                for (&col, &v) in panel.indices[span.clone()].iter().zip(&panel.values[span]) {
+                    let row = &data[col as usize * cols..col as usize * cols + cols];
+                    for (o, &t) in dst.iter_mut().zip(row) {
+                        *o += v * t;
+                    }
                 }
             }
         }
@@ -306,14 +429,15 @@ impl CsrMatrix {
     /// Batched transpose-scatter pass: for every row `i` in `range`, scatter
     /// `grad[col_ij][k] += v_ij · contrib[local·K + k]` — the `CSRᵀ ×
     /// residual` half of a log-linear gradient, one contiguous walk over the
-    /// whole range.
+    /// range per panel.
     ///
     /// Register-blocked like the scores pass: for `K ∈ {4, 8, 16}` a row's
     /// `contrib` slice is held in a fixed-size array across its nonzero walk.
-    /// Rows are processed in increasing order and each row's updates land in
-    /// the same order as [`SparseVec::scatter_gradient`] would produce, so
-    /// the batched gradient is bitwise identical to the per-sample loop (see
-    /// the [module docs](self)).
+    /// Each gradient element lies in one panel, which visits the rows in
+    /// increasing order, so every element's updates land in the same order
+    /// as [`SparseVec::scatter_gradient`] would produce and the batched
+    /// gradient is bitwise identical to the per-sample loop (see the
+    /// [module docs](self)).
     ///
     /// # Panics
     /// Panics (debug) on shape mismatches.
@@ -372,12 +496,14 @@ impl CsrMatrix {
         grad: &mut Matrix,
     ) {
         let data = grad.as_mut_slice();
-        for (local, i) in range.enumerate() {
-            let (indices, values) = self.row(i);
-            let c = tile::<K>(contrib, local * K);
-            for (&col, &v) in indices.iter().zip(values) {
-                for (g, &ck) in tile_mut::<K>(data, col as usize * K).iter_mut().zip(c) {
-                    *g += v * ck;
+        for panel in &self.panels {
+            for (local, span) in panel.spans(&range).windows(2).enumerate() {
+                let c = tile::<K>(contrib, local * K);
+                let span = span[0]..span[1];
+                for (&col, &v) in panel.indices[span.clone()].iter().zip(&panel.values[span]) {
+                    for (g, &ck) in tile_mut::<K>(data, col as usize * K).iter_mut().zip(c) {
+                        *g += v * ck;
+                    }
                 }
             }
         }
@@ -387,13 +513,15 @@ impl CsrMatrix {
     fn scatter_generic(&self, contrib: &[f64], range: Range<usize>, grad: &mut Matrix) {
         let cols = grad.cols();
         let data = grad.as_mut_slice();
-        for (local, i) in range.enumerate() {
-            let (indices, values) = self.row(i);
-            let c = &contrib[local * cols..(local + 1) * cols];
-            for (&col, &v) in indices.iter().zip(values) {
-                let row = &mut data[col as usize * cols..col as usize * cols + cols];
-                for (g, &ck) in row.iter_mut().zip(c) {
-                    *g += v * ck;
+        for panel in &self.panels {
+            for (local, span) in panel.spans(&range).windows(2).enumerate() {
+                let c = &contrib[local * cols..(local + 1) * cols];
+                let span = span[0]..span[1];
+                for (&col, &v) in panel.indices[span.clone()].iter().zip(&panel.values[span]) {
+                    let row = &mut data[col as usize * cols..col as usize * cols + cols];
+                    for (g, &ck) in row.iter_mut().zip(c) {
+                        *g += v * ck;
+                    }
                 }
             }
         }
@@ -468,6 +596,10 @@ mod tests {
         ]
     }
 
+    fn entries(row: &SparseVec) -> Vec<(u32, f64)> {
+        row.iter().collect()
+    }
+
     #[test]
     fn from_rows_preserves_layout_and_counts() {
         let rows = sample_rows();
@@ -475,10 +607,9 @@ mod tests {
         assert_eq!(csr.rows(), 4);
         assert_eq!(csr.dim(), 5);
         assert_eq!(csr.nnz(), 6);
+        assert_eq!(csr.panels.len(), 1);
         for (i, r) in rows.iter().enumerate() {
-            let (idx, val) = csr.row(i);
-            assert_eq!(idx, r.indices());
-            assert_eq!(val, r.values());
+            assert_eq!(csr.row_entries(i).collect::<Vec<_>>(), entries(r));
         }
     }
 
@@ -631,6 +762,135 @@ mod tests {
         }
     }
 
+    /// Rows over `dim` columns that exercise the panel boundaries: empty
+    /// rows, rows confined to one panel (the first, the last, a middle one),
+    /// rows with no entry in some panel, rows touching every panel, and the
+    /// columns on either side of each boundary.  Values are drawn from a
+    /// fixed xorshift stream.
+    fn panel_rows(dim: usize) -> Vec<SparseVec> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ dim as u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let last = dim - 1;
+        let panels = panel_count(dim);
+        let boundaries: Vec<usize> = (1..panels).map(|p| p * PANEL_COLS).collect();
+        let mut index_sets: Vec<Vec<usize>> = vec![
+            vec![],
+            vec![0, 1, 2, 17],
+            vec![last],
+            vec![0, last],
+            boundaries.iter().flat_map(|&b| [b - 1, b]).collect(),
+            vec![],
+            (0..dim).step_by(97).collect(),
+            boundaries.iter().map(|&b| b - 1).collect(),
+            boundaries.iter().map(|&b| (b + 3).min(last)).collect(),
+            vec![PANEL_COLS.min(last) - 1, last],
+        ];
+        if panels > 2 {
+            // Entries in the middle panel only, then in the first and last
+            // panels but not the middle one.
+            index_sets.push(vec![PANEL_COLS + 5, PANEL_COLS + 900, 2 * PANEL_COLS - 1]);
+            index_sets.push(vec![3, 2 * PANEL_COLS + 1, last]);
+        }
+        for k in 0..12 {
+            index_sets.push((0..40).map(|_| next() as usize % dim).collect());
+            if k % 4 == 0 {
+                index_sets.push(vec![]);
+            }
+        }
+        let mut value = || (next() % 2000) as f64 / 250.0 - 4.0 + 0.125;
+        index_sets
+            .into_iter()
+            .map(|set| SparseVec::from_pairs(dim, set.into_iter().map(|i| (i as u32, value()))))
+            .collect()
+    }
+
+    /// Every instantiation, on every dispatch width, matches the
+    /// per-`SparseVec` kernels bit for bit on matrices of one to four panels,
+    /// over row ranges that start and end mid-matrix.  The scores overwrite
+    /// an `out` full of NaN, and the scatter adds onto a gradient that is not
+    /// zero.
+    #[test]
+    fn panelled_kernels_match_the_per_sample_kernels_bitwise() {
+        for dim in [4095, PANEL_COLS, 4097, 3 * PANEL_COLS + 17] {
+            let rows = panel_rows(dim);
+            let n = rows.len();
+            let csr = CsrMatrix::from_rows(dim, rows.iter());
+            assert_eq!(csr.panels.len(), panel_count(dim), "dim={dim}");
+            assert_eq!(csr.nnz(), rows.iter().map(SparseVec::nnz).sum::<usize>());
+            let ranges = [0..n, 0..7, 3..n - 2, 5..6, 9..9, n - 4..n];
+            for cols in [3usize, 4, 8, 16, 17] {
+                let theta = Matrix::from_fn(dim, cols, |r, c| match (r * 7 + c) % 11 {
+                    0 => -0.0,
+                    k => 0.37 * k as f64 - 1.9 + 0.001 * (r % 13) as f64,
+                });
+                let contrib: Vec<f64> = (0..n * cols)
+                    .map(|k| match k % 9 {
+                        0 => -0.0,
+                        j => 0.11 * j as f64 - 0.4,
+                    })
+                    .collect();
+                let start = Matrix::from_fn(dim, cols, |r, c| ((r + c) % 3) as f64 * 0.5);
+                for (path, scores, scatter) in kernel_instantiations() {
+                    for range in ranges.clone() {
+                        let mut expected = vec![0.0; range.len() * cols];
+                        let mut grad_oracle = start.clone();
+                        let contrib = &contrib[range.start * cols..range.end * cols];
+                        for (local, r) in rows[range.clone()].iter().enumerate() {
+                            let span = local * cols..(local + 1) * cols;
+                            r.accumulate_scores(&theta, &mut expected[span.clone()]);
+                            r.scatter_gradient(&contrib[span], &mut grad_oracle);
+                        }
+                        let what = format!("{path}, dim={dim}, cols={cols}, rows={range:?}");
+                        let mut out = vec![f64::NAN; range.len() * cols];
+                        scores(&csr, &theta, range.clone(), &mut out);
+                        assert_eq!(bits(&out), bits(&expected), "scores: {what}");
+                        let mut grad = start.clone();
+                        scatter(&csr, contrib, range, &mut grad);
+                        assert_eq!(
+                            bits(grad.as_slice()),
+                            bits(grad_oracle.as_slice()),
+                            "scatter: {what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `from_rows`, `push_row` and `push_row_with` build the same matrix on
+    /// either side of the panel width, and its rows read back as the input.
+    #[test]
+    fn every_constructor_builds_the_same_panelled_matrix() {
+        for dim in [4095, PANEL_COLS, 4097, 3 * PANEL_COLS + 17] {
+            let rows = panel_rows(dim);
+            let packed = CsrMatrix::from_rows(dim, rows.iter());
+            let mut pushed = CsrMatrix::with_dim(dim);
+            let mut filled = CsrMatrix::with_dim(dim);
+            for row in &rows {
+                pushed.push_row(row);
+                filled.push_row_with(|indices, values| {
+                    indices.extend_from_slice(row.indices());
+                    values.extend_from_slice(row.values());
+                });
+            }
+            assert_eq!(pushed, packed, "push_row, dim={dim}");
+            assert_eq!(filled, packed, "push_row_with, dim={dim}");
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(packed.row_entries(i).collect::<Vec<_>>(), entries(row));
+            }
+            for (p, panel) in packed.panels.iter().enumerate() {
+                let span = p * PANEL_COLS..(p + 1) * PANEL_COLS;
+                assert!(panel.indices.iter().all(|&c| span.contains(&(c as usize))));
+                assert_eq!(panel.indptr.len(), rows.len() + 1);
+            }
+        }
+    }
+
     #[test]
     fn kernel_path_names_the_instantiation_the_entry_points_run() {
         let (widest, _, _) = *kernel_instantiations().last().expect("portable");
@@ -672,61 +932,75 @@ mod tests {
         assert_eq!(incremental, packed);
     }
 
+    /// The capacities of every panel's three arrays.
+    fn capacities(m: &CsrMatrix) -> Vec<[usize; 3]> {
+        m.panels
+            .iter()
+            .map(|p| {
+                [
+                    p.indptr.capacity(),
+                    p.indices.capacity(),
+                    p.values.capacity(),
+                ]
+            })
+            .collect()
+    }
+
     /// Streaming shard training repacks one buffer over and over with
     /// *varying* row counts.  Across ≥3 clear+repack cycles the layout must
-    /// match a fresh `from_rows` pack exactly, no stale `indptr` entries may
+    /// match a fresh `from_rows` pack exactly, no stale row pointers may
     /// survive a shrink (4 rows → 1 row → 3 rows), and the allocations must
     /// be reused, not reallocated, once capacity has grown to the high-water
-    /// mark.
+    /// mark — on one panel and on several.
     #[test]
     fn repeated_clear_and_repack_cycles_preserve_capacity_and_layout() {
-        let rows = sample_rows();
-        let mut buf = CsrMatrix::with_dim(5);
-        for r in &rows {
-            buf.push_row(r);
-        }
-        let indices_cap = buf.indices.capacity();
-        let values_cap = buf.values.capacity();
-        let indptr_cap = buf.indptr.capacity();
-        // Cycle through shrinking and growing row counts (all ≤ the first
-        // pack, so the high-water capacities must never change).
-        for cycle_rows in [&rows[..1], &rows[..3], &rows[..], &rows[..2]] {
-            buf.clear_rows();
-            assert_eq!((buf.rows(), buf.nnz(), buf.dim()), (0, 0, 5));
-            for r in cycle_rows {
+        for (dim, rows) in [(5, sample_rows()), (4097, panel_rows(4097))] {
+            let mut buf = CsrMatrix::with_dim(dim);
+            for r in &rows {
                 buf.push_row(r);
             }
-            let expected = CsrMatrix::from_rows(5, cycle_rows.iter());
-            assert_eq!(buf, expected);
-            assert_eq!(buf.indptr.len(), cycle_rows.len() + 1);
-            assert_eq!(buf.indices.capacity(), indices_cap, "indices reallocated");
-            assert_eq!(buf.values.capacity(), values_cap, "values reallocated");
-            assert_eq!(buf.indptr.capacity(), indptr_cap, "indptr reallocated");
+            let caps = capacities(&buf);
+            // Cycle through shrinking and growing row counts (all ≤ the first
+            // pack, so the high-water capacities must never change).
+            for cycle_rows in [&rows[..1], &rows[..3], &rows[..], &rows[..2]] {
+                buf.clear_rows();
+                assert_eq!((buf.rows(), buf.nnz(), buf.dim()), (0, 0, dim));
+                for r in cycle_rows {
+                    buf.push_row(r);
+                }
+                let expected = CsrMatrix::from_rows(dim, cycle_rows.iter());
+                assert_eq!(buf, expected);
+                assert!(buf
+                    .panels
+                    .iter()
+                    .all(|p| p.indptr.len() == cycle_rows.len() + 1));
+                assert_eq!(capacities(&buf), caps, "dim={dim}: reallocated");
+            }
         }
     }
 
-    /// Regression: `clear_rows` on a value whose `indptr` is empty (possible
-    /// via deserialization — `rows()` tolerates it) must re-establish the
-    /// leading 0 sentinel.  The old `truncate(1)` implementation left the
-    /// vector empty, so the next `push_row` recorded an end offset with no
-    /// base and every row lookup was shifted.
+    /// Regression: `clear_rows` on a value without row pointers or panels
+    /// (possible via deserialization — `rows()` tolerates it) must
+    /// re-establish the panels and their leading 0 sentinels.  A bare
+    /// truncation left them missing, so the next `push_row` recorded an end
+    /// offset with no base and every row lookup was shifted.
     #[test]
     fn clear_rows_restores_sentinel_on_empty_indptr() {
-        let mut m = CsrMatrix {
-            dim: 5,
+        let row = SparseVec::from_pairs(5, vec![(1, 0.5), (4, -2.0)]);
+        let broken = Panel {
             indptr: Vec::new(),
             indices: Vec::new(),
             values: Vec::new(),
         };
-        assert_eq!(m.rows(), 0);
-        m.clear_rows();
-        assert_eq!(m.indptr, vec![0]);
-        let row = SparseVec::from_pairs(5, vec![(1, 0.5), (4, -2.0)]);
-        m.push_row(&row);
-        assert_eq!(m.rows(), 1);
-        let (idx, val) = m.row(0);
-        assert_eq!(idx, row.indices());
-        assert_eq!(val, row.values());
+        for panels in [vec![], vec![broken.clone()], vec![broken.clone(), broken]] {
+            let mut m = CsrMatrix { dim: 5, panels };
+            assert_eq!(m.rows(), 0);
+            m.clear_rows();
+            assert_eq!(m, CsrMatrix::with_dim(5));
+            m.push_row(&row);
+            assert_eq!(m.rows(), 1);
+            assert_eq!(m.row_entries(0).collect::<Vec<_>>(), entries(&row));
+        }
     }
 
     /// Rows appended in place equal the same rows pushed as vectors.

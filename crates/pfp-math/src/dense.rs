@@ -252,19 +252,6 @@ impl Matrix {
         }
     }
 
-    /// `self[r][k] += alpha * contrib[k]` for all columns `k`.
-    ///
-    /// General row primitive for scattering a contribution into one feature
-    /// row.  The hot sparse kernel `SparseVec::scatter_gradient` inlines this
-    /// same loop against the raw data slice — keep the two in sync.
-    #[inline]
-    pub fn add_scaled_to_row(&mut self, r: usize, alpha: f64, contrib: &[f64]) {
-        debug_assert_eq!(contrib.len(), self.cols);
-        for (v, c) in self.row_mut(r).iter_mut().zip(contrib.iter()) {
-            *v += alpha * c;
-        }
-    }
-
     /// Dense matrix–vector product `self · x` (x has `cols` entries).
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
@@ -352,15 +339,6 @@ pub fn solve_linear_system(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
-/// `y += alpha * x` element-wise.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
 }
 
 /// Euclidean norm of a slice.
@@ -468,14 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_to_row_scatters() {
-        let mut m = Matrix::zeros(2, 3);
-        m.add_scaled_to_row(0, 2.0, &[1.0, 2.0, 3.0]);
-        assert_eq!(m.row(0), &[2.0, 4.0, 6.0]);
-        assert_eq!(m.row(1), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn matvec_and_matvec_t_are_consistent() {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let x = vec![1.0, 0.0, -1.0];
@@ -489,9 +459,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [4.0, 5.0, 6.0];
         assert_eq!(dot(&a, &b), 32.0);
-        let mut y = [1.0, 1.0, 1.0];
-        axpy(2.0, &a, &mut y);
-        assert_eq!(y, [3.0, 5.0, 7.0]);
         assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         let mut z = [1.0, -2.0];
         scale(&mut z, -3.0);

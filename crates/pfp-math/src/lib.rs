@@ -16,8 +16,10 @@
 //!   the two per-sample kernels (`accumulate_scores`, `scatter_gradient`).
 //! * [`csr`] — `CsrMatrix`, the sample-major CSR packing of a cohort's
 //!   feature vectors with the register-blocked batched kernels that dominate
-//!   DMCP training time.  Each kernel runs an AVX-512F instantiation when the
-//!   CPU supports it, else an AVX2 one, else a portable one
+//!   DMCP training time.  The nonzeros are stored as column panels of
+//!   [`csr::PANEL_COLS`] features, walked one at a time so the slice of `Θ`
+//!   a pass touches stays in L2.  Each kernel runs an AVX-512F instantiation
+//!   when the CPU supports it, else an AVX2 one, else a portable one
 //!   ([`csr::kernel_path`]); the module's kernel determinism contract makes
 //!   all three produce the same bits as the per-sample kernels.
 //! * [`softmax`] — log-sum-exp, stable softmax, categorical cross-entropy,
@@ -27,7 +29,7 @@
 //!   `exp`, else `f64::exp` per element ([`softmax::kernel_path`]); the
 //!   module's determinism contract keeps every bit of libm's result.
 //! * [`stats`] — mean/variance, Pearson correlation, histograms, argmax.
-//! * [`rng`] — seeded sampling helpers (categorical, Bernoulli, Gaussian).
+//! * [`rng`] — seeded sampling helpers (categorical, Bernoulli, exponential).
 //! * [`parallel`] — deterministic sample sharding, fixed-order tree
 //!   reduction, and a persistent [`parallel::WorkerPool`] for parallel
 //!   gradient accumulation without per-evaluation thread spawns.

@@ -439,22 +439,41 @@ impl Drop for WorkerPool {
 /// # Panics
 /// Panics if the matrices do not all share one shape.
 pub fn tree_reduce_matrices(mut parts: Vec<Matrix>) -> Option<Matrix> {
-    let mut n = parts.len();
-    if n == 0 {
-        return None;
-    }
+    let (first, rest) = parts.split_first_mut()?;
+    tree_reduce_into(first, rest);
+    parts.truncate(1);
+    parts.pop()
+}
+
+/// [`tree_reduce_matrices`] over the parts `[first, rest[0], rest[1], …]`,
+/// in place: the same additions in the same order, the sum left in `first`
+/// and no matrix allocated.  `rest` is left holding partial sums.
+///
+/// ```
+/// use pfp_math::{parallel::tree_reduce_into, Matrix};
+///
+/// let mut first = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
+/// let mut rest = vec![Matrix::from_vec(1, 2, vec![10.0, 20.0]); 2];
+/// tree_reduce_into(&mut first, &mut rest);
+/// assert_eq!(first.as_slice(), &[21.0, 42.0]);
+/// ```
+///
+/// # Panics
+/// Panics if the matrices do not all share one shape.
+pub fn tree_reduce_into(first: &mut Matrix, rest: &mut [Matrix]) {
+    // Part `i` is `first` for `i == 0`, else `rest[i - 1]`.
+    let mut n = rest.len() + 1;
     while n > 1 {
         let stride = n - n / 2; // ceil(n / 2)
-        let (lower, rest) = parts.split_at_mut(stride);
-        // Only the active prefix `parts[..n]` participates; entries past it
-        // were already folded in at an earlier level.
-        for (a, b) in lower.iter_mut().zip(rest[..n - stride].iter()) {
+                                // Only the active prefix `parts[..n]` participates; entries past it
+                                // were already folded in at an earlier level.
+        first.add_scaled(&rest[stride - 1], 1.0);
+        let (lower, upper) = rest.split_at_mut(stride - 1);
+        for (a, b) in lower[..n - stride - 1].iter_mut().zip(&upper[1..]) {
             a.add_scaled(b, 1.0);
         }
         n = stride;
     }
-    parts.truncate(1);
-    parts.pop()
 }
 
 /// Reduce partial scalar sums with the same fixed pairwise order as
@@ -565,6 +584,40 @@ mod tests {
                 reduced.sub(&expected).frobenius_norm() < 1e-12,
                 "n={n} mismatch"
             );
+        }
+    }
+
+    /// The in-place reduce adds in the pairwise order of the plain
+    /// list-halving loop, bit for bit, on parts whose sum depends on the
+    /// order.
+    #[test]
+    fn tree_reduce_into_keeps_the_pairwise_order_bitwise() {
+        for n in 1..=9usize {
+            let parts: Vec<Matrix> = (0..n)
+                .map(|i| {
+                    Matrix::from_fn(2, 3, |r, c| match (i + r + c) % 3 {
+                        0 => 1e16 * if i % 2 == 0 { 1.0 } else { -1.0 },
+                        1 => 1.0 + 0.1 * i as f64,
+                        _ => -0.3 * (i * 7 + c) as f64,
+                    })
+                })
+                .collect();
+            let mut oracle = parts.clone();
+            let mut m = n;
+            while m > 1 {
+                let stride = m - m / 2;
+                for i in 0..m - stride {
+                    let b = oracle[i + stride].clone();
+                    oracle[i].add_scaled(&b, 1.0);
+                }
+                m = stride;
+            }
+            let (mut first, mut rest) = (parts[0].clone(), parts[1..].to_vec());
+            tree_reduce_into(&mut first, &mut rest);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&first), bits(&oracle[0]), "n={n}");
+            let reduced = tree_reduce_matrices(parts).expect("non-empty");
+            assert_eq!(bits(&reduced), bits(&oracle[0]), "n={n}");
         }
     }
 

@@ -51,13 +51,6 @@ pub fn bernoulli(rng: &mut impl Rng, p: f64) -> bool {
     rng.gen::<f64>() < p.clamp(0.0, 1.0)
 }
 
-/// Standard normal sample via Box–Muller.
-pub fn standard_normal(rng: &mut impl Rng) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(1e-12);
-    let u2: f64 = rng.gen::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 /// Exponential sample with the given `rate` (mean `1/rate`).
 pub fn exponential(rng: &mut impl Rng, rate: f64) -> f64 {
     assert!(rate > 0.0, "exponential rate must be positive");
@@ -141,17 +134,6 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| exponential(&mut rng, 2.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean = {mean}");
-    }
-
-    #[test]
-    fn standard_normal_has_zero_mean_unit_variance() {
-        let mut rng = seeded_rng(5);
-        let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
-        let m = xs.iter().sum::<f64>() / n as f64;
-        let v = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / n as f64;
-        assert!(m.abs() < 0.03, "mean = {m}");
-        assert!((v - 1.0).abs() < 0.05, "var = {v}");
     }
 
     #[test]

@@ -301,25 +301,6 @@ impl SparseVec {
         self.iter().map(|(i, v)| v * dense[i as usize]).sum()
     }
 
-    /// Dot product with another sparse vector (same dimensionality).
-    pub fn dot_sparse(&self, other: &SparseVec) -> f64 {
-        debug_assert_eq!(self.dim, other.dim);
-        let mut acc = 0.0;
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < self.indices.len() && b < other.indices.len() {
-            match self.indices[a].cmp(&other.indices[b]) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += self.values[a] * other.values[b];
-                    a += 1;
-                    b += 1;
-                }
-            }
-        }
-        acc
-    }
-
     /// `self += alpha * other`, merging index sets.
     ///
     /// A single two-pointer merge over both sorted index arrays — `O(n + m)`.
@@ -624,13 +605,6 @@ mod tests {
         let v = SparseVec::from_pairs(4, vec![(0, 2.0), (3, -1.0)]);
         let d = vec![1.0, 10.0, 100.0, 4.0];
         assert_eq!(v.dot_dense(&d), 2.0 - 4.0);
-    }
-
-    #[test]
-    fn dot_sparse_intersects_indices() {
-        let a = SparseVec::from_pairs(5, vec![(0, 1.0), (2, 2.0), (4, 3.0)]);
-        let b = SparseVec::from_pairs(5, vec![(2, 5.0), (3, 7.0), (4, 1.0)]);
-        assert_eq!(a.dot_sparse(&b), 2.0 * 5.0 + 3.0 * 1.0);
     }
 
     #[test]

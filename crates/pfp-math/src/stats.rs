@@ -49,16 +49,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     cov / (vx.sqrt() * vy.sqrt())
 }
 
-/// Counts of integer-valued categories `0..k`.
-pub fn category_counts(labels: impl IntoIterator<Item = usize>, k: usize) -> Vec<usize> {
-    let mut counts = vec![0usize; k];
-    for l in labels {
-        assert!(l < k, "label {l} out of range for {k} categories");
-        counts[l] += 1;
-    }
-    counts
-}
-
 /// Normalise counts into proportions summing to one (all-zero input stays zero).
 pub fn normalize(counts: &[usize]) -> Vec<f64> {
     let total: usize = counts.iter().sum();
@@ -66,15 +56,6 @@ pub fn normalize(counts: &[usize]) -> Vec<f64> {
         return vec![0.0; counts.len()];
     }
     counts.iter().map(|&c| c as f64 / total as f64).collect()
-}
-
-/// Normalise a float vector so it sums to one (all-zero input stays zero).
-pub fn normalize_f64(values: &[f64]) -> Vec<f64> {
-    let total: f64 = values.iter().sum();
-    if total <= 0.0 {
-        return vec![0.0; values.len()];
-    }
-    values.iter().map(|&v| v / total).collect()
 }
 
 /// A two-dimensional contingency table over `(row, col)` category pairs.
@@ -112,20 +93,6 @@ impl Contingency {
     /// Total number of recorded observations.
     pub fn total(&self) -> usize {
         self.counts.iter().sum()
-    }
-
-    /// Row marginal counts.
-    pub fn row_totals(&self) -> Vec<usize> {
-        (0..self.rows)
-            .map(|r| (0..self.cols).map(|c| self.get(r, c)).sum())
-            .collect()
-    }
-
-    /// Column marginal counts.
-    pub fn col_totals(&self) -> Vec<usize> {
-        (0..self.cols)
-            .map(|c| (0..self.rows).map(|r| self.get(r, c)).sum())
-            .collect()
     }
 
     /// Distribution of rows within column `c` (normalised to sum to one).
@@ -187,10 +154,8 @@ mod tests {
     }
 
     #[test]
-    fn category_counts_and_normalize() {
-        let counts = category_counts(vec![0, 2, 2, 1, 2], 3);
-        assert_eq!(counts, vec![1, 1, 3]);
-        let p = normalize(&counts);
+    fn normalize_gives_proportions_summing_to_one() {
+        let p = normalize(&[1, 1, 3]);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((p[2] - 0.6).abs() < 1e-12);
     }
@@ -198,7 +163,6 @@ mod tests {
     #[test]
     fn normalize_of_zeros_stays_zero() {
         assert_eq!(normalize(&[0, 0]), vec![0.0, 0.0]);
-        assert_eq!(normalize_f64(&[0.0, 0.0]), vec![0.0, 0.0]);
     }
 
     #[test]
@@ -209,8 +173,6 @@ mod tests {
         t.add(1, 1);
         t.add(1, 1);
         assert_eq!(t.total(), 4);
-        assert_eq!(t.row_totals(), vec![2, 2]);
-        assert_eq!(t.col_totals(), vec![1, 3, 0]);
         let d = t.column_distribution(1);
         assert!((d[1] - 2.0 / 3.0).abs() < 1e-12);
     }
