@@ -30,6 +30,7 @@
 //! the pace of the patient's recent transitions.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use pfp_ehr::patient::Stay;
 use pfp_math::{CsrMatrix, SparseVec};
@@ -139,7 +140,7 @@ pub struct HistoryFeaturizer {
     pub service_dim: usize,
 }
 
-/// The part of one weighted stay's service run not yet merged.
+/// One weighted stay's service run.
 struct Run<'a> {
     weight: f64,
     indices: &'a [u32],
@@ -231,13 +232,23 @@ impl HistoryFeaturizer {
     /// [`HistoryEntry`] as the history — as the next row of `rows`.
     ///
     /// The profile run and the stays' service runs are each sorted already,
-    /// so the row is merged from them in one pass: the profile block first
-    /// (its indices lie below every service index), then a merge of the
-    /// weighted service runs in which an index's contributions are summed
-    /// oldest stay first and an exact zero sum is dropped.  That is the
-    /// entry order and sum order a stable sort of all the weighted entries
-    /// would give, so the bits are those of
-    /// [`SparseVec::from_pairs`] on them.
+    /// so the row is built from them without a sort: the profile block first
+    /// (its indices lie below every service index), then the weighted
+    /// service runs, in which an index's contributions are summed oldest
+    /// stay first and an exact zero sum is dropped.  That is the entry order
+    /// and sum order a stable sort of all the weighted entries would give,
+    /// so the bits are those of [`SparseVec::from_pairs`] on them.
+    ///
+    /// A single run is copied through.  Two or more are added, oldest
+    /// first, into a per-thread dense slot array with an occupancy bitmap:
+    /// an index's first contribution is stored as it is and each later one
+    /// added to the slot, so every sum is the same sequence of additions a
+    /// k-way merge of the runs makes.  The set bits of the bitmap words the
+    /// runs span are then emitted in increasing index order, which is the
+    /// merge's output order, and cleared, and a sum that is exactly zero
+    /// (`+0.0` or `−0.0`) is dropped, as the merge drops it.  A row costs
+    /// one add per entry and one scan of the spanned words, where a k-way
+    /// merge scans every run's head per output entry.
     ///
     /// # Panics
     /// Panics if `rows` is not [`total_dim`](Self::total_dim) wide, and
@@ -311,41 +322,125 @@ impl HistoryFeaturizer {
                 stack[len] = run;
                 len += 1;
             }
-            merge_runs(&mut stack[..len], offset, indices, values);
+            merge_runs(&stack[..len], self.service_dim, offset, indices, values);
         } else {
-            merge_runs(&mut runs.collect::<Vec<_>>(), offset, indices, values);
+            let runs = runs.collect::<Vec<_>>();
+            merge_runs(&runs, self.service_dim, offset, indices, values);
         }
     }
 }
 
-/// Merge weighted sorted runs into `indices` / `values` (shifted by
-/// `offset`): each index once, in increasing order, its weighted
-/// contributions summed in run order, exact zero sums dropped.
-fn merge_runs(runs: &mut [Run], offset: u32, indices: &mut Vec<u32>, values: &mut Vec<f64>) {
-    if let [run] = runs {
+/// Merge weighted sorted runs of `dim`-wide vectors into `indices` /
+/// `values` (shifted by `offset`): each index once, in increasing order, its
+/// weighted contributions summed in run order, exact zero sums dropped.
+///
+/// One run is copied through.  Two or more are added, in run order, into
+/// the calling thread's [`Accumulator`], which then emits its occupied slots
+/// in index order.
+fn merge_runs(
+    runs: &[Run],
+    dim: usize,
+    offset: u32,
+    indices: &mut Vec<u32>,
+    values: &mut Vec<f64>,
+) {
+    match runs {
+        [] => {}
+        [run] => {
+            for (&idx, &v) in run.indices.iter().zip(run.values) {
+                let x = run.weight * v;
+                if x != 0.0 {
+                    indices.push(offset + idx);
+                    values.push(x);
+                }
+            }
+        }
+        _ => ACCUMULATOR.with(|accumulator| {
+            let accumulator = &mut *accumulator.borrow_mut();
+            accumulator.fit(dim);
+            let (mut first, mut end) = (usize::MAX, 0);
+            for words in runs.iter().filter_map(|run| accumulator.add(run)) {
+                first = first.min(words.start);
+                end = end.max(words.end);
+            }
+            accumulator.emit(first..end, offset, indices, values);
+        }),
+    }
+}
+
+/// A dense sum of weighted runs: one slot per index, and an occupancy
+/// bitmap whose bit `i` (word `i / 64`) is set while slot `i` holds a sum.
+/// Between merges every bit is clear and the slots hold stale sums, each
+/// overwritten by its index's first contribution, so neither depends on
+/// the dimension or the row merged before.
+///
+/// Each index's contributions are summed in run order starting from the
+/// first one as it is (not added to `+0.0`), the set bits are emitted in
+/// increasing index order, and a sum that is exactly zero is dropped: the
+/// additions, order and pruning of a k-way merge of the runs, so its bits.
+struct Accumulator {
+    slots: Vec<f64>,
+    occupied: Vec<u64>,
+}
+
+thread_local! {
+    static ACCUMULATOR: RefCell<Accumulator> = const {
+        RefCell::new(Accumulator {
+            slots: Vec::new(),
+            occupied: Vec::new(),
+        })
+    };
+}
+
+impl Accumulator {
+    /// Hold at least `len` slots.
+    fn fit(&mut self, len: usize) {
+        if len > self.slots.len() {
+            self.slots.resize(len, 0.0);
+            self.occupied.resize(len.div_ceil(64), 0);
+        }
+    }
+
+    /// Add `run`'s weighted entries, growing the slots to its last index,
+    /// and return the bitmap words it touched (none for an empty run).
+    fn add(&mut self, run: &Run) -> Option<Range<usize>> {
+        let (&first, &last) = (run.indices.first()?, run.indices.last()?);
+        let last = last as usize;
+        self.fit(last + 1);
         for (&idx, &v) in run.indices.iter().zip(run.values) {
             let x = run.weight * v;
-            if x != 0.0 {
-                indices.push(offset + idx);
-                values.push(x);
-            }
+            let (word, bit) = (idx as usize / 64, 1u64 << (idx % 64));
+            let slot = &mut self.slots[idx as usize];
+            *slot = if self.occupied[word] & bit != 0 {
+                *slot + x
+            } else {
+                x
+            };
+            self.occupied[word] |= bit;
         }
-        return;
+        Some(first as usize / 64..last / 64 + 1)
     }
-    while let Some(next) = runs.iter().filter_map(|r| r.indices.first()).min().copied() {
-        let mut sum = None;
-        for run in runs.iter_mut() {
-            if run.indices.first() == Some(&next) {
-                let x = run.weight * run.values[0];
-                sum = Some(sum.map_or(x, |s| s + x));
-                run.indices = &run.indices[1..];
-                run.values = &run.values[1..];
+
+    /// Append the nonzero sums of the occupied slots in bitmap `words`, in
+    /// index order shifted by `offset`, clearing their bits.
+    fn emit(
+        &mut self,
+        words: Range<usize>,
+        offset: u32,
+        indices: &mut Vec<u32>,
+        values: &mut Vec<f64>,
+    ) {
+        for w in words {
+            let mut word = std::mem::take(&mut self.occupied[w]);
+            while word != 0 {
+                let idx = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let sum = self.slots[idx];
+                if sum != 0.0 {
+                    indices.push(offset + idx as u32);
+                    values.push(sum);
+                }
             }
-        }
-        let sum = sum.expect("the smallest head belongs to a run");
-        if sum != 0.0 {
-            indices.push(offset + next);
-            values.push(sum);
         }
     }
 }
@@ -390,27 +485,114 @@ mod tests {
     }
 
     /// Values whose sums cancel to exact zeros and round differently by
-    /// order, so a reordered or unpruned sum changes the bits.
-    const VALUES: [f64; 6] = [1.0, -1.0, 0.5, -0.25, 3.0, 1e16];
+    /// order, so a reordered or unpruned sum changes the bits; then signed
+    /// zeros and subnormals, which a weight below one can round to zero.
+    const VALUES: [f64; 10] = [
+        1.0,
+        -1.0,
+        0.5,
+        -0.25,
+        3.0,
+        1e16,
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 4.0,
+        -5e-324,
+    ];
 
+    /// Profile values: the first six [`VALUES`] (a profile's zeros are
+    /// pruned by [`SparseVec::from_pairs`] anyway).
     fn sparse(dim: usize, entries: &[(u32, usize)]) -> SparseVec {
-        SparseVec::from_pairs(dim, entries.iter().map(|&(i, v)| (i, VALUES[v])))
+        SparseVec::from_pairs(dim, entries.iter().map(|&(i, v)| (i, VALUES[v % 6])))
+    }
+
+    /// Service indices of the wide featurizer: each side of the first two
+    /// bitmap word boundaries, a few others, and the last index.
+    const WIDE_INDICES: [u32; 11] = [0, 1, 5, 62, 63, 64, 65, 126, 127, 128, WIDE - 1];
+    const WIDE: u32 = 130;
+    const NARROW: u32 = 9;
+
+    /// A stay's services as stored, zeros and subnormals included: one
+    /// entry per distinct index (the last listed value wins), index `k`
+    /// mapped by `index`.
+    fn services(dim: u32, entries: &[(usize, usize)], index: impl Fn(usize) -> u32) -> SparseVec {
+        let stored: std::collections::BTreeMap<u32, f64> = entries
+            .iter()
+            .map(|&(k, v)| (index(k), VALUES[v]))
+            .collect();
+        SparseVec::from_sorted_parts(
+            dim as usize,
+            stored.keys().copied().collect(),
+            stored.values().copied().collect(),
+        )
+    }
+
+    /// `featurize`, and `featurize_into` appending a row after an earlier
+    /// one, equal the insert-per-entry oracle bit for bit, and keep no zero.
+    fn check_against_the_oracle(
+        f: &HistoryFeaturizer,
+        profile: &SparseVec,
+        history: &[HistoryStay],
+        t_eval: f64,
+        t_prev: f64,
+    ) -> Result<(), TestCaseError> {
+        let got = f.featurize(profile, history, t_eval, t_prev);
+        let expected = featurize_by_insertion(f, profile, history, t_eval, t_prev);
+        prop_assert_eq!(got.indices(), expected.indices());
+        let bits = |v: &SparseVec| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&expected));
+        prop_assert!(got.values().iter().all(|&v| v != 0.0), "unpruned zero");
+
+        // The CSR entry point, reading the generator's stays, appends the
+        // same row after an earlier one and leaves that one be.
+        let stays: Vec<Stay> = history
+            .iter()
+            .map(|h| Stay {
+                cu: 0,
+                entry_time: h.entry_time,
+                dwell_days: 1.0,
+                services: h.services.clone(),
+            })
+            .collect();
+        let earlier = sparse(f.total_dim(), &[(2, 0), (f.total_dim() as u32 - 1, 4)]);
+        let mut rows = CsrMatrix::from_rows(f.total_dim(), [&earlier]);
+        f.featurize_into(profile, &stays, t_eval, t_prev, &mut rows);
+        prop_assert_eq!(rows.rows(), 2);
+        let entry_bits = |entries: Vec<(u32, f64)>| {
+            entries
+                .into_iter()
+                .map(|(i, v)| (i, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        prop_assert_eq!(
+            rows.row_entries(0).collect::<Vec<_>>(),
+            earlier.iter().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            entry_bits(rows.row_entries(1).collect()),
+            entry_bits(expected.iter().collect())
+        );
+        Ok(())
     }
 
     proptest! {
-        /// `featurize`, and `featurize_into` appending a row after an
-        /// earlier one, equal the insert-per-entry oracle bit for bit under
-        /// every feature map, on histories whose stays repeat each other's
-        /// indices, with zero kernel weights (a tiny σ underflows
-        /// `exp(−z²)`), `g = 0` (`t_prev ≥ t_eval`), and more stays than
-        /// the merge keeps on the stack.
+        /// The featurizer equals the insert-per-entry oracle bit for bit
+        /// under every feature map, on histories whose stays repeat each
+        /// other's indices and share entry times (so equal kernel weights
+        /// cancel opposite values to exact zeros), store signed zeros and
+        /// subnormals, hit both sides of the merge bitmap's word boundaries
+        /// and the last index, with zero kernel weights (a tiny σ underflows
+        /// `exp(−z²)`), `g = 0` (`t_prev ≥ t_eval`), and more stays than the
+        /// merge keeps on the stack.  One thread alternates a narrow and a
+        /// wide featurizer, case after case, so a merge that left state
+        /// behind for the next row would show.
         #[test]
         fn featurize_matches_the_insertion_oracle_bitwise(
             kind in 0u8..4,
             sigma in 0.01f64..4.0,
             profile in proptest::collection::vec((0u32..6, 0usize..6), 0..8),
             stays in proptest::collection::vec(
-                (0.0f64..40.0, proptest::collection::vec((0u32..9, 0usize..6), 0..10)),
+                (0u8..24, proptest::collection::vec((0usize..11, 0usize..10), 0..12)),
                 0..STACK_RUNS + 3,
             ),
             t_prev_mode in 0u8..3,
@@ -421,45 +603,78 @@ mod tests {
                 2 => FeatureMapKind::SelfCorrecting,
                 _ => FeatureMapKind::MutuallyCorrecting { sigma },
             };
-            let f = HistoryFeaturizer::new(kind, 6, 9);
             let profile = sparse(6, &profile);
-            let mut history: Vec<HistoryStay> = stays
-                .iter()
-                .map(|(t, entries)| HistoryStay { entry_time: *t, services: sparse(9, entries) })
-                .collect();
-            history.sort_by(|a, b| a.entry_time.total_cmp(&b.entry_time));
-            let t_eval = history.last().map_or(0.0, |s| s.entry_time) + EVAL_OFFSET_DAYS;
+            let mut stays = stays;
+            stays.sort_by_key(|&(t, _)| t);
+            let t_eval = stays.last().map_or(0.0, |&(t, _)| f64::from(t)) + EVAL_OFFSET_DAYS;
             let t_prev = match t_prev_mode {
                 0 => t_eval,
                 1 => 0.0,
-                _ => history.iter().rev().nth(1).map_or(0.0, |s| s.entry_time),
+                _ => stays.iter().rev().nth(1).map_or(0.0, |&(t, _)| f64::from(t)),
             };
-            let got = f.featurize(&profile, &history, t_eval, t_prev);
-            let expected = featurize_by_insertion(&f, &profile, &history, t_eval, t_prev);
-            prop_assert_eq!(got.indices(), expected.indices());
-            let bits = |v: &SparseVec| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&got), bits(&expected));
-            prop_assert!(got.values().iter().all(|&v| v != 0.0), "unpruned zero");
-
-            // The CSR entry point, reading the generator's stays, appends
-            // the same row after an earlier one and leaves that one be.
-            let stays: Vec<Stay> = history
-                .iter()
-                .map(|h| Stay { cu: 0, entry_time: h.entry_time, dwell_days: 1.0, services: h.services.clone() })
-                .collect();
-            let earlier = sparse(f.total_dim(), &[(2, 0), (11, 4)]);
-            let mut rows = CsrMatrix::from_rows(f.total_dim(), [&earlier]);
-            f.featurize_into(&profile, &stays, t_eval, t_prev, &mut rows);
-            prop_assert_eq!(rows.rows(), 2);
-            let entry_bits = |entries: Vec<(u32, f64)>| {
-                entries.into_iter().map(|(i, v)| (i, v.to_bits())).collect::<Vec<_>>()
+            let history = |dim: u32, index: &dyn Fn(usize) -> u32| -> Vec<HistoryStay> {
+                stays
+                    .iter()
+                    .map(|(t, entries)| HistoryStay {
+                        entry_time: f64::from(*t),
+                        services: services(dim, entries, index),
+                    })
+                    .collect()
             };
-            prop_assert_eq!(rows.row_entries(0).collect::<Vec<_>>(), earlier.iter().collect::<Vec<_>>());
-            prop_assert_eq!(
-                entry_bits(rows.row_entries(1).collect()),
-                entry_bits(expected.iter().collect())
-            );
+            let narrow = history(NARROW, &|k| k as u32 % NARROW);
+            let wide = history(WIDE, &|k| WIDE_INDICES[k]);
+            let f_narrow = HistoryFeaturizer::new(kind, 6, NARROW as usize);
+            let f_wide = HistoryFeaturizer::new(kind, 6, WIDE as usize);
+            check_against_the_oracle(&f_wide, &profile, &wide, t_eval, t_prev)?;
+            check_against_the_oracle(&f_narrow, &profile, &narrow, t_eval, t_prev)?;
+            check_against_the_oracle(&f_wide, &profile, &wide, t_eval, t_prev)?;
         }
+    }
+
+    /// The cases the property test draws at random, fixed: sums at both
+    /// sides of the bitmap word boundaries and at the last index that cancel
+    /// to `+0.0` and `−0.0`, an index whose first contribution is `−0.0`, a
+    /// subnormal sum, and a history longer than the merge's stack.
+    #[test]
+    fn dense_merge_drops_exact_zero_sums_at_word_boundaries() {
+        let last = WIDE - 1;
+        let stay = |entries: &[(u32, f64)]| HistoryStay {
+            entry_time: 1.0,
+            services: SparseVec::from_sorted_parts(
+                WIDE as usize,
+                entries.iter().map(|&(i, _)| i).collect(),
+                entries.iter().map(|&(_, v)| v).collect(),
+            ),
+        };
+        let tiny = f64::MIN_POSITIVE / 4.0;
+        let mut history = vec![
+            stay(&[
+                (0, -0.0),
+                (63, 1.0),
+                (64, 2.0),
+                (127, -0.0),
+                (128, tiny),
+                (last, 1.0),
+            ]),
+            stay(&[(0, 4.0), (63, -1.0), (64, 0.5), (127, -0.0), (last, -1.0)]),
+            stay(&[(64, -2.5), (128, tiny)]),
+        ];
+        let f = HistoryFeaturizer::new(FeatureMapKind::ModulatedPoisson, 6, WIDE as usize);
+        let profile = SparseVec::new(6);
+        let row = f.featurize(&profile, &history, 1.5, 0.0);
+        let expected = featurize_by_insertion(&f, &profile, &history, 1.5, 0.0);
+        assert_eq!(row.indices(), &[6, 6 + 128]);
+        assert_eq!(row.values(), &[4.0, 2.0 * tiny]);
+        assert_eq!(row.indices(), expected.indices());
+        assert_eq!(row.values(), expected.values());
+
+        history.extend((0..STACK_RUNS).map(|k| stay(&[(63, 1.0), (last, -(k as f64))])));
+        let row = f.featurize(&profile, &history, 1.5, 0.0);
+        let expected = featurize_by_insertion(&f, &profile, &history, 1.5, 0.0);
+        let bits = |v: &SparseVec| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(row.indices(), expected.indices());
+        assert_eq!(bits(&row), bits(&expected));
+        assert_eq!(row.get(6 + 63), STACK_RUNS as f64);
     }
 
     fn profile() -> SparseVec {

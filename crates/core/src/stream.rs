@@ -1,6 +1,6 @@
 //! The bounded-memory sample sources of the one DMCP [`Objective`], fed by
-//! the seeded, resumable cohort generator ([`generate_patient_into`],
-//! [`CohortShards`]).
+//! the seeded cohort generator, which draws any patient alone
+//! ([`generate_patient_into`], [`generate_patient_services_into`]).
 //!
 //! The materialized path ([`crate::dataset::Dataset`] →
 //! [`DmcpObjective`](crate::loss::DmcpObjective)) holds the cohort several
@@ -13,9 +13,10 @@
 //! * [`CohortStream`] retains only an 8-byte-per-patient sample-offset index
 //!   and regenerates and re-featurizes the cohort on every evaluation, so
 //!   peak memory is independent of the cohort size.  A walk regenerates each
-//!   patient into one reused record, merges its rows from the record's own
-//!   stays straight into one reused CSR block, and hands the kernel that
-//!   block every [`ROW_BLOCK`] rows, so it does not allocate per patient.
+//!   patient into one reused record, drawing only the service vectors its
+//!   rows read, merges its rows from the record's own stays straight into
+//!   one reused CSR block, and hands the kernel that block every
+//!   [`ROW_BLOCK`] rows, so it does not allocate per patient.
 //!
 //! Both reproduce the materialized objective **bitwise at a fixed thread
 //! count** and to ≤1e-12 across thread counts, for *any* shard size: shard
@@ -28,7 +29,7 @@
 use std::ops::Range;
 
 use pfp_ehr::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
-use pfp_ehr::{generate_patient_into, CohortConfig, CohortShards, PatientRecord};
+use pfp_ehr::{generate_patient_into, generate_patient_services_into, CohortConfig, PatientRecord};
 use pfp_math::parallel::intersect_ranges;
 use pfp_math::CsrMatrix;
 
@@ -224,7 +225,7 @@ impl ShardedSamples {
     /// patient at a time into one reused record.  `kind` overrides the
     /// feature map; `None` selects the paper default, whose σ — and so every
     /// feature — matches the materialized [`Dataset`](crate::dataset::Dataset)
-    /// path bitwise (a pre-pass of `shard_size`-patient shards sums it).
+    /// path bitwise (a pre-pass over the patients' timelines sums it).
     ///
     /// # Panics
     /// Panics if `shard_size == 0`.
@@ -236,9 +237,7 @@ impl ShardedSamples {
         assert!(shard_size > 0, "shard_size must be positive");
         let kind = kind.unwrap_or_else(|| {
             let mut dwell = DwellSum::default();
-            for shard in CohortShards::new(config, shard_size) {
-                shard.patients.iter().for_each(|p| dwell.add(p));
-            }
+            for_each_timeline(config, |p| dwell.add(p));
             dwell.paper_default_kind()
         });
         let layout = cohort_layout(config, kind);
@@ -382,6 +381,18 @@ fn cohort_layout(config: &CohortConfig, kind: FeatureMapKind) -> ModelLayout {
     }
 }
 
+/// Regenerate the timeline of every patient of `config` into one reused
+/// record, in id order, and hand each to `visit`: care units and dwell times
+/// only, no service or profile vector ([`generate_patient_services_into`]
+/// asked for none).
+fn for_each_timeline(config: &CohortConfig, mut visit: impl FnMut(&PatientRecord)) {
+    let mut record = PatientRecord::default();
+    for id in 0..config.num_patients {
+        generate_patient_services_into(config, id, 0, &mut record);
+        visit(&record);
+    }
+}
+
 /// A streamed cohort's dwell-time sum, added in exactly
 /// [`pfp_ehr::stats::mean_dwell_days`]' order (patients in id order, stays in
 /// chronological order), so the paper-default σ matches the materialized
@@ -423,11 +434,15 @@ pub const ROW_BLOCK: usize = 64;
 /// regenerated from its seed and re-featurized on every walk, retaining only
 /// an 8-byte-per-patient sample-offset index.
 ///
-/// A walk regenerates each patient into one reused [`PatientRecord`]
-/// ([`generate_patient_into`]), merges each wanted transition's row from the
-/// record's own stays straight into a reused CSR block, and hands the
-/// objective that block every [`ROW_BLOCK`] rows (and once more for the
-/// rest), so past its first patients a walk allocates nothing.
+/// A walk regenerates each patient into one reused [`PatientRecord`],
+/// merges each wanted transition's row from the record's own stays straight
+/// into a reused CSR block, and hands the objective that block every
+/// [`ROW_BLOCK`] rows (and once more for the rest), so past its first
+/// patients a walk allocates nothing.  It regenerates only what those rows
+/// read ([`generate_patient_services_into`]): the row of transition `i`
+/// reads the services of stays `..=i` and only the care unit of stay
+/// `i + 1`, so a walk over a patient's transitions `..k` draws `k` stays'
+/// services, and a whole patient all but its last stay's.
 pub struct CohortStream {
     config: CohortConfig,
     featurizer: HistoryFeaturizer,
@@ -440,8 +455,10 @@ pub struct CohortStream {
 
 impl CohortStream {
     /// The source behind [`StreamingDmcpObjective::new`]: one construction
-    /// walk over `shard_size`-patient shards builds the sample-offset index
-    /// and, when `kind` is `None`, sums the paper-default σ on the way.
+    /// walk over the patients' timelines, generated into one reused record,
+    /// builds the sample-offset index and, when `kind` is `None`, sums the
+    /// paper-default σ on the way.  `shard_size` is only checked: the walk
+    /// holds one patient whatever its value.
     pub(crate) fn new(
         config: &CohortConfig,
         kind: Option<FeatureMapKind>,
@@ -452,13 +469,11 @@ impl CohortStream {
         sample_offsets.push(0);
         let mut total = 0usize;
         let mut dwell = DwellSum::default();
-        for shard in CohortShards::new(config, shard_size) {
-            for p in &shard.patients {
-                dwell.add(p);
-                total += p.num_transitions();
-                sample_offsets.push(total);
-            }
-        }
+        for_each_timeline(config, |p| {
+            dwell.add(p);
+            total += p.num_transitions();
+            sample_offsets.push(total);
+        });
         let layout = cohort_layout(config, kind.unwrap_or_else(|| dwell.paper_default_kind()));
         Self {
             config: config.clone(),
@@ -495,7 +510,9 @@ impl SampleSource for CohortStream {
             if overlap.is_empty() {
                 continue;
             }
-            generate_patient_into(&self.config, p, &mut record);
+            // The last transition of the overlap reads the most stays.
+            let services = overlap.end - p_start;
+            generate_patient_services_into(&self.config, p, services, &mut record);
             for sample in overlap {
                 block.push_transition(&self.featurizer, &record, sample - p_start);
                 if block.len() == ROW_BLOCK {
@@ -522,9 +539,9 @@ pub type StreamingDmcpObjective = Objective<'static, CohortStream>;
 
 impl StreamingDmcpObjective {
     /// Build the objective for the cohort of `config` under `kind` (`None`:
-    /// the paper default), with `shard_size` patients per shard of the one
-    /// construction walk (the sample-offset index and, for the paper
-    /// default, σ).
+    /// the paper default).  One construction walk over the patients'
+    /// timelines builds the sample-offset index and, for the paper default,
+    /// σ; `shard_size` is only checked.
     ///
     /// # Panics
     /// Panics if the cohort yields zero transition samples or

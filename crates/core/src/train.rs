@@ -230,8 +230,9 @@ pub enum TrainSource<'a> {
     /// Retained shard blocks; accepts [`ImbalanceStrategy::None`] and
     /// [`ImbalanceStrategy::Weighted`] (weights streamed from the labels).
     Shards(&'a ShardedSamples),
-    /// The cohort regenerated on every evaluation ([`CohortStream`]), with
-    /// `shard_size` patients per construction-walk shard; accepts only
+    /// The cohort regenerated on every evaluation ([`CohortStream`]);
+    /// `shard_size` must be positive, and the construction walk holds one
+    /// patient's timeline at a time whatever its value.  Accepts only
     /// [`ImbalanceStrategy::None`].
     Stream {
         cohort: &'a CohortConfig,

@@ -300,9 +300,37 @@ pub fn generate_patient_record(config: &CohortConfig, id: usize) -> (PatientReco
 /// of stays a shorter patient drops are kept per thread for the next longer
 /// one.  A pass that regenerates a cohort patient by patient into one record
 /// therefore stops allocating once the record has held its largest patient.
+/// It is [`generate_patient_services_into`] with the services of every stay.
 pub fn generate_patient_into(
     config: &CohortConfig,
     id: usize,
+    record: &mut PatientRecord,
+) -> Archetype {
+    generate_patient_services_into(config, id, usize::MAX, record)
+}
+
+/// [`generate_patient_into`] for a reader of only the first `services`
+/// stays' service vectors (all of them when `services` is at least the
+/// patient's stay count).
+///
+/// Every field but the service vectors of stays `services..` is filled, and
+/// filled with the bits [`generate_patient_into`] gives: the id, each stay's
+/// care unit, entry and dwell times, the first `services` stays' service
+/// vectors and, when `services > 0`, the profile.  The other stays' service
+/// vectors are left as the record held them, as is the profile when
+/// `services == 0` (the timeline alone).  A stay whose services are not
+/// wanted still advances the patient's RNG exactly as drawing them would,
+/// so every later draw is unchanged; with `services == 0` the profile, the
+/// last draw of a patient, is skipped.
+///
+/// A transition sample reads its profile, the services of its own stay and
+/// of those before it, and only the care unit of the next stay, so a walk
+/// over a patient's transitions `..k` asks for `k` stays' services, and a
+/// walk over every transition leaves out the last stay's.
+pub fn generate_patient_services_into(
+    config: &CohortConfig,
+    id: usize,
+    services: usize,
     record: &mut PatientRecord,
 ) -> Archetype {
     let mut rng = seeded_rng(derive_seed(config.seed, id as u64));
@@ -310,7 +338,7 @@ pub fn generate_patient_into(
     GENERATOR.with(|generator| {
         generator
             .borrow_mut()
-            .generate(id, archetype, config, &mut rng, record)
+            .generate(id, archetype, config, services, &mut rng, record)
     });
     record.validate();
     archetype
@@ -795,6 +823,28 @@ impl Scratch {
         out.refill_binary_merged(dim, kept, noise_indices);
     }
 
+    /// Advance the RNG exactly as [`draw`](Self::draw) with the same
+    /// arguments does, writing nothing: one uniform draw per element of each
+    /// drawn slot's set, in the template's draw order, then `noise` uniform
+    /// indices below `dim`.
+    fn burn(
+        table: &SignatureTable,
+        template: Template,
+        noise: usize,
+        dim: usize,
+        rng: &mut StdRng,
+    ) {
+        let slot = |slot: u16| table.slots[usize::from(slot)].expect("template slots are set");
+        for &drawn in &table.drawn[template.drawn.range()] {
+            for _ in slot(drawn).set.range() {
+                rng.gen::<f64>();
+            }
+        }
+        for _ in 0..noise {
+            rng.gen_range(0..dim);
+        }
+    }
+
     /// Heap bytes the buffers hold, from their capacities.
     fn heap_bytes(&self) -> usize {
         capacity_bytes(&self.flags) + capacity_bytes(&self.kept) + capacity_bytes(&self.noise)
@@ -837,12 +887,15 @@ pub fn generator_table_bytes() -> usize {
 }
 
 impl Generator {
-    /// Fill `record` with patient `id`, reusing its buffers.
+    /// Fill `record` with patient `id`, reusing its buffers, drawing the
+    /// services of the first `services` stays only (and the profile only
+    /// when `services > 0`); see [`generate_patient_services_into`].
     fn generate(
         &mut self,
         id: usize,
         archetype: Archetype,
         config: &CohortConfig,
+        services: usize,
         rng: &mut StdRng,
         record: &mut PatientRecord,
     ) {
@@ -903,18 +956,25 @@ impl Generator {
             stay.dwell_days = dwell;
             let next_cu = cus.get(i + 1).copied();
             let (template, noise) = stay_template(table, config, archetype, cu, next_cu, dwell);
-            scratch.draw(
-                table,
-                template,
-                noise,
-                time_varying_dim,
-                rng,
-                &mut stay.services,
-            );
+            if i < services {
+                scratch.draw(
+                    table,
+                    template,
+                    noise,
+                    time_varying_dim,
+                    rng,
+                    &mut stay.services,
+                );
+            } else {
+                Scratch::burn(table, template, noise, time_varying_dim, rng);
+            }
             t += dwell;
         }
 
         // --- profile features ----------------------------------------------------
+        if services == 0 {
+            return;
+        }
         let (template, noise) = profile_template(table, config, archetype, severity);
         let dim = config.features.profile;
         scratch.draw(table, template, noise, dim, rng, &mut record.profile);
@@ -1382,6 +1442,64 @@ mod tests {
                 assert_eq!(generate_patient_into(&config, id, &mut walked), *archetype);
                 assert_records_identical(&walked, expected);
             }
+        }
+    }
+
+    /// Generation asked for the services of the first `n` stays only fills
+    /// every field it promises with full generation's bits, for every `n`
+    /// from the timeline alone (0) past the stay count: care units, entry
+    /// and dwell times after each skipped stay, the first `n` stays'
+    /// services, and the profile, drawn after every stay, when `n > 0`.  So
+    /// a skipped stay advances the RNG exactly as drawing it would.  The
+    /// record is dirtied by the config's largest patient before each call.
+    #[test]
+    fn generating_the_first_services_matches_full_generation_bitwise() {
+        let bits = |v: &SparseVec| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (config, patients) in [
+            (CohortConfig::tiny(3), 150),
+            (CohortConfig::scaled(0.01, 5), 306),
+            (CohortConfig::paper_scale(8), 120),
+        ] {
+            let fresh: Vec<(PatientRecord, Archetype)> = (0..patients)
+                .map(|id| generate_patient_record(&config, id))
+                .collect();
+            let size = |p: &PatientRecord| {
+                let entries: usize = p.stays.iter().map(|s| s.services.nnz()).sum();
+                (p.stays.len(), entries + p.profile.nnz())
+            };
+            let largest = (0..patients)
+                .max_by_key(|&id| size(&fresh[id].0))
+                .expect("patients");
+            assert!(fresh[largest].0.stays.len() >= 4, "a long largest patient");
+            let mut record = PatientRecord::default();
+            let mut skipped_stays = 0usize;
+            for (id, (expected, archetype)) in fresh.iter().enumerate() {
+                let stays = expected.stays.len();
+                for n in 0..=stays + 1 {
+                    generate_patient_into(&config, largest, &mut record);
+                    let got = generate_patient_services_into(&config, id, n, &mut record);
+                    assert_eq!(got, *archetype);
+                    assert_eq!(record.id, id);
+                    assert_eq!(record.stays.len(), stays, "patient {id} n {n}");
+                    for (i, (g, e)) in record.stays.iter().zip(&expected.stays).enumerate() {
+                        assert_eq!(g.cu, e.cu);
+                        assert_eq!(g.entry_time.to_bits(), e.entry_time.to_bits());
+                        assert_eq!(g.dwell_days.to_bits(), e.dwell_days.to_bits());
+                        if i < n {
+                            assert_eq!(g.services.dim(), e.services.dim());
+                            assert_eq!(g.services.indices(), e.services.indices());
+                            assert_eq!(bits(&g.services), bits(&e.services));
+                        }
+                    }
+                    if n > 0 {
+                        assert_eq!(record.profile.dim(), expected.profile.dim());
+                        assert_eq!(record.profile.indices(), expected.profile.indices());
+                        assert_eq!(bits(&record.profile), bits(&expected.profile));
+                    }
+                    skipped_stays += stays.saturating_sub(n);
+                }
+            }
+            assert!(skipped_stays > patients, "{skipped_stays} skipped stays");
         }
     }
 

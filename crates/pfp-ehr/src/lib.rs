@@ -36,8 +36,9 @@ pub mod patient;
 pub mod stats;
 
 pub use cohort::{
-    generate_cohort, generate_patient_into, generate_patient_record, generator_table_bytes,
-    Archetype, Cohort, CohortConfig, CohortShard, CohortShards,
+    generate_cohort, generate_patient_into, generate_patient_record,
+    generate_patient_services_into, generator_table_bytes, Archetype, Cohort, CohortConfig,
+    CohortShard, CohortShards,
 };
 pub use departments::{CareUnit, NUM_CARE_UNITS, NUM_DURATION_CLASSES};
 pub use features::FeatureDictionary;
