@@ -199,26 +199,6 @@ impl DmcpModel {
         self.probabilities(&f)
     }
 
-    /// Featurize a raw history and draw one `(destination, duration)` pair
-    /// from the model's conditional distributions (Eq. 5), instead of taking
-    /// the argmax: the closed-loop census forecaster rolls the model forward
-    /// as a *generative* model with this, so that Monte-Carlo rollouts carry
-    /// the model's own predictive uncertainty.
-    pub fn sample_raw(
-        &self,
-        profile: &SparseVec,
-        history: &[HistoryStay],
-        t_eval: f64,
-        t_prev: f64,
-        rng: &mut impl rand::Rng,
-    ) -> (usize, usize) {
-        let (pc, pd) = self.probabilities_raw(profile, history, t_eval, t_prev);
-        (
-            pfp_math::rng::sample_categorical(rng, &pc),
-            pfp_math::rng::sample_categorical(rng, &pd),
-        )
-    }
-
     /// Indices of the feature dimensions the group lasso kept (nonzero rows of
     /// the selection matrix).
     pub fn selected_features(&self) -> Vec<usize> {
@@ -313,50 +293,6 @@ mod tests {
         }];
         let (c, d) = m.predict_raw(&profile, &history, 1.0, 0.0);
         assert!(c < 2 && d < 2);
-    }
-
-    #[test]
-    fn sample_raw_tracks_the_conditional_distribution() {
-        let m = tiny_model();
-        let profile = SparseVec::binary(2, vec![0]);
-        let history = vec![HistoryStay {
-            entry_time: 0.0,
-            services: SparseVec::new(2),
-        }];
-        let (pc, pd) = m.probabilities_raw(&profile, &history, 1.0, 0.0);
-        let mut rng = pfp_math::rng::seeded_rng(7);
-        let draws = 20_000;
-        let mut cu_counts = [0usize; 2];
-        let mut dur_counts = [0usize; 2];
-        for _ in 0..draws {
-            let (c, d) = m.sample_raw(&profile, &history, 1.0, 0.0, &mut rng);
-            cu_counts[c] += 1;
-            dur_counts[d] += 1;
-        }
-        for k in 0..2 {
-            let fc = cu_counts[k] as f64 / draws as f64;
-            let fd = dur_counts[k] as f64 / draws as f64;
-            assert!((fc - pc[k]).abs() < 0.02, "cu {k}: {fc} vs {}", pc[k]);
-            assert!((fd - pd[k]).abs() < 0.02, "dur {k}: {fd} vs {}", pd[k]);
-        }
-    }
-
-    #[test]
-    fn sample_raw_is_deterministic_under_a_fixed_seed() {
-        let m = tiny_model();
-        let profile = SparseVec::binary(2, vec![0]);
-        let history = vec![HistoryStay {
-            entry_time: 0.0,
-            services: SparseVec::binary(2, vec![1]),
-        }];
-        let draw = |seed| {
-            let mut rng = pfp_math::rng::seeded_rng(seed);
-            (0..50)
-                .map(|_| m.sample_raw(&profile, &history, 1.0, 0.0, &mut rng))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(draw(3), draw(3));
-        assert_ne!(draw(3), draw(4), "different seeds should diverge");
     }
 
     #[test]

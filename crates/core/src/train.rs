@@ -56,10 +56,7 @@ pub struct TrainConfig {
     /// call and reuses it for every evaluation of the ADMM solve.  Training is
     /// bitwise-deterministic for a fixed thread count, and results across
     /// thread counts agree to floating-point rounding (≲1e-12) — see the
-    /// determinism contract in [`crate::loss`].  When an outer harness
-    /// already parallelises (e.g. CV folds), pass the inner share of a
-    /// thread budget (`pfp_eval::cv::ThreadBudget`) down here instead of `0`
-    /// to avoid oversubscription.
+    /// determinism contract in [`crate::loss`].
     pub threads: usize,
     /// Objective-plateau stopping criterion (`None` — the default — keeps the
     /// solver on residual stopping alone).  Sweep and CV drivers turn it on:

@@ -117,11 +117,6 @@ impl MarkovPredictor {
     pub fn duration_chain(&self) -> &MarkovChain {
         &self.duration_chain
     }
-
-    /// Package this predictor's marginals as a serving-path fallback.
-    pub fn to_fallback(&self) -> MarkovFallback {
-        MarkovFallback::new(self)
-    }
 }
 
 /// The O(1) degraded-mode scorer for `pfp-serve`: while the DMCP scoring
@@ -142,24 +137,6 @@ impl MarkovFallback {
         Self {
             cu_marginal: predictor.cu_chain().marginal().to_vec(),
             duration_marginal: predictor.duration_chain().marginal().to_vec(),
-        }
-    }
-
-    /// Build directly from marginal distributions (each must be a non-empty
-    /// probability vector; used by tests and by services that persist the
-    /// fallback separately from the full predictor).
-    pub fn from_marginals(cu_marginal: Vec<f64>, duration_marginal: Vec<f64>) -> Self {
-        for (name, dist) in [("cu", &cu_marginal), ("duration", &duration_marginal)] {
-            assert!(!dist.is_empty(), "{name} marginal must be non-empty");
-            let sum: f64 = dist.iter().sum();
-            assert!(
-                (sum - 1.0).abs() < 1e-9,
-                "{name} marginal must sum to 1, got {sum}"
-            );
-        }
-        Self {
-            cu_marginal,
-            duration_marginal,
         }
     }
 }
@@ -273,7 +250,7 @@ mod tests {
         use pfp_serve::FallbackPredictor as _;
         let ds = Dataset::from_cohort(&generate_cohort(&CohortConfig::small(61)));
         let mc = MarkovPredictor::train(&ds);
-        let fb = mc.to_fallback();
+        let fb = MarkovFallback::new(&mc);
         assert_eq!(fb.dims(), (ds.num_cus, ds.num_durations));
         let (cu, dur) = fb.probabilities(&pfp_math::SparseVec::binary(9, vec![0]));
         assert_eq!(cu, mc.cu_chain().marginal());
@@ -285,11 +262,5 @@ mod tests {
             fb.probabilities(&pfp_math::SparseVec::binary(3, vec![2])).0,
             cu
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "must sum to 1")]
-    fn from_marginals_rejects_unnormalised_distributions() {
-        let _ = MarkovFallback::from_marginals(vec![0.5, 0.2], vec![1.0]);
     }
 }

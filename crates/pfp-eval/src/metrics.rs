@@ -30,98 +30,6 @@ pub struct AccuracyReport {
     pub num_samples: usize,
 }
 
-impl AccuracyReport {
-    /// An empty report with the right shapes (used as the fold-average seed).
-    pub fn zeros(num_cus: usize, num_durations: usize) -> Self {
-        Self {
-            per_cu: vec![0.0; num_cus],
-            overall_cu: 0.0,
-            per_duration: vec![0.0; num_durations],
-            overall_duration: 0.0,
-            confusion_cu: vec![vec![0; num_cus]; num_cus],
-            confusion_duration: vec![vec![0; num_durations]; num_durations],
-            num_samples: 0,
-        }
-    }
-
-    /// Per-department F1 scores derived from the destination confusion matrix.
-    ///
-    /// Classes with no true samples *and* no predictions score 0 (not NaN):
-    /// every precision/recall denominator is guarded, so degenerate inputs
-    /// (empty test set, single-class cohort) yield finite scores.
-    pub fn per_cu_f1(&self) -> Vec<f64> {
-        per_class_f1(&self.confusion_cu)
-    }
-
-    /// Per-duration-class F1 scores.
-    pub fn per_duration_f1(&self) -> Vec<f64> {
-        per_class_f1(&self.confusion_duration)
-    }
-
-    /// Unweighted mean of the per-department F1 scores (macro-F1).
-    pub fn macro_f1_cu(&self) -> f64 {
-        pfp_math::stats::mean(&self.per_cu_f1())
-    }
-
-    /// Unweighted mean of the per-duration-class F1 scores.
-    pub fn macro_f1_duration(&self) -> f64 {
-        pfp_math::stats::mean(&self.per_duration_f1())
-    }
-
-    /// Element-wise average of several reports (confusions are summed).
-    pub fn average(reports: &[AccuracyReport]) -> AccuracyReport {
-        assert!(!reports.is_empty(), "cannot average zero reports");
-        let num_cus = reports[0].per_cu.len();
-        let num_durations = reports[0].per_duration.len();
-        let mut avg = AccuracyReport::zeros(num_cus, num_durations);
-        let n = reports.len() as f64;
-        for r in reports {
-            for (a, b) in avg.per_cu.iter_mut().zip(r.per_cu.iter()) {
-                *a += b / n;
-            }
-            for (a, b) in avg.per_duration.iter_mut().zip(r.per_duration.iter()) {
-                *a += b / n;
-            }
-            avg.overall_cu += r.overall_cu / n;
-            avg.overall_duration += r.overall_duration / n;
-            avg.num_samples += r.num_samples;
-            for (ra, rb) in avg.confusion_cu.iter_mut().zip(r.confusion_cu.iter()) {
-                for (a, b) in ra.iter_mut().zip(rb.iter()) {
-                    *a += b;
-                }
-            }
-            for (ra, rb) in avg
-                .confusion_duration
-                .iter_mut()
-                .zip(r.confusion_duration.iter())
-            {
-                for (a, b) in ra.iter_mut().zip(rb.iter()) {
-                    *a += b;
-                }
-            }
-        }
-        avg
-    }
-}
-
-fn per_class_f1(confusion: &[Vec<usize>]) -> Vec<f64> {
-    let n = confusion.len();
-    (0..n)
-        .map(|c| {
-            let tp = confusion[c][c];
-            let actual: usize = confusion[c].iter().sum();
-            let predicted: usize = confusion.iter().map(|row| row[c]).sum();
-            // 2·TP / (actual + predicted) is the harmonic-mean F1 without
-            // intermediate NaN-prone precision/recall divisions.
-            if actual + predicted == 0 {
-                0.0
-            } else {
-                2.0 * tp as f64 / (actual + predicted) as f64
-            }
-        })
-        .collect()
-}
-
 /// Evaluate a trained predictor on the samples of a (test) dataset.
 pub fn evaluate(predictor: &dyn FlowPredictor, test: &Dataset) -> AccuracyReport {
     let num_cus = test.num_cus;
@@ -269,16 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn average_of_identical_reports_is_identity_with_summed_confusions() {
-        let ds = dataset();
-        let r = evaluate(&Oracle, &ds);
-        let avg = AccuracyReport::average(&[r.clone(), r.clone()]);
-        assert!((avg.overall_cu - r.overall_cu).abs() < 1e-12);
-        assert_eq!(avg.num_samples, 2 * r.num_samples);
-        assert_eq!(avg.confusion_cu[0][0], 2 * r.confusion_cu[0][0]);
-    }
-
-    #[test]
     fn dmcp_model_convenience_wrappers_return_valid_accuracies() {
         let ds = dataset();
         let (train, test) = ds.split_holdout(0.3, 5);
@@ -287,12 +185,6 @@ mod tests {
         let acc_dur = overall_duration_accuracy(&model, &test);
         assert!((0.0..=1.0).contains(&acc_cu));
         assert!((0.0..=1.0).contains(&acc_dur));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot average zero reports")]
-    fn average_rejects_empty_input() {
-        let _ = AccuracyReport::average(&[]);
     }
 
     // --- degenerate inputs: metrics must stay finite and panic-free ---
@@ -324,10 +216,6 @@ mod tests {
         assert!(report.overall_duration.is_finite());
         assert!(report.per_cu.iter().all(|v| v.is_finite()));
         assert!(report.per_duration.iter().all(|v| v.is_finite()));
-        assert!(report.per_cu_f1().iter().all(|v| v.is_finite()));
-        assert!(report.per_duration_f1().iter().all(|v| v.is_finite()));
-        assert!(report.macro_f1_cu().is_finite());
-        assert!(report.macro_f1_duration().is_finite());
     }
 
     #[test]
@@ -337,7 +225,6 @@ mod tests {
         assert_eq!(report.num_samples, 0);
         assert_eq!(report.overall_cu, 0.0);
         assert_eq!(report.overall_duration, 0.0);
-        assert_eq!(report.macro_f1_cu(), 0.0);
         assert_finite_report(&report);
     }
 
@@ -346,35 +233,19 @@ mod tests {
         let ds = single_class_dataset(2);
         let report = evaluate(&Constant(2, 0), &ds);
         assert!((report.overall_cu - 1.0).abs() < 1e-12);
-        assert!((report.per_cu_f1()[2] - 1.0).abs() < 1e-12);
+        assert!((report.per_cu[2] - 1.0).abs() < 1e-12);
         // Absent classes: no samples, no predictions — 0, not NaN.
-        assert_eq!(report.per_cu_f1()[0], 0.0);
+        assert_eq!(report.per_cu[0], 0.0);
         assert_finite_report(&report);
     }
 
     #[test]
     fn single_class_cohort_yields_finite_scores_for_mismatching_predictor() {
         let ds = single_class_dataset(2);
-        // Predicts a class that never occurs: precision and recall are both
-        // degenerate for every class.
+        // Predicts a class that never occurs: every class scores 0, not NaN.
         let report = evaluate(&Constant(0, 1), &ds);
         assert_eq!(report.overall_cu, 0.0);
-        assert_eq!(report.macro_f1_cu(), 0.0);
-        assert_finite_report(&report);
-    }
-
-    #[test]
-    fn oracle_macro_f1_is_one_over_present_classes_only() {
-        let ds = dataset();
-        let report = evaluate(&Oracle, &ds);
-        let (cu_counts, _) = ds.label_counts();
-        for (c, &count) in cu_counts.iter().enumerate() {
-            if count > 0 {
-                assert!((report.per_cu_f1()[c] - 1.0).abs() < 1e-12);
-            } else {
-                assert_eq!(report.per_cu_f1()[c], 0.0);
-            }
-        }
+        assert!(report.per_cu.iter().all(|&v| v == 0.0));
         assert_finite_report(&report);
     }
 }

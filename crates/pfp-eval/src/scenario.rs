@@ -27,18 +27,18 @@
 //! Determinism: every rollout draws from an RNG derived as
 //! `derive_seed(seed, rollout_index)`, so forecasts are bitwise-reproducible
 //! at a fixed seed and independent of evaluation order.  The admission
-//! stream is simulated by Ogata thinning with a hard event cap; a truncated
-//! admission path would silently understate the census, so truncation is a
-//! loud panic here, never a quiet short path.
+//! stream is drawn by [`MultivariateHawkes::simulate`]'s exact thinning in
+//! time linear in its length; the stream is subcritical by construction
+//! (`branching < 1`), so it is finite and needs no event cap.
 
 use pfp_baselines::GenerativePredictor;
 use pfp_core::dataset::{Dataset, RawSample};
 use pfp_core::features::HistoryStay;
 use pfp_ehr::departments::CareUnit;
 use pfp_math::rng::{derive_seed, sample_categorical, seeded_rng};
+use pfp_math::Matrix;
 use pfp_math::SparseVec;
-use pfp_point_process::kernels::{KernelKind, ParametricIntensity};
-use pfp_point_process::simulate::{simulate, ThinningConfig};
+use pfp_point_process::hawkes::MultivariateHawkes;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -66,9 +66,6 @@ pub struct AdmissionModel {
     pub branching: f64,
     /// Exponential decay rate of the excitation (days⁻¹).
     pub decay: f64,
-    /// Hard cap handed to the thinning simulator.  A truncated admission
-    /// path is a panic, so set this well above any plausible draw.
-    pub max_admissions: usize,
 }
 
 impl Default for AdmissionModel {
@@ -77,7 +74,6 @@ impl Default for AdmissionModel {
             base_rate: 2.0,
             branching: 0.3,
             decay: 1.0,
-            max_admissions: 10_000,
         }
     }
 }
@@ -96,9 +92,9 @@ impl AdmissionModel {
     /// by `scale` (what-if surges).
     ///
     /// # Panics
-    /// Panics if the thinning simulator truncates at `max_admissions` before
-    /// the horizon: a quietly-short admission path would corrupt every census
-    /// count downstream, so it is surfaced here, never returned.
+    /// Panics if the base rate is negative or not finite, `branching` is
+    /// outside `[0, 1)`, `decay` is not positive, or `scale` is not positive
+    /// and finite.
     pub fn simulate_admissions(&self, scale: f64, horizon: f64, rng: &mut impl Rng) -> Vec<f64> {
         assert!(
             self.base_rate >= 0.0 && self.base_rate.is_finite(),
@@ -114,28 +110,15 @@ impl AdmissionModel {
             scale > 0.0 && scale.is_finite(),
             "admission scale must be positive and finite"
         );
-        // Under the repo's sign convention (Eq. 3) negative beta *excites*:
-        // each admission adds `-beta · exp(-decay · Δt)` to the intensity,
-        // integrating to `-beta / decay` expected children — so
-        // `beta = -branching · decay`.
-        let intensity = ParametricIntensity::scalar(
-            KernelKind::Hawkes { decay: self.decay },
-            self.base_rate * scale,
-            -self.branching * self.decay,
+        // The kernel `a · decay · exp(-decay · Δt)` integrates to `a`
+        // expected children per admission, so `a = branching` (Eq. 3's
+        // `beta = -branching · decay`).
+        let stream = MultivariateHawkes::new(
+            vec![self.base_rate * scale],
+            Matrix::from_vec(1, 1, vec![self.branching]),
+            self.decay,
         );
-        let config = ThinningConfig {
-            max_events: self.max_admissions,
-            ..ThinningConfig::default()
-        };
-        let seq = simulate(&intensity, horizon, rng, &config);
-        assert!(
-            !seq.truncated(),
-            "admission stream truncated at {} events before the {horizon}-day \
-             horizon (base_rate {}, scale {scale}): raise max_admissions or \
-             lower the surge — a truncated path would corrupt the census",
-            self.max_admissions,
-            self.base_rate,
-        );
+        let seq = stream.simulate(horizon, rng);
         seq.events().iter().map(|e| e.time).collect()
     }
 }
@@ -834,15 +817,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "admission stream truncated")]
-    fn truncated_admission_stream_is_a_loud_error() {
-        let model = AdmissionModel {
-            base_rate: 500.0,
-            max_admissions: 10,
-            ..AdmissionModel::default()
-        };
+    fn paper_scale_surge_stream_is_complete() {
+        // The paper-scale holdout (6,137 patients) under a 2x surge: ~17,000
+        // admissions in the week.  The count stays within 5 sd of the exact
+        // expectation; the stationary variance `μT/(1 − b)³` is the larger
+        // one, so the bound is conservative.
+        let model = AdmissionModel::for_cohort(6_137, CENSUS_DAYS);
+        let (mu, b, horizon) = (model.base_rate * 2.0, model.branching, CENSUS_DAYS as f64);
+        let r = model.decay * (1.0 - b);
+        let expected = mu * horizon / (1.0 - b)
+            - mu * b * (1.0 - (-r * horizon).exp()) / (model.decay * (1.0 - b).powi(2));
+        let sd = (mu * horizon / (1.0 - b).powi(3)).sqrt();
         let mut rng = seeded_rng(9);
-        let _ = model.simulate_admissions(1.0, 7.0, &mut rng);
+        let count = model.simulate_admissions(2.0, horizon, &mut rng).len() as f64;
+        assert!(
+            (count - expected).abs() < 5.0 * sd,
+            "{count} admissions vs expected {expected} (sd {sd})"
+        );
     }
 
     #[test]

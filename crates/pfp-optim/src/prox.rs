@@ -7,18 +7,6 @@
 
 use pfp_math::Matrix;
 
-/// Scalar soft-threshold `sign(x) · max(|x| − τ, 0)`.
-pub fn soft_threshold(x: f64, tau: f64) -> f64 {
-    debug_assert!(tau >= 0.0);
-    if x > tau {
-        x - tau
-    } else if x < -tau {
-        x + tau
-    } else {
-        0.0
-    }
-}
-
 /// Group soft-threshold of a vector: `max(0, 1 − τ/‖v‖₂) · v`.
 pub fn group_soft_threshold(v: &mut [f64], tau: f64) {
     debug_assert!(tau >= 0.0);
@@ -53,15 +41,6 @@ pub fn prox_group_lasso_in_place(v: &mut Matrix, tau: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn soft_threshold_shrinks_towards_zero() {
-        assert_eq!(soft_threshold(3.0, 1.0), 2.0);
-        assert_eq!(soft_threshold(-3.0, 1.0), -2.0);
-        assert_eq!(soft_threshold(0.5, 1.0), 0.0);
-        assert_eq!(soft_threshold(-0.5, 1.0), 0.0);
-        assert_eq!(soft_threshold(2.0, 0.0), 2.0);
-    }
 
     #[test]
     fn group_soft_threshold_zeroes_small_rows() {

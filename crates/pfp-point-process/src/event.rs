@@ -28,7 +28,6 @@ pub struct EventSequence {
     events: Vec<Event>,
     horizon: f64,
     num_marks: usize,
-    truncated: bool,
 }
 
 impl EventSequence {
@@ -66,28 +65,12 @@ impl EventSequence {
             events,
             horizon,
             num_marks,
-            truncated: false,
         }
     }
 
     /// Empty sequence over `(0, horizon]`.
     pub fn empty(horizon: f64, num_marks: usize) -> Self {
         Self::new(Vec::new(), horizon, num_marks)
-    }
-
-    /// Flag this sequence as truncated and return it.  A simulator that stops
-    /// at an event cap before reaching the horizon must call this so callers
-    /// can tell a complete draw from a quietly-short prefix of one.
-    pub fn mark_truncated(mut self) -> Self {
-        self.truncated = true;
-        self
-    }
-
-    /// True if the simulator hit its event cap before the horizon: the
-    /// sequence is a *prefix* of the true sample path, and any count derived
-    /// from it (census, mark frequencies, ...) understates the real process.
-    pub fn truncated(&self) -> bool {
-        self.truncated
     }
 
     /// Events in chronological order.
@@ -119,26 +102,6 @@ impl EventSequence {
     pub fn history_before(&self, t: f64) -> &[Event] {
         let cut = self.events.partition_point(|e| e.time < t);
         &self.events[..cut]
-    }
-
-    /// Counting process `N(t)`: number of events at or before `t`.
-    pub fn count_at(&self, t: f64) -> usize {
-        self.events.partition_point(|e| e.time <= t)
-    }
-
-    /// Counting process restricted to one mark.
-    pub fn count_mark_at(&self, mark: usize, t: f64) -> usize {
-        self.events
-            .iter()
-            .take_while(|e| e.time <= t)
-            .filter(|e| e.mark == mark)
-            .count()
-    }
-
-    /// Time of the last event strictly before `t`, or `0.0` if none
-    /// (the `t_I` of the mutually-correcting intensity).
-    pub fn last_event_time_before(&self, t: f64) -> f64 {
-        self.history_before(t).last().map(|e| e.time).unwrap_or(0.0)
     }
 
     /// Inter-event waiting times (first one measured from 0).
@@ -211,23 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn counting_process_is_right_continuous() {
-        let s = seq();
-        assert_eq!(s.count_at(0.9), 0);
-        assert_eq!(s.count_at(1.0), 1);
-        assert_eq!(s.count_at(10.0), 3);
-        assert_eq!(s.count_mark_at(0, 10.0), 2);
-        assert_eq!(s.count_mark_at(1, 2.0), 0);
-    }
-
-    #[test]
-    fn last_event_time_before_defaults_to_zero() {
-        let s = seq();
-        assert_eq!(s.last_event_time_before(0.5), 0.0);
-        assert_eq!(s.last_event_time_before(3.0), 2.5);
-    }
-
-    #[test]
     fn inter_event_times_sum_to_last_event_time() {
         let s = seq();
         let gaps = s.inter_event_times();
@@ -245,16 +191,5 @@ mod tests {
         let s = EventSequence::empty(5.0, 3);
         assert!(s.is_empty());
         assert_eq!(s.mark_counts(), vec![0, 0, 0]);
-        assert_eq!(s.count_at(5.0), 0);
-    }
-
-    #[test]
-    fn sequences_are_complete_unless_marked_truncated() {
-        let s = seq();
-        assert!(!s.truncated());
-        let t = s.clone().mark_truncated();
-        assert!(t.truncated());
-        assert_eq!(t.events(), s.events());
-        assert_ne!(t, s, "truncation must be visible to equality checks");
     }
 }

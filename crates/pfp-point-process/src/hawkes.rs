@@ -12,12 +12,15 @@
 //! with `μ ≥ 0`, `A = [a_{k,j}] ≥ 0`, fitted by the standard EM
 //! (branching-structure) updates, which increase the likelihood monotonically
 //! and keep every parameter non-negative without projections.
+//! [`MultivariateHawkes::simulate`] samples a subcritical model exactly; the
+//! what-if engine draws its admission stream with it.
 
+use pfp_math::rng::{bernoulli, exponential, sample_categorical};
 use pfp_math::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::event::EventSequence;
+use crate::event::{Event, EventSequence};
 
 /// Hyper-parameters of the Hawkes MLE fit.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -49,7 +52,7 @@ pub struct MultivariateHawkes {
 }
 
 impl MultivariateHawkes {
-    /// Construct directly from parameters (used by tests and the simulator).
+    /// Construct directly from parameters (the admission stream and tests).
     pub fn new(mu: Vec<f64>, adjacency: Matrix, decay: f64) -> Self {
         let k = mu.len();
         assert!(k > 0, "at least one mark required");
@@ -95,13 +98,6 @@ impl MultivariateHawkes {
                 self.adjacency.get(k, e.mark) * self.decay * (-(self.decay) * (t - e.time)).exp();
         }
         lambda.max(1e-12)
-    }
-
-    /// All per-mark intensities at `t`.
-    pub fn intensities(&self, t: f64, seq: &EventSequence) -> Vec<f64> {
-        (0..self.num_marks())
-            .map(|k| self.intensity(k, t, seq))
-            .collect()
     }
 
     /// `∫_a^b λ_k(s) ds` given the (fixed) history of `seq` before `a`.
@@ -252,41 +248,71 @@ impl MultivariateHawkes {
         }
     }
 
-    /// Simulate one sample path by thinning (used in tests and for
-    /// parameter-recovery experiments).
+    /// Draw one sample path on `(0, horizon]` by exact Ogata thinning.
     ///
-    /// Supercritical parameterisations can explode; the path is capped at
-    /// 100,000 events and flagged [`EventSequence::truncated`] when the cap
-    /// fires before the horizon.
+    /// The sampler keeps each mark's excitation `e_k = ω Σ_{t_i < t}
+    /// a_{k,m_i} e^{−ω(t − t_i)}`, so `λ_k = μ_k + e_k`.  Every `e_k` decays
+    /// by the same factor `e^{−ωΔt}` between events, so with `A ≥ 0` the
+    /// total intensity just after the current time bounds it until the next
+    /// event: the bound is exact, with no look-ahead window or safety factor.
+    /// A proposal draws one wait and one acceptance, an accepted one draws
+    /// its mark, and each costs O(K) with no history scan.
+    ///
+    /// # Panics
+    /// Panics if `horizon` is not positive and finite, or unless `A ≥ 0` and
+    /// every column sum of `A` is below 1.  Column `j` sums to the expected
+    /// number of children of one mark-`j` event and bounds the spectral
+    /// radius of `A`, so the process is subcritical and a path is finite
+    /// almost surely.
     pub fn simulate(&self, horizon: f64, rng: &mut impl Rng) -> EventSequence {
-        const MAX_EVENTS: usize = 100_000;
+        assert!(
+            horizon > 0.0 && horizon.is_finite(),
+            "horizon must be positive and finite"
+        );
+        let k_marks = self.num_marks();
+        for j in 0..k_marks {
+            let column = (0..k_marks).map(|k| self.adjacency.get(k, j));
+            let sum: f64 = column.clone().sum();
+            assert!(
+                column.clone().all(|a| a >= 0.0) && sum < 1.0,
+                "simulate needs a subcritical excitation matrix: column {j} of A \
+                 must be non-negative and sum below 1, got {sum}"
+            );
+        }
+        let mut excitation = vec![0.0_f64; k_marks];
+        let mut lambdas = self.mu.clone();
         let mut events = Vec::new();
         let mut t = 0.0_f64;
-        let mut seq = EventSequence::empty(horizon, self.num_marks());
-        while t < horizon && events.len() < MAX_EVENTS {
-            let bound: f64 = self.intensities(t + 1e-9, &seq).iter().sum::<f64>() * 1.5 + 1e-9;
-            let dt = -(rng.gen::<f64>().max(1e-300)).ln() / bound;
-            // With the exponential kernel the intensity only decays between
-            // events, so the bound taken just after `t` dominates the window.
-            t += dt;
-            if t >= horizon {
+        loop {
+            let bound: f64 = lambdas.iter().sum();
+            if bound <= 0.0 {
                 break;
             }
-            let lambdas = self.intensities(t, &seq);
-            let total: f64 = lambdas.iter().sum();
-            if rng.gen::<f64>() * bound <= total {
-                let mark = pfp_math::rng::sample_categorical(rng, &lambdas);
-                events.push(crate::event::Event::new(t, mark));
-                seq = EventSequence::new(events.clone(), horizon, self.num_marks());
+            let dt = exponential(rng, bound);
+            t += dt;
+            if t > horizon {
+                break;
+            }
+            let factor = (-self.decay * dt).exp();
+            for ((lambda, e), &mu) in lambdas.iter_mut().zip(&mut excitation).zip(&self.mu) {
+                *e *= factor;
+                *lambda = mu + *e;
+            }
+            if bernoulli(rng, lambdas.iter().sum::<f64>() / bound) {
+                let mark = sample_categorical(rng, &lambdas);
+                events.push(Event::new(t, mark));
+                for (k, ((lambda, e), &mu)) in lambdas
+                    .iter_mut()
+                    .zip(&mut excitation)
+                    .zip(&self.mu)
+                    .enumerate()
+                {
+                    *e += self.adjacency.get(k, mark) * self.decay;
+                    *lambda = mu + *e;
+                }
             }
         }
-        let truncated = events.len() >= MAX_EVENTS && t < horizon;
-        let seq = EventSequence::new(events, horizon, self.num_marks());
-        if truncated {
-            seq.mark_truncated()
-        } else {
-            seq
-        }
+        EventSequence::new(events, horizon, k_marks)
     }
 }
 
@@ -360,8 +386,8 @@ mod tests {
         // With A = 0 the model is Poisson; the likelihood should peak near the
         // empirical rate.
         let mut rng = seeded_rng(21);
-        let seq = crate::simulate::simulate_homogeneous_poisson(&[0.5, 0.5], 400.0, &mut rng);
-        let seqs = vec![seq];
+        let poisson = MultivariateHawkes::new(vec![0.5, 0.5], Matrix::zeros(2, 2), 1.0);
+        let seqs = vec![poisson.simulate(400.0, &mut rng)];
         let ll = |rate: f64| {
             MultivariateHawkes::new(vec![rate, rate], Matrix::zeros(2, 2), 1.0)
                 .log_likelihood(&seqs)
@@ -413,6 +439,105 @@ mod tests {
         let seq = m.simulate(50.0, &mut rng);
         assert!(seq.events().iter().all(|e| e.time <= 50.0 && e.mark < 2));
         assert!(!seq.is_empty());
+    }
+
+    /// Exact `E[N(T)]` of a stream started empty, with total base rate `μ`
+    /// and branching ratio `b` (one mark, or `A = 0`): the mean rate obeys
+    /// `m' = ω(μ − (1 − b)m)` from `m(0) = μ`, and this is its integral.
+    fn expected_count(mu: f64, b: f64, decay: f64, horizon: f64) -> f64 {
+        let r = decay * (1.0 - b);
+        mu * horizon / (1.0 - b)
+            - mu * b * (1.0 - (-r * horizon).exp()) / (decay * (1.0 - b).powi(2))
+    }
+
+    /// Kolmogorov–Smirnov distance between `xs` and the Exp(1) law.
+    fn ks_distance_to_exp1(mut xs: Vec<f64>) -> f64 {
+        xs.sort_by(f64::total_cmp);
+        let n = xs.len() as f64;
+        xs.iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let cdf = 1.0 - (-x).exp();
+                (cdf - i as f64 / n).max((i + 1) as f64 / n - cdf)
+            })
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn simulate_matches_the_exact_count_rescaled_gaps_and_mark_shares() {
+        // (μ, A, ω, seed): one mark at branching 0, 0.3 and 0.8, and two
+        // marks with A = 0 and unequal base rates.
+        let cases = [
+            (vec![2.0], Matrix::zeros(1, 1), 1.0, 41),
+            (vec![2.0], Matrix::from_vec(1, 1, vec![0.3]), 1.0, 42),
+            (vec![2.0], Matrix::from_vec(1, 1, vec![0.8]), 2.0, 43),
+            (vec![0.5, 1.5], Matrix::zeros(2, 2), 1.0, 44),
+        ];
+        let (horizon, streams, ks_streams) = (20.0, 300, 20);
+        for (mu, adjacency, decay, seed) in cases {
+            let b = adjacency.get(0, 0);
+            let model = MultivariateHawkes::new(mu.clone(), adjacency, decay);
+            let mut rng = seeded_rng(seed);
+            let paths: Vec<EventSequence> = (0..streams)
+                .map(|_| model.simulate(horizon, &mut rng))
+                .collect();
+
+            // Mean count within 4 standard errors of the exact expectation.
+            let counts: Vec<f64> = paths.iter().map(|p| p.len() as f64).collect();
+            let mean = pfp_math::stats::mean(&counts);
+            let se = pfp_math::stats::std_dev(&counts) / (streams as f64).sqrt();
+            let expected = expected_count(mu.iter().sum(), b, decay, horizon);
+            assert!(
+                (mean - expected).abs() < 4.0 * se,
+                "b = {b}: mean count {mean} vs exact {expected} (se {se})"
+            );
+
+            // Time rescaling: the compensator increments between events are
+            // i.i.d. Exp(1).  `integrated_intensity` counts the history strictly
+            // before its lower bound, so each gap starts one ulp after the
+            // event that opens it.
+            let mut gaps = Vec::new();
+            for path in &paths[..ks_streams] {
+                let mut prev = 0.0;
+                for e in path.events() {
+                    gaps.push(
+                        (0..model.num_marks())
+                            .map(|k| model.integrated_intensity(k, prev, e.time, path))
+                            .sum::<f64>(),
+                    );
+                    prev = e.time.next_up();
+                }
+            }
+            // 1.95/√n is the KS critical value at the 0.1 % level.
+            let d = ks_distance_to_exp1(gaps.clone());
+            let critical = 1.95 / (gaps.len() as f64).sqrt();
+            assert!(d < critical, "b = {b}: KS distance {d} ≥ {critical}");
+
+            // With A = 0 the marks are independent draws ∝ μ.
+            if b == 0.0 && mu.len() > 1 {
+                let total: f64 = counts.iter().sum();
+                let share_1 =
+                    paths.iter().map(|p| p.mark_counts()[1]).sum::<usize>() as f64 / total;
+                let p1 = mu[1] / mu.iter().sum::<f64>();
+                let tolerance = 4.0 * (p1 * (1.0 - p1) / total).sqrt();
+                assert!(
+                    (share_1 - p1).abs() < tolerance,
+                    "mark-1 share {share_1} vs {p1}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "subcritical excitation matrix")]
+    fn simulate_rejects_a_column_sum_of_one_or_more() {
+        // Column 0 sums to 1.1: a mark-0 event has 1.1 expected children.
+        let m = MultivariateHawkes::new(
+            vec![0.1, 0.1],
+            Matrix::from_vec(2, 2, vec![0.6, 0.0, 0.5, 0.0]),
+            1.0,
+        );
+        let _ = m.simulate(10.0, &mut seeded_rng(45));
     }
 
     #[test]

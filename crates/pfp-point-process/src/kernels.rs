@@ -13,8 +13,7 @@
 //! | self-correcting      | exp(x) | t         | 1                      | α, β ≥ 0   |
 //! | mutually-correcting  | exp(x) | t − t_I   | exp(−(t−t')²/σ²)       | none        |
 //!
-//! The scalar version (one mark) reproduces Figure 3; the multivariate version
-//! is the ground truth of the synthetic cohort generator.
+//! The scalar version (one mark) reproduces Figure 3.
 
 use pfp_math::Matrix;
 use serde::{Deserialize, Serialize};
@@ -138,43 +137,6 @@ impl ParametricIntensity {
         }
         self.kind.link(x)
     }
-
-    /// Conditional intensities of every mark at time `t`.
-    pub fn intensities(&self, t: f64, history: &[Event]) -> Vec<f64> {
-        (0..self.num_marks())
-            .map(|k| self.intensity(k, t, history))
-            .collect()
-    }
-
-    /// Total intensity `Σ_k λ_k(t)`.
-    pub fn total_intensity(&self, t: f64, history: &[Event]) -> f64 {
-        self.intensities(t, history).iter().sum()
-    }
-
-    /// Numerically integrate `λ_k` over `[a, b]` with `steps` trapezoids,
-    /// holding the supplied history fixed.
-    ///
-    /// Used by the Hawkes-style prediction rule
-    /// `argmax_{(c,d)} ∫_{t+d-1}^{t+d} λ_c(s) ds`.
-    pub fn integrate_intensity(
-        &self,
-        k: usize,
-        a: f64,
-        b: f64,
-        steps: usize,
-        history: &[Event],
-    ) -> f64 {
-        assert!(b >= a, "integration bounds must be ordered");
-        assert!(steps >= 1, "at least one integration step required");
-        let h = (b - a) / steps as f64;
-        let mut acc = 0.0;
-        for i in 0..steps {
-            let x0 = a + i as f64 * h;
-            let x1 = x0 + h;
-            acc += 0.5 * h * (self.intensity(k, x0, history) + self.intensity(k, x1, history));
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -250,20 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn intensities_and_total_are_consistent() {
-        let pi = ParametricIntensity::new(
-            KernelKind::MutuallyCorrecting { sigma: 2.0 },
-            vec![0.1, 0.3],
-            Matrix::from_vec(2, 2, vec![0.5, -0.2, 0.0, 0.1]),
-        );
-        let h = history();
-        let v = pi.intensities(3.0, &h);
-        assert_eq!(v.len(), 2);
-        assert!((pi.total_intensity(3.0, &h) - (v[0] + v[1])).abs() < 1e-12);
-        assert!(v.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
     fn identity_link_clamps_negative_predictor() {
         let pi = ParametricIntensity::new(
             KernelKind::ModulatedPoisson,
@@ -273,17 +221,6 @@ mod tests {
         let h = vec![Event::new(0.5, 0)];
         assert!(pi.intensity(0, 1.0, &h) > 0.0);
         assert!(pi.intensity(0, 1.0, &h) <= 1e-12);
-    }
-
-    #[test]
-    fn integrate_intensity_of_constant_rate_is_rate_times_length() {
-        let pi = ParametricIntensity::new(
-            KernelKind::ModulatedPoisson,
-            vec![3.0],
-            Matrix::from_vec(1, 1, vec![0.0]),
-        );
-        let v = pi.integrate_intensity(0, 1.0, 4.0, 64, &[]);
-        assert!((v - 9.0).abs() < 1e-9);
     }
 
     #[test]

@@ -7,21 +7,18 @@
 //! (Eq. 1–3).  This crate provides everything the rest of the workspace needs
 //! from point-process theory, built from scratch:
 //!
-//! * [`event`] — marked events, validated event sequences, counting processes.
+//! * [`event`] — marked events and validated event sequences.
 //! * [`kernels`] — the parametric intensity families of Table 3
 //!   (modulated Poisson, Hawkes, self-correcting, mutually-correcting) behind
-//!   one [`kernels::ParametricIntensity`] type.
-//! * [`simulate`] — Ogata thinning simulation of multivariate intensities,
-//!   used both for the synthetic cohort ground truth and for Figure 3.
+//!   one [`kernels::ParametricIntensity`] type, evaluated for Figure 3.
 //! * [`hawkes`] — a generatively-trained (maximum likelihood) multivariate
 //!   Hawkes process with exponential kernel, the substrate of the HP baseline.
-//! * [`residual`] — time-rescaling residuals for goodness-of-fit checks.
+//!   Its exact Ogata-thinning sampler is the workspace's only point-process
+//!   sampler; it draws the what-if engine's admission stream.
 
 pub mod event;
 pub mod hawkes;
 pub mod kernels;
-pub mod residual;
-pub mod simulate;
 
 pub use event::{Event, EventSequence};
 pub use kernels::{KernelKind, ParametricIntensity};

@@ -9,14 +9,14 @@
 //! depend on one crate:
 //!
 //! * [`math`] — dense/sparse linear algebra, softmax, statistics.
-//! * [`point_process`] — intensity kernels, Ogata thinning simulation, Hawkes MLE.
+//! * [`point_process`] — intensity kernels, Hawkes MLE and exact Hawkes sampling.
 //! * [`ehr`] — synthetic MIMIC-II-like cohort generator.
 //! * [`optim`] — gradient descent, ADMM, group-lasso proximal operators.
 //! * [`core`] — the paper's contribution: the mutually-correcting process model
 //!   and its discriminative learning algorithm (DMCP), plus imbalance handling.
 //! * [`baselines`] — MC, VAR, CTMC, LR, Hawkes, modulated-Poisson and
 //!   self-correcting baselines.
-//! * [`eval`] — metrics, cross-validation and the experiment harness that
+//! * [`eval`] — metrics, census forecasting and the experiment harness that
 //!   regenerates every table and figure of the paper.
 //! * [`serve`] — micro-batched prediction service over a trained model
 //!   (feature vector in, transfer distribution out), with per-request
