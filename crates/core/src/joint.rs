@@ -4,7 +4,7 @@
 //! (one softmax over all `C·D = 64` label pairs) overfits badly — accuracy no
 //! better than 0.31 — which motivates the decoupled two-head model.  This
 //! module implements that straw man so the comparison can be reproduced
-//! (`repro_joint_overfit`).
+//! (`repro joint-overfit`).
 
 use pfp_math::softmax::argmax;
 use pfp_math::SparseVec;

@@ -35,6 +35,5 @@ pub use ctmc::CtmcPredictor;
 pub use hawkes_baseline::HawkesPredictor;
 pub use logistic::LogisticPredictor;
 pub use markov::{MarkovFallback, MarkovPredictor};
-pub use pp_discriminative::{ModulatedPoissonPredictor, SelfCorrectingPredictor};
 pub use predictor::{DmcpPredictor, FlowPredictor, GenerativePredictor, MethodId, Prediction};
 pub use var::VarPredictor;

@@ -5,16 +5,9 @@
 //! the feature maps of Table 3 (`g = 1, h = 1` for MPP; `g = t, h = 1` for
 //! SCP) and without the group lasso — isolating the contribution of the
 //! mutually-correcting kernel and of the joint feature selection.  Train one
-//! with [`DmcpPredictor::train`] and `MethodId::{Mpp, Scp, Sscp}` (SSCP is
-//! SCP with synthetic-data pre-processing).
-
-use crate::predictor::DmcpPredictor;
-
-/// The MPP baseline (alias of the shared adapter).
-pub type ModulatedPoissonPredictor = DmcpPredictor;
-
-/// The SCP baseline (alias of the shared adapter).
-pub type SelfCorrectingPredictor = DmcpPredictor;
+//! with [`DmcpPredictor::train`](crate::DmcpPredictor::train) and
+//! `MethodId::{Mpp, Scp, Sscp}` (SSCP is SCP with synthetic-data
+//! pre-processing).
 
 #[cfg(test)]
 mod tests {

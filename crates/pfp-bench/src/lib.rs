@@ -1,18 +1,21 @@
 //! # pfp-bench
 //!
-//! The binaries that reproduce the paper's tables and figures
-//! (`src/bin/repro_*.rs`).  Wall-time measurements live in the separate
-//! `perfbench` package.
+//! The `repro` binary that reproduces the paper's tables and figures
+//! (`repro <target>`, see [`cli`]).  Wall-time measurements live in the
+//! separate `perfbench` package.
 //!
-//! This library crate only hosts the tiny bits shared by those binaries and
-//! by the workspace's integration tests: a dependency-free command-line flag
-//! parser, plain-text table rendering, the evaluation-counting objective
-//! decorator used by the convergence tests, and the heap-tracking allocator
-//! behind the bounded-memory test ([`mem`]).
+//! This library crate hosts what that binary prints, one function per
+//! table or figure behind [`repro::run`], so a test can call it without
+//! spawning a process.  It also hosts the bits shared with the workspace's
+//! integration tests: a dependency-free argument parser, plain-text table
+//! rendering, the evaluation-counting objective decorator used by the
+//! convergence tests, and the heap-tracking allocator behind the
+//! bounded-memory test ([`mem`]).
 
 pub mod cli;
 pub mod counting;
 pub mod mem;
+pub mod repro;
 pub mod table;
 
 pub use cli::Args;

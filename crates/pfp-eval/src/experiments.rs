@@ -1,8 +1,8 @@
 //! Experiment runners: one function per table / figure of the paper.
 //!
 //! Every function returns a plain serialisable report struct; the
-//! `pfp-bench` reproduction binaries call these and render the results as
-//! text tables next to the paper's published numbers.
+//! `pfp-bench` `repro` binary calls these and renders the results as text
+//! tables next to the paper's published numbers.
 
 use pfp_baselines::predictor::HierarchicalPredictor;
 use pfp_baselines::{
@@ -11,11 +11,10 @@ use pfp_baselines::{
 };
 use pfp_core::joint::JointLabelModel;
 use pfp_core::{Dataset, PlateauStop, TrainConfig, TrainSource, WarmStart};
-use pfp_ehr::departments::{paper_table1, paper_table2, NUM_CARE_UNITS};
+use pfp_ehr::departments::{paper_table1, paper_table2};
 use pfp_ehr::features::{FeatureDictionary, FeatureDomain};
 use pfp_ehr::stats::{duration_histogram, table1, table2, DurationHistogram, Table1Row, Table2Row};
 use pfp_ehr::Cohort;
-use pfp_math::Matrix;
 use pfp_point_process::hawkes::HawkesFitConfig;
 use pfp_point_process::{Event, KernelKind, ParametricIntensity};
 use serde::{Deserialize, Serialize};
@@ -434,8 +433,8 @@ pub fn joint_overfit_report(dataset: &Dataset, config: &ComparisonConfig) -> Joi
     }
 }
 
-/// Summaries used by the ablation benches: accuracy of the DMCP feature map
-/// against the MPP / SCP / LR maps under identical training budgets.
+/// Accuracy of the DMCP feature map against the MPP / SCP / LR maps under
+/// identical training budgets (checked by `tests/method_ordering.rs`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AblationReport {
     /// `(method, AC_C, AC_D)` rows.
@@ -456,21 +455,10 @@ pub fn feature_map_ablation(dataset: &Dataset, config: &ComparisonConfig) -> Abl
     AblationReport { rows }
 }
 
-/// Convenience: a dense matrix of per-CU accuracies (rows = methods) used by
-/// the figure-style reports.
-pub fn per_cu_accuracy_matrix(results: &[MethodResult]) -> Matrix {
-    let mut m = Matrix::zeros(results.len(), NUM_CARE_UNITS);
-    for (i, r) in results.iter().enumerate() {
-        for (j, &v) in r.accuracy.per_cu.iter().enumerate() {
-            m.set(i, j, v);
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfp_ehr::departments::NUM_CARE_UNITS;
     use pfp_ehr::{generate_cohort, CohortConfig};
 
     fn cohort() -> Cohort {
@@ -521,8 +509,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&r.accuracy.overall_cu));
             assert!(r.census.overall_error.is_finite());
         }
-        let matrix = per_cu_accuracy_matrix(&results);
-        assert_eq!(matrix.shape(), (3, NUM_CARE_UNITS));
     }
 
     #[test]
