@@ -10,6 +10,10 @@
 //! Splitting (hold-out and k-fold) is done **by patient** so that no patient
 //! contributes samples to both the training and test sides, and so the
 //! census-simulation experiment can replay whole held-out trajectories.
+//! A split shares its parent's records: samples and patients sit behind
+//! [`Arc`], so a split, a fold or a filter copies only pointers.
+
+use std::sync::Arc;
 
 use pfp_ehr::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
 use pfp_ehr::{Cohort, PatientRecord};
@@ -59,12 +63,19 @@ pub struct Sample {
 
 /// The raw dataset: per-patient transition samples plus the patient records
 /// themselves (needed by the sequence baselines and the census simulation).
+///
+/// Records and samples are shared, not owned: [`Dataset::from_cohort`] copies
+/// the cohort once, and [`Dataset::split_holdout`], [`Dataset::k_folds`],
+/// [`Dataset::filter_by_patient`] and `Clone` hand out the same records
+/// behind new pointer vectors.  A `&Arc<RawSample>` derefs to `&RawSample`
+/// wherever one is taken; edit a sample in place with [`Arc::make_mut`],
+/// which copies it first if another dataset still shares it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dataset {
     /// All raw samples across the cohort.
-    pub samples: Vec<RawSample>,
+    pub samples: Vec<Arc<RawSample>>,
     /// Patient records backing the samples.
-    pub patients: Vec<PatientRecord>,
+    pub patients: Vec<Arc<PatientRecord>>,
     /// Profile feature dimension (`M_p`).
     pub profile_dim: usize,
     /// Time-varying feature dimension (`M_treat + M_nurse + M_med`).
@@ -82,11 +93,11 @@ impl Dataset {
     pub fn from_cohort(cohort: &Cohort) -> Self {
         let mut samples = Vec::new();
         for patient in &cohort.patients {
-            samples.extend(extract_patient_samples(patient));
+            samples.extend(extract_patient_samples(patient).into_iter().map(Arc::new));
         }
         Dataset {
             samples,
-            patients: cohort.patients.clone(),
+            patients: cohort.patients.iter().cloned().map(Arc::new).collect(),
             profile_dim: cohort.features().profile,
             service_dim: cohort.features().time_varying_dim(),
             num_cus: NUM_CARE_UNITS,
@@ -189,7 +200,8 @@ impl Dataset {
         folds
     }
 
-    /// Keep only the samples (and patients) whose patient id satisfies `keep`.
+    /// Keep only the samples (and patients) whose patient id satisfies `keep`;
+    /// the kept records are shared with `self`, not copied.
     pub fn filter_by_patient(&self, keep: impl Fn(usize) -> bool) -> Dataset {
         Dataset {
             samples: self

@@ -1,6 +1,6 @@
 //! The bounded-memory sample sources of the one DMCP [`Objective`], fed by
 //! the seeded cohort generator, which draws any patient alone
-//! ([`generate_patient_into`], [`generate_patient_services_into`]).
+//! ([`generate_patient_services_into`]).
 //!
 //! The materialized path ([`crate::dataset::Dataset`] →
 //! [`DmcpObjective`](crate::loss::DmcpObjective)) holds the cohort several
@@ -29,7 +29,7 @@
 use std::ops::Range;
 
 use pfp_ehr::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
-use pfp_ehr::{generate_patient_into, generate_patient_services_into, CohortConfig, PatientRecord};
+use pfp_ehr::{generate_patient_services_into, CohortConfig, PatientRecord};
 use pfp_math::parallel::intersect_ranges;
 use pfp_math::CsrMatrix;
 
@@ -225,7 +225,9 @@ impl ShardedSamples {
     /// patient at a time into one reused record.  `kind` overrides the
     /// feature map; `None` selects the paper default, whose σ — and so every
     /// feature — matches the materialized [`Dataset`](crate::dataset::Dataset)
-    /// path bitwise (a pre-pass over the patients' timelines sums it).
+    /// path bitwise.  A pre-pass over the patients' timelines sums σ and
+    /// counts each patient's transitions, so the main pass draws every stay's
+    /// service vector but the last's, which no row reads.
     ///
     /// # Panics
     /// Panics if `shard_size == 0`.
@@ -235,20 +237,29 @@ impl ShardedSamples {
         shard_size: usize,
     ) -> Self {
         assert!(shard_size > 0, "shard_size must be positive");
-        let kind = kind.unwrap_or_else(|| {
-            let mut dwell = DwellSum::default();
-            for_each_timeline(config, |p| dwell.add(p));
-            dwell.paper_default_kind()
+        // The pre-pass runs for an explicit `kind` too: the last stays'
+        // service vectors it saves cost more than the timelines it walks.
+        let mut dwell = DwellSum::default();
+        let mut transitions = Vec::with_capacity(config.num_patients);
+        for_each_timeline(config, |p| {
+            dwell.add(p);
+            transitions.push(p.num_transitions());
         });
+        let kind = kind.unwrap_or_else(|| dwell.paper_default_kind());
         let layout = cohort_layout(config, kind);
         let featurizer = layout.featurizer();
         let mut record = PatientRecord::default();
         let mut shards = Vec::new();
         let mut total_samples = 0usize;
-        for first in (0..config.num_patients).step_by(shard_size) {
+        for (first, block) in (0..)
+            .step_by(shard_size)
+            .zip(transitions.chunks(shard_size))
+        {
             let mut shard = SampleShard::empty(total_samples, layout.num_features());
-            for id in first..(first + shard_size).min(config.num_patients) {
-                generate_patient_into(config, id, &mut record);
+            for (id, &services) in (first..).zip(block) {
+                // Transition `i` reads the services of stays `..=i`: one
+                // per transition, all but the last stay's.
+                generate_patient_services_into(config, id, services, &mut record);
                 for i in 0..record.num_transitions() {
                     shard.push_transition(&featurizer, &record, i);
                 }
@@ -611,27 +622,47 @@ mod tests {
 
     #[test]
     fn stream_cohort_matches_from_samples_packing() {
-        let (ds, samples) = fixture();
-        let streamed = ShardedSamples::stream_cohort(&CohortConfig::tiny(17), None, 40);
-        assert_eq!(streamed.total_samples(), samples.len());
-        assert_eq!(streamed.num_features(), ds.total_feature_dim());
-        // Same σ as the materialized dataset pre-pass.
-        assert_eq!(streamed.kind(), ds.default_mcp_kind());
-        // Row-for-row identical content (shard boundaries differ: stream
-        // shards are per-patient, from_samples shards are per-sample).
-        let mut global = 0usize;
-        for shard in streamed.shards() {
-            assert_eq!(shard.start, global);
-            for local in 0..shard.len() {
-                let s = &samples[global];
-                let entries: Vec<_> = shard.csr.row_entries(local).collect();
-                assert_eq!(entries, s.features.iter().collect::<Vec<_>>());
-                assert_eq!(shard.cu_labels[local] as usize, s.cu_label);
-                assert_eq!(shard.duration_labels[local] as usize, s.duration_label);
-                global += 1;
+        // The materialized samples come from every stay's services, the last
+        // stay's included; the stream draws all but those, to the same bits.
+        let configs = [
+            CohortConfig::tiny(17),
+            CohortConfig::small(5),
+            CohortConfig::scaled(0.05, 42),
+        ];
+        let bits = |entries: &mut dyn Iterator<Item = (u32, f64)>| {
+            entries.map(|(j, v)| (j, v.to_bits())).collect::<Vec<_>>()
+        };
+        for config in configs {
+            let ds = Dataset::from_cohort(&generate_cohort(&config));
+            for kind in [None, Some(FeatureMapKind::ModulatedPoisson)] {
+                let samples = ds.featurize(kind.unwrap_or_else(|| ds.default_mcp_kind()));
+                let streamed = ShardedSamples::stream_cohort(&config, kind, 40);
+                assert_eq!(streamed.total_samples(), samples.len());
+                assert_eq!(streamed.num_features(), ds.total_feature_dim());
+                // Same σ as the materialized dataset pre-pass.
+                if kind.is_none() {
+                    assert_eq!(streamed.kind(), ds.default_mcp_kind());
+                }
+                // Row-for-row identical content (shard boundaries differ:
+                // stream shards are per-patient, from_samples shards are
+                // per-sample).
+                let mut global = 0usize;
+                for shard in streamed.shards() {
+                    assert_eq!(shard.start, global);
+                    for local in 0..shard.len() {
+                        let s = &samples[global];
+                        assert_eq!(
+                            bits(&mut shard.csr.row_entries(local)),
+                            bits(&mut s.features.iter())
+                        );
+                        assert_eq!(shard.cu_labels[local] as usize, s.cu_label);
+                        assert_eq!(shard.duration_labels[local] as usize, s.duration_label);
+                        global += 1;
+                    }
+                }
+                assert_eq!(global, samples.len());
             }
         }
-        assert_eq!(global, samples.len());
     }
 
     #[test]

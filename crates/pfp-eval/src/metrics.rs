@@ -103,6 +103,7 @@ mod tests {
     use pfp_baselines::Prediction;
     use pfp_core::dataset::RawSample;
     use pfp_ehr::{generate_cohort, CohortConfig};
+    use std::sync::Arc;
 
     /// A predictor that always answers with a fixed pair.
     struct Constant(usize, usize);
@@ -205,6 +206,7 @@ mod tests {
     fn single_class_dataset(label: usize) -> Dataset {
         let mut ds = dataset();
         for s in &mut ds.samples {
+            let s = Arc::make_mut(s);
             s.cu_label = label;
             s.duration_label = 0;
         }

@@ -318,6 +318,9 @@ impl PredictionService {
                     let Some(batch) = collect_batch(&rx, config.max_batch, config.max_wait) else {
                         break;
                     };
+                    // One clock read serves the dequeue-time deadline check
+                    // of the whole batch.
+                    let dequeued = Instant::now();
                     block.clear_rows();
                     pending.clear();
                     for msg in batch {
@@ -329,7 +332,7 @@ impl PredictionService {
                                         expected: model.num_features(),
                                         got,
                                     }));
-                                } else if request.expired(Instant::now()) {
+                                } else if request.expired(dequeued) {
                                     // Dequeue-time deadline check: the
                                     // request aged out while queued.
                                     request.answer(Err(ServeError::DeadlineExceeded));
