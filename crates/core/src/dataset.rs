@@ -1,11 +1,14 @@
 //! Feature/label samples extracted from a cohort.
 //!
-//! Each transition event of each patient yields one *raw* sample: the
-//! patient's profile, the stays observed up to (and including) the current
-//! stay, the evaluation time, and the two labels `(c, d)` — destination care
-//! unit and duration class.  Raw samples are featurized on demand under any
+//! Each transition event of each patient yields one *raw* sample: a view of
+//! the patient's record up to (and including) the current stay, the
+//! evaluation time, and the two labels `(c, d)` — destination care unit and
+//! duration class.  Raw samples are featurized on demand under any
 //! [`FeatureMapKind`], so every discriminative method in the comparison sees
 //! exactly the same underlying information.
+//!
+//! A sample copies nothing of its record: its profile and its history are
+//! the record's own, behind [`Arc`].
 //!
 //! Splitting (hold-out and k-fold) is done **by patient** so that no patient
 //! contributes samples to both the training and test sides, and so the
@@ -13,30 +16,54 @@
 //! A split shares its parent's records: samples and patients sit behind
 //! [`Arc`], so a split, a fold or a filter copies only pointers.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use pfp_ehr::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
+use pfp_ehr::patient::Stay;
 use pfp_ehr::{Cohort, PatientRecord};
 use pfp_math::rng::{seeded_rng, shuffled_indices};
 use pfp_math::SparseVec;
 use serde::{Deserialize, Serialize};
 
-use crate::features::{FeatureMapKind, HistoryFeaturizer, HistoryStay, EVAL_OFFSET_DAYS};
+use crate::features::{FeatureMapKind, HistoryFeaturizer, EVAL_OFFSET_DAYS};
+
+/// The first stays of a shared patient record, oldest first: a sample's
+/// history.  Derefs to `[Stay]`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct StayHistory {
+    record: Arc<PatientRecord>,
+    len: usize,
+}
+
+impl StayHistory {
+    /// The record the history is a prefix of.
+    pub fn record(&self) -> &Arc<PatientRecord> {
+        &self.record
+    }
+}
+
+impl Deref for StayHistory {
+    type Target = [Stay];
+
+    fn deref(&self) -> &[Stay] {
+        &self.record.stays[..self.len]
+    }
+}
 
 /// One transition event with everything needed to featurize it later.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RawSample {
     /// Patient identifier.
     pub patient_id: usize,
-    /// Time-invariant profile features of the patient.
-    pub profile: SparseVec,
+    /// Time-invariant profile features of the patient (the record's own).
+    pub profile: Arc<SparseVec>,
     /// Stays observed up to and including the current stay (oldest first).
-    pub history: Vec<HistoryStay>,
-    /// Care unit of each stay in `history` (parallel vector), used by the
-    /// sequence baselines (MC / VAR / CTMC / HP).
-    pub cu_history: Vec<usize>,
+    pub history: StayHistory,
     /// Duration class of the *previous* stay, `None` for the first stay —
-    /// the paper's `d = NULL` convention for the first event.
+    /// the paper's `d = NULL` convention for the first event.  Stored, not
+    /// read from the history: a rollout draws the class apart from the
+    /// dwell it records.
     pub prev_duration_class: Option<usize>,
     /// Evaluation time of the prediction.
     pub t_eval: f64,
@@ -46,6 +73,36 @@ pub struct RawSample {
     pub cu_label: usize,
     /// Duration-class label `d`.
     pub duration_label: usize,
+}
+
+impl RawSample {
+    /// The sample evaluated in stay `current` of `record`, with the given
+    /// previous duration class and labels.
+    ///
+    /// # Panics
+    /// Panics if the record has no stay `current`.
+    pub fn in_stay(
+        record: &Arc<PatientRecord>,
+        current: usize,
+        prev_duration_class: Option<usize>,
+        cu_label: usize,
+        duration_label: usize,
+    ) -> Self {
+        let stays = &record.stays;
+        RawSample {
+            patient_id: record.id,
+            profile: Arc::clone(&record.profile),
+            history: StayHistory {
+                record: Arc::clone(record),
+                len: current + 1,
+            },
+            prev_duration_class,
+            t_eval: stays[current].entry_time + EVAL_OFFSET_DAYS,
+            t_prev: current.checked_sub(1).map_or(0.0, |p| stays[p].entry_time),
+            cu_label,
+            duration_label,
+        }
+    }
 }
 
 /// A featurized sample: combined sparse feature vector plus the two labels.
@@ -89,15 +146,25 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Extract raw samples from a cohort.
+    /// Extract raw samples from a cohort: one per transition, the transfer
+    /// out of stay `i` labelled with stay `i + 1`'s unit and stay `i`'s
+    /// duration class, each a view of its patient's record, which is copied
+    /// once.
     pub fn from_cohort(cohort: &Cohort) -> Self {
-        let mut samples = Vec::new();
-        for patient in &cohort.patients {
-            samples.extend(extract_patient_samples(patient).into_iter().map(Arc::new));
+        let patients: Vec<Arc<PatientRecord>> =
+            cohort.patients.iter().cloned().map(Arc::new).collect();
+        let mut samples = Vec::with_capacity(cohort.total_transitions());
+        for record in &patients {
+            let stays = &record.stays;
+            samples.extend(stays.windows(2).enumerate().map(|(i, pair)| {
+                let prev = i.checked_sub(1).map(|p| stays[p].duration_class());
+                let (cu, duration) = (pair[1].cu, pair[0].duration_class());
+                Arc::new(RawSample::in_stay(record, i, prev, cu, duration))
+            }));
         }
         Dataset {
             samples,
-            patients: cohort.patients.iter().cloned().map(Arc::new).collect(),
+            patients,
             profile_dim: cohort.features().profile,
             service_dim: cohort.features().time_varying_dim(),
             num_cus: NUM_CARE_UNITS,
@@ -236,49 +303,6 @@ impl Dataset {
     }
 }
 
-/// Extract the raw samples of one patient (one per transition).
-pub fn extract_patient_samples(patient: &PatientRecord) -> Vec<RawSample> {
-    let transitions = patient.transitions();
-    let mut samples = Vec::with_capacity(transitions.len());
-    for t in &transitions {
-        let current_stay = t.from_stay;
-        let history: Vec<HistoryStay> = patient.stays[..=current_stay]
-            .iter()
-            .map(|s| HistoryStay {
-                entry_time: s.entry_time,
-                services: s.services.clone(),
-            })
-            .collect();
-        let cu_history: Vec<usize> = patient.stays[..=current_stay]
-            .iter()
-            .map(|s| s.cu)
-            .collect();
-        let prev_duration_class = if current_stay == 0 {
-            None
-        } else {
-            Some(patient.stays[current_stay - 1].duration_class())
-        };
-        let t_prev = if current_stay == 0 {
-            0.0
-        } else {
-            patient.stays[current_stay - 1].entry_time
-        };
-        let t_eval = patient.stays[current_stay].entry_time + EVAL_OFFSET_DAYS;
-        samples.push(RawSample {
-            patient_id: patient.id,
-            profile: patient.profile.clone(),
-            history,
-            cu_history,
-            prev_duration_class,
-            t_eval,
-            t_prev,
-            cu_label: t.destination,
-            duration_label: t.duration_class,
-        });
-    }
-    samples
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,21 +323,25 @@ mod tests {
     #[test]
     fn samples_only_use_history_up_to_current_stay() {
         let ds = dataset();
-        for raw in &ds.samples {
-            for stay in &raw.history {
-                assert!(stay.entry_time <= raw.t_eval + 1e-9);
-            }
-            assert!(raw.t_prev <= raw.t_eval);
-            assert!(raw.cu_label < ds.num_cus);
-            assert!(raw.duration_label < ds.num_durations);
-            assert_eq!(raw.cu_history.len(), raw.history.len());
-            assert!(raw.cu_history.iter().all(|&cu| cu < ds.num_cus));
-            if raw.history.len() == 1 {
-                assert!(raw.prev_duration_class.is_none());
-            } else {
-                assert!(raw.prev_duration_class.unwrap() < ds.num_durations);
+        let mut samples = ds.samples.iter();
+        for record in &ds.patients {
+            for t in record.transitions() {
+                // Each view shares its record and ends at its transition's stay.
+                let raw = samples.next().expect("one sample per transition");
+                assert!(Arc::ptr_eq(raw.history.record(), record));
+                assert!(Arc::ptr_eq(&raw.profile, &record.profile));
+                let current = raw.history.last().expect("non-empty history");
+                assert!(std::ptr::eq(current, &record.stays[t.from_stay]));
+                let labels = (raw.cu_label, raw.duration_label);
+                assert_eq!(labels, (t.destination, t.duration_class));
+                assert!(raw.history.iter().all(|s| s.entry_time <= raw.t_eval));
+                assert!(raw.t_prev <= raw.t_eval);
+                let prev = t.from_stay.checked_sub(1);
+                let prev_class = prev.map(|p| record.stays[p].duration_class());
+                assert_eq!(raw.prev_duration_class, prev_class);
             }
         }
+        assert!(samples.next().is_none());
     }
 
     #[test]

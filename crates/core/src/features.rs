@@ -90,45 +90,6 @@ impl McpConfig {
     }
 }
 
-/// A snapshot of one historical stay as seen by the featurizer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HistoryStay {
-    /// Entry time of the stay (days since admission).
-    pub entry_time: f64,
-    /// Service features recorded during the stay.
-    pub services: SparseVec,
-}
-
-/// What the featurizer reads of a historical stay: its entry time and its
-/// service features.  Implemented by [`HistoryStay`] and by the generator's
-/// [`Stay`], so a patient record's stays are featurized where they lie.
-pub trait HistoryEntry {
-    /// Entry time of the stay (days since admission).
-    fn entry_time(&self) -> f64;
-    /// Service features recorded during the stay.
-    fn services(&self) -> &SparseVec;
-}
-
-impl HistoryEntry for HistoryStay {
-    fn entry_time(&self) -> f64 {
-        self.entry_time
-    }
-
-    fn services(&self) -> &SparseVec {
-        &self.services
-    }
-}
-
-impl HistoryEntry for Stay {
-    fn entry_time(&self) -> f64 {
-        self.entry_time
-    }
-
-    fn services(&self) -> &SparseVec {
-        &self.services
-    }
-}
-
 /// Builds combined feature vectors from a patient's profile and stay history.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct HistoryFeaturizer {
@@ -198,7 +159,8 @@ impl HistoryFeaturizer {
     ///
     /// * `profile` — the patient's time-invariant features `f_0`.
     /// * `history` — every stay whose entry time is ≤ `t_eval`, oldest first
-    ///   (the last element is the *current* stay).
+    ///   (the last element is the *current* stay); only entry times and
+    ///   services are read.
     /// * `t_prev` — entry time of the previous stay (0 for the first stay),
     ///   i.e. the `t_I` of the paper.
     ///
@@ -210,7 +172,7 @@ impl HistoryFeaturizer {
     pub fn featurize(
         &self,
         profile: &SparseVec,
-        history: &[HistoryStay],
+        history: &[Stay],
         t_eval: f64,
         t_prev: f64,
     ) -> SparseVec {
@@ -228,8 +190,8 @@ impl HistoryFeaturizer {
         })
     }
 
-    /// Append `f_t` — as [`featurize`](Self::featurize) builds it, with any
-    /// [`HistoryEntry`] as the history — as the next row of `rows`.
+    /// Append `f_t`, as [`featurize`](Self::featurize) builds it, as the next
+    /// row of `rows`.
     ///
     /// The profile run and the stays' service runs are each sorted already,
     /// so the row is built from them without a sort: the profile block first
@@ -253,10 +215,10 @@ impl HistoryFeaturizer {
     /// # Panics
     /// Panics if `rows` is not [`total_dim`](Self::total_dim) wide, and
     /// (debug) if block dimensions do not match.
-    pub fn featurize_into<S: HistoryEntry>(
+    pub fn featurize_into(
         &self,
         profile: &SparseVec,
-        history: &[S],
+        history: &[Stay],
         t_eval: f64,
         t_prev: f64,
         rows: &mut CsrMatrix,
@@ -269,10 +231,10 @@ impl HistoryFeaturizer {
 
     /// The merge behind [`featurize_into`](Self::featurize_into), appending
     /// the row's entries to `indices` and `values`.
-    fn merge_row<S: HistoryEntry>(
+    fn merge_row(
         &self,
         profile: &SparseVec,
-        history: &[S],
+        history: &[Stay],
         t_eval: f64,
         t_prev: f64,
         indices: &mut Vec<u32>,
@@ -292,22 +254,21 @@ impl HistoryFeaturizer {
         }
         // Service block: decayed sum over history (or just the current stay
         // for the LR map).
-        let relevant: &[S] = match self.kind {
+        let relevant = match self.kind {
             FeatureMapKind::CurrentOnly => &history[history.len().saturating_sub(1)..],
             _ => history,
         };
         let runs = relevant.iter().filter_map(|stay| {
-            let services = stay.services();
-            debug_assert_eq!(services.dim(), self.service_dim);
+            debug_assert_eq!(stay.services.dim(), self.service_dim);
             debug_assert!(
-                stay.entry_time() <= t_eval + 1e-9,
+                stay.entry_time <= t_eval + 1e-9,
                 "history must precede t_eval"
             );
-            let weight = self.h(t_eval, stay.entry_time());
+            let weight = self.h(t_eval, stay.entry_time);
             (weight != 0.0).then(|| Run {
                 weight,
-                indices: services.indices(),
-                values: services.values(),
+                indices: stay.services.indices(),
+                values: stay.services.values(),
             })
         });
         let offset = self.profile_dim as u32;
@@ -450,13 +411,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A stay entered at `entry_time` with `services`; the featurizer reads
+    /// nothing else of it.
+    fn stay_at(entry_time: f64, services: SparseVec) -> Stay {
+        Stay {
+            cu: 0,
+            entry_time,
+            dwell_days: 1.0,
+            services,
+        }
+    }
+
     /// The featurizer's former body, kept as the oracle `featurize` must
     /// match bitwise: one binary search and `Vec::insert` per entry, every
     /// index's contributions summed in arrival order, zeros pruned last.
     fn featurize_by_insertion(
         f: &HistoryFeaturizer,
         profile: &SparseVec,
-        history: &[HistoryStay],
+        history: &[Stay],
         t_eval: f64,
         t_prev: f64,
     ) -> SparseVec {
@@ -532,7 +504,7 @@ mod tests {
     fn check_against_the_oracle(
         f: &HistoryFeaturizer,
         profile: &SparseVec,
-        history: &[HistoryStay],
+        history: &[Stay],
         t_eval: f64,
         t_prev: f64,
     ) -> Result<(), TestCaseError> {
@@ -543,20 +515,11 @@ mod tests {
         prop_assert_eq!(bits(&got), bits(&expected));
         prop_assert!(got.values().iter().all(|&v| v != 0.0), "unpruned zero");
 
-        // The CSR entry point, reading the generator's stays, appends the
-        // same row after an earlier one and leaves that one be.
-        let stays: Vec<Stay> = history
-            .iter()
-            .map(|h| Stay {
-                cu: 0,
-                entry_time: h.entry_time,
-                dwell_days: 1.0,
-                services: h.services.clone(),
-            })
-            .collect();
+        // The CSR entry point appends the same row after an earlier one and
+        // leaves that one be.
         let earlier = sparse(f.total_dim(), &[(2, 0), (f.total_dim() as u32 - 1, 4)]);
         let mut rows = CsrMatrix::from_rows(f.total_dim(), [&earlier]);
-        f.featurize_into(profile, &stays, t_eval, t_prev, &mut rows);
+        f.featurize_into(profile, history, t_eval, t_prev, &mut rows);
         prop_assert_eq!(rows.rows(), 2);
         let entry_bits = |entries: Vec<(u32, f64)>| {
             entries
@@ -612,13 +575,10 @@ mod tests {
                 1 => 0.0,
                 _ => stays.iter().rev().nth(1).map_or(0.0, |&(t, _)| f64::from(t)),
             };
-            let history = |dim: u32, index: &dyn Fn(usize) -> u32| -> Vec<HistoryStay> {
+            let history = |dim: u32, index: &dyn Fn(usize) -> u32| -> Vec<Stay> {
                 stays
                     .iter()
-                    .map(|(t, entries)| HistoryStay {
-                        entry_time: f64::from(*t),
-                        services: services(dim, entries, index),
-                    })
+                    .map(|(t, entries)| stay_at(f64::from(*t), services(dim, entries, index)))
                     .collect()
             };
             let narrow = history(NARROW, &|k| k as u32 % NARROW);
@@ -638,13 +598,15 @@ mod tests {
     #[test]
     fn dense_merge_drops_exact_zero_sums_at_word_boundaries() {
         let last = WIDE - 1;
-        let stay = |entries: &[(u32, f64)]| HistoryStay {
-            entry_time: 1.0,
-            services: SparseVec::from_sorted_parts(
-                WIDE as usize,
-                entries.iter().map(|&(i, _)| i).collect(),
-                entries.iter().map(|&(_, v)| v).collect(),
-            ),
+        let stay = |entries: &[(u32, f64)]| {
+            stay_at(
+                1.0,
+                SparseVec::from_sorted_parts(
+                    WIDE as usize,
+                    entries.iter().map(|&(i, _)| i).collect(),
+                    entries.iter().map(|&(_, v)| v).collect(),
+                ),
+            )
         };
         let tiny = f64::MIN_POSITIVE / 4.0;
         let mut history = vec![
@@ -681,16 +643,10 @@ mod tests {
         SparseVec::binary(4, vec![0, 2])
     }
 
-    fn history() -> Vec<HistoryStay> {
+    fn history() -> Vec<Stay> {
         vec![
-            HistoryStay {
-                entry_time: 0.0,
-                services: SparseVec::binary(6, vec![1]),
-            },
-            HistoryStay {
-                entry_time: 3.0,
-                services: SparseVec::binary(6, vec![1, 4]),
-            },
+            stay_at(0.0, SparseVec::binary(6, vec![1])),
+            stay_at(3.0, SparseVec::binary(6, vec![1, 4])),
         ]
     }
 

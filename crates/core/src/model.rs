@@ -1,12 +1,13 @@
 //! The trained DMCP model: conditional probabilities, prediction, and
 //! feature-selection introspection.
 
+use pfp_ehr::patient::Stay;
 use pfp_math::softmax::{argmax, cross_entropy_softmax_rows};
 use pfp_math::{CsrMatrix, Matrix, SparseVec};
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
-use crate::features::{FeatureMapKind, HistoryFeaturizer, HistoryStay};
+use crate::features::{FeatureMapKind, HistoryFeaturizer};
 use crate::train::{train, TrainConfig};
 
 /// A trained mutually-correcting-process model (or one of its MPP/SCP/LR
@@ -175,7 +176,7 @@ impl DmcpModel {
     pub fn predict_raw(
         &self,
         profile: &SparseVec,
-        history: &[HistoryStay],
+        history: &[Stay],
         t_eval: f64,
         t_prev: f64,
     ) -> (usize, usize) {
@@ -189,7 +190,7 @@ impl DmcpModel {
     pub fn probabilities_raw(
         &self,
         profile: &SparseVec,
-        history: &[HistoryStay],
+        history: &[Stay],
         t_eval: f64,
         t_prev: f64,
     ) -> (Vec<f64>, Vec<f64>) {
@@ -287,8 +288,10 @@ mod tests {
     fn predict_raw_goes_through_the_featurizer() {
         let m = tiny_model();
         let profile = SparseVec::binary(2, vec![0]);
-        let history = vec![HistoryStay {
+        let history = vec![Stay {
+            cu: 0,
             entry_time: 0.0,
+            dwell_days: 1.0,
             services: SparseVec::binary(2, vec![0]),
         }];
         let (c, d) = m.predict_raw(&profile, &history, 1.0, 0.0);

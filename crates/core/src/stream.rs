@@ -132,12 +132,12 @@ impl SampleShard {
     /// as the next sample: its features under `featurizer`, merged from the
     /// record's own stays straight into the CSR block, and its two labels.
     ///
-    /// The row is the one [`extract_patient_samples`] +
-    /// [`HistoryFeaturizer::featurize`] give that transition: the same
-    /// history prefix, the same evaluation and previous-transfer times, so
-    /// streamed features match the materialized ones bitwise.
+    /// The row is the one [`Dataset::from_cohort`]'s sample of that
+    /// transition featurizes to under [`HistoryFeaturizer::featurize`]: the
+    /// same history prefix, the same evaluation and previous-transfer times,
+    /// so streamed features match the materialized ones bitwise.
     ///
-    /// [`extract_patient_samples`]: crate::dataset::extract_patient_samples
+    /// [`Dataset::from_cohort`]: crate::dataset::Dataset::from_cohort
     pub(crate) fn push_transition(
         &mut self,
         featurizer: &HistoryFeaturizer,

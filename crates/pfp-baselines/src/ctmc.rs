@@ -95,7 +95,7 @@ impl FlowPredictor for CtmcPredictor {
     }
 
     fn predict_sample(&self, sample: &RawSample) -> Prediction {
-        match sample.cu_history.last().copied() {
+        match sample.history.last().map(|stay| stay.cu) {
             Some(current) => {
                 // Jump-chain argmax over off-diagonal rates; fall back to the
                 // marginal if the unit was never left in training.
@@ -182,7 +182,7 @@ mod tests {
             let p = ctmc.predict_sample(s);
             assert!(p.cu < ds.num_cus);
             assert!(p.duration < ds.num_durations);
-            if let Some(&current) = s.cu_history.last() {
+            if let Some(current) = s.history.last().map(|stay| stay.cu) {
                 if (0..ds.num_cus).any(|j| j != current && ctmc.rates().get(current, j) > 0.0) {
                     assert_ne!(
                         p.cu, current,

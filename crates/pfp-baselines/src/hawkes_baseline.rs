@@ -53,9 +53,8 @@ impl HawkesPredictor {
         let events: Vec<Event> = sample
             .history
             .iter()
-            .zip(sample.cu_history.iter())
             .skip(1) // the first stay is the admission, not a transition event
-            .map(|(stay, &cu)| Event::new(stay.entry_time.max(1e-6), cu))
+            .map(|stay| Event::new(stay.entry_time.max(1e-6), stay.cu))
             .collect();
         EventSequence::new(events, horizon, NUM_CARE_UNITS)
     }

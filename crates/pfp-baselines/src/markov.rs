@@ -157,7 +157,7 @@ impl FlowPredictor for MarkovPredictor {
     }
 
     fn predict_sample(&self, sample: &RawSample) -> Prediction {
-        let current_cu = sample.cu_history.last().copied();
+        let current_cu = sample.history.last().map(|stay| stay.cu);
         Prediction {
             cu: self.cu_chain.predict(current_cu),
             duration: self.duration_chain.predict(sample.prev_duration_class),
@@ -167,8 +167,8 @@ impl FlowPredictor for MarkovPredictor {
 
 impl GenerativePredictor for MarkovPredictor {
     fn predict_distribution(&self, sample: &RawSample) -> (Vec<f64>, Vec<f64>) {
-        let cu = match sample.cu_history.last() {
-            Some(&state) => self.cu_chain.row(state).to_vec(),
+        let cu = match sample.history.last() {
+            Some(stay) => self.cu_chain.row(stay.cu).to_vec(),
             None => self.cu_chain.marginal().to_vec(),
         };
         let duration = match sample.prev_duration_class {
@@ -229,8 +229,8 @@ mod tests {
             let (pc, pd) = mc.predict_distribution(s);
             assert!((pc.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             assert!((pd.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-            match s.cu_history.last() {
-                Some(&c) => assert_eq!(pc, mc.cu_chain().row(c)),
+            match s.history.last() {
+                Some(stay) => assert_eq!(pc, mc.cu_chain().row(stay.cu)),
                 None => assert_eq!(pc, mc.cu_chain().marginal()),
             }
             let pred = mc.predict_sample(s);

@@ -1,7 +1,7 @@
 //! The common prediction interface shared by every method in the comparison.
 
 use pfp_core::dataset::RawSample;
-use pfp_core::features::FeatureMapKind;
+use pfp_core::features::{FeatureMapKind, HistoryFeaturizer};
 use pfp_core::imbalance::{HierarchicalModel, ImbalanceStrategy};
 use pfp_core::{Dataset, DmcpModel, TrainConfig};
 use serde::{Deserialize, Serialize};
@@ -188,9 +188,7 @@ impl GenerativePredictor for DmcpPredictor {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HierarchicalPredictor {
     model: HierarchicalModel,
-    kind: FeatureMapKind,
-    profile_dim: usize,
-    service_dim: usize,
+    featurizer: HistoryFeaturizer,
 }
 
 impl HierarchicalPredictor {
@@ -209,9 +207,7 @@ impl HierarchicalPredictor {
         );
         Self {
             model,
-            kind,
-            profile_dim: dataset.profile_dim,
-            service_dim: dataset.service_dim,
+            featurizer: dataset.featurizer(kind),
         }
     }
 }
@@ -222,12 +218,7 @@ impl FlowPredictor for HierarchicalPredictor {
     }
 
     fn predict_sample(&self, sample: &RawSample) -> Prediction {
-        let featurizer = pfp_core::features::HistoryFeaturizer::new(
-            self.kind,
-            self.profile_dim,
-            self.service_dim,
-        );
-        let f = featurizer.featurize(
+        let f = self.featurizer.featurize(
             &sample.profile,
             &sample.history,
             sample.t_eval,

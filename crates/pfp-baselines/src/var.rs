@@ -122,9 +122,9 @@ impl FlowPredictor for VarPredictor {
 
     fn predict_sample(&self, sample: &RawSample) -> Prediction {
         let current = sample
-            .cu_history
+            .history
             .last()
-            .map(|&cu| (cu, sample.prev_duration_class.unwrap_or(0)));
+            .map(|stay| (stay.cu, sample.prev_duration_class.unwrap_or(0)));
         let scores = self.scores(current);
         Prediction {
             cu: argmax(&scores[..self.num_cus]),

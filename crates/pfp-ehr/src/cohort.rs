@@ -23,6 +23,7 @@
 
 use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::Arc;
 
 use pfp_math::rng::{bernoulli, derive_seed, sample_categorical, seeded_rng};
 use pfp_math::SparseVec;
@@ -976,8 +977,8 @@ impl Generator {
             return;
         }
         let (template, noise) = profile_template(table, config, archetype, severity);
-        let dim = config.features.profile;
-        scratch.draw(table, template, noise, dim, rng, &mut record.profile);
+        let (dim, profile) = (config.features.profile, Arc::make_mut(&mut record.profile));
+        scratch.draw(table, template, noise, dim, rng, profile);
     }
 }
 
@@ -1613,7 +1614,7 @@ mod tests {
             for _ in 0..(count / 5).max(1) {
                 active.push(rng.gen_range(0..config.features.profile) as u32);
             }
-            let profile = SparseVec::binary(config.features.profile, active);
+            let profile = SparseVec::binary(config.features.profile, active).into();
             (PatientRecord { id, profile, stays }, archetype, severe)
         }
     }

@@ -8,6 +8,8 @@
 //! `d_i` is the duration class of the stay that just ended, and `t_i` is the
 //! transfer time.
 
+use std::sync::Arc;
+
 use pfp_math::SparseVec;
 use pfp_point_process::{Event, EventSequence};
 use serde::{Deserialize, Serialize};
@@ -62,8 +64,9 @@ pub struct Transition {
 pub struct PatientRecord {
     /// Patient identifier (dense, unique within a cohort).
     pub id: usize,
-    /// Time-invariant profile features `f_0`.
-    pub profile: SparseVec,
+    /// Time-invariant profile features `f_0`, shared with every sample and
+    /// rollout made from the record (write it through [`Arc::make_mut`]).
+    pub profile: Arc<SparseVec>,
     /// Care-unit stays in chronological order (at least one).
     pub stays: Vec<Stay>,
 }
@@ -150,7 +153,7 @@ mod tests {
     fn record() -> PatientRecord {
         PatientRecord {
             id: 0,
-            profile: SparseVec::binary(10, vec![1, 3]),
+            profile: SparseVec::binary(10, vec![1, 3]).into(),
             stays: vec![
                 Stay {
                     cu: 0,
@@ -208,7 +211,7 @@ mod tests {
     fn single_stay_patient_has_no_transitions() {
         let r = PatientRecord {
             id: 1,
-            profile: SparseVec::new(4),
+            profile: SparseVec::new(4).into(),
             stays: vec![Stay {
                 cu: 7,
                 entry_time: 0.0,
@@ -226,7 +229,7 @@ mod tests {
     fn validate_rejects_empty_record() {
         let r = PatientRecord {
             id: 2,
-            profile: SparseVec::new(4),
+            profile: SparseVec::new(4).into(),
             stays: vec![],
         };
         r.validate();
@@ -237,7 +240,7 @@ mod tests {
     fn validate_rejects_time_travel() {
         let r = PatientRecord {
             id: 3,
-            profile: SparseVec::new(4),
+            profile: SparseVec::new(4).into(),
             stays: vec![
                 Stay {
                     cu: 0,

@@ -4,9 +4,9 @@
 //! each patient from admission: starting with the (observed) first stay, it
 //! repeatedly asks the predictor for the next `(destination, duration)` pair,
 //! appends the predicted stay (with no future service features — they have
-//! not happened yet), and continues until the simulated trajectory covers the
-//! one-week horizon.  The daily occupancy of every care unit is then compared
-//! against the actual trajectories:
+//! not happened yet) to one growing record, and continues until the simulated
+//! trajectory covers the one-week horizon.  The daily occupancy of every care
+//! unit is then compared against the actual trajectories:
 //!
 //! ```text
 //! Err_c = (1/7) Σ_{day=1..7} |N_{c,day} − N̂_{c,day}| / max(N_{c,day}, 1)
@@ -23,10 +23,12 @@
 //! predicts where the hospital's patients actually are) while still
 //! distinguishing methods; the deviation is documented in EXPERIMENTS.md.
 
+use std::sync::Arc;
+
 use pfp_baselines::FlowPredictor;
 use pfp_core::dataset::{Dataset, RawSample};
-use pfp_core::features::HistoryStay;
 use pfp_ehr::departments::NUM_CARE_UNITS;
+use pfp_ehr::patient::Stay;
 use pfp_ehr::PatientRecord;
 use pfp_math::SparseVec;
 use serde::{Deserialize, Serialize};
@@ -57,8 +59,8 @@ pub fn representative_dwell_days(duration_class: usize, num_durations: usize) ->
     }
 }
 
-/// Occupancy of a trajectory described by `(cu, entry, dwell)` triples,
-/// sampled at the midpoint of each day (`census[cu].len()` days are probed).
+/// Occupancy of a trajectory of stays, sampled at the midpoint of each day
+/// (`census[cu].len()` days are probed).
 ///
 /// A stay covers the half-open interval `[entry, entry + dwell)`, so a stay
 /// entering exactly on a day boundary counts from that day and a trajectory
@@ -68,20 +70,79 @@ pub fn representative_dwell_days(duration_class: usize, num_durations: usize) ->
 /// unique), never two, and a patient whose trajectory has ended contributes
 /// nothing.  Sub-day stays that straddle the midpoint are counted; sub-day
 /// stays that fall entirely between probes are invisible — that is the
-/// midpoint-sampling semantic, not a drop.
+/// midpoint-sampling semantic, not a drop.  A rollout's last stay, entered
+/// past the horizon with no dwell drawn (0), covers nothing.
 // `day` indexes the *inner* vectors while the outer index comes from the
 // matched stay, so there is no single slice to enumerate over.
 #[allow(clippy::needless_range_loop)]
-pub fn occupancy(stays: &[(usize, f64, f64)], census: &mut [Vec<usize>]) {
+pub fn occupancy(stays: &[Stay], census: &mut [Vec<usize>]) {
     let num_days = census.first().map_or(0, Vec::len);
     for day in 0..num_days {
         let probe = day as f64 + 0.5;
-        if let Some(&(cu, _, _)) = stays
+        if let Some(stay) = stays
             .iter()
-            .find(|&&(_, entry, dwell)| probe >= entry && probe < entry + dwell)
+            .find(|s| probe >= s.entry_time && probe < s.exit_time())
         {
-            census[cu][day] += 1;
+            census[stay.cu][day] += 1;
         }
+    }
+}
+
+/// Roll a patient forward from admission until a stay enters past
+/// `horizon`, growing one record from `donor`'s id, profile and first stay's
+/// services, entered in `admit_cu` at `admit_time`.  Each hop shows `hop` a
+/// view of the current stay and takes back its duration class, its dwell
+/// and the next stay's unit; that stay is entered with no services (they
+/// have not happened yet) and no dwell drawn (0).  The record is written
+/// through [`Arc::make_mut`], so a sample a predictor kept is left as shown.
+///
+/// # Panics
+/// Panics once 4,096 stays are drawn short of the horizon: dwells of at
+/// least [`MIN_DWELL_DAYS`](crate::scenario::MIN_DWELL_DAYS) cover a week in
+/// 140 hops, so the cap is a loud safety valve against a degenerate dwell
+/// model, not a silent truncation dropping the patient from the census.
+pub(crate) fn roll_forward(
+    donor: &PatientRecord,
+    admit_cu: usize,
+    admit_time: f64,
+    horizon: f64,
+    mut hop: impl FnMut(&RawSample) -> (usize, f64, usize),
+) -> Arc<PatientRecord> {
+    const MAX_STAYS: usize = 4096;
+    let mut record = Arc::new(PatientRecord {
+        id: donor.id,
+        profile: Arc::clone(&donor.profile),
+        stays: vec![Stay {
+            cu: admit_cu,
+            entry_time: admit_time,
+            dwell_days: 0.0,
+            services: donor.stays[0].services.clone(),
+        }],
+    });
+    let mut prev_duration = None;
+    loop {
+        let current = record.stays.len() - 1;
+        if record.stays[current].entry_time > horizon {
+            return record;
+        }
+        assert!(
+            current < MAX_STAYS,
+            "rollout for patient {} exceeded {MAX_STAYS} stays before covering \
+             the {horizon}-day horizon (degenerate dwell model)",
+            donor.id
+        );
+        let (duration, dwell, next_cu) =
+            hop(&RawSample::in_stay(&record, current, prev_duration, 0, 0));
+        prev_duration = Some(duration);
+        let stays = &mut Arc::make_mut(&mut record).stays;
+        stays[current].dwell_days = dwell;
+        let next = Stay {
+            cu: next_cu,
+            entry_time: stays[current].entry_time + dwell,
+            dwell_days: 0.0,
+            services: SparseVec::new(stays[current].services.dim()),
+        };
+        stays.push(next);
     }
 }
 
@@ -130,21 +191,24 @@ pub fn census_errors(actual: &[Vec<usize>], predicted: &[Vec<usize>]) -> (Vec<f6
 /// Simulate the census of the held-out patients under `predictor` and compare
 /// with their actual trajectories.
 pub fn simulate_census(predictor: &dyn FlowPredictor, test: &Dataset) -> CensusResult {
-    let mut actual = vec![vec![0usize; CENSUS_DAYS]; NUM_CARE_UNITS];
+    let actual = crate::scenario::actual_census(test, CENSUS_DAYS);
     let mut simulated = vec![vec![0usize; CENSUS_DAYS]; NUM_CARE_UNITS];
-
     for patient in &test.patients {
-        // Actual occupancy from the real stays.
-        let real: Vec<(usize, f64, f64)> = patient
-            .stays
-            .iter()
-            .map(|s| (s.cu, s.entry_time, s.dwell_days))
-            .collect();
-        occupancy(&real, &mut actual);
-
-        // Simulated occupancy from the predictor's rollout.
-        let rollout = rollout_patient(predictor, patient, test.num_durations);
-        occupancy(&rollout, &mut simulated);
+        // The first stay's unit is observed (admission is known); everything
+        // after it, the first stay's dwell included, is predicted.
+        let first = &patient.stays[0];
+        let rollout = roll_forward(
+            patient,
+            first.cu,
+            first.entry_time,
+            CENSUS_DAYS as f64,
+            |sample| {
+                let next = predictor.predict_sample(sample);
+                let dwell = representative_dwell_days(next.duration, test.num_durations);
+                (next.duration, dwell, next.cu)
+            },
+        );
+        occupancy(&rollout.stays, &mut simulated);
     }
 
     let (per_cu_error, overall_error) = census_errors(&actual, &simulated);
@@ -155,71 +219,6 @@ pub fn simulate_census(predictor: &dyn FlowPredictor, test: &Dataset) -> CensusR
         per_cu_error,
         overall_error,
     }
-}
-
-/// Roll a single patient forward for one week under the predictor.
-///
-/// The first stay's unit is observed (admission is known); everything after
-/// that — including how long the first stay lasts — comes from the predictor.
-fn rollout_patient(
-    predictor: &dyn FlowPredictor,
-    patient: &PatientRecord,
-    num_durations: usize,
-) -> Vec<(usize, f64, f64)> {
-    let first = &patient.stays[0];
-    let mut history: Vec<HistoryStay> = vec![HistoryStay {
-        entry_time: first.entry_time,
-        services: first.services.clone(),
-    }];
-    let mut cu_history = vec![first.cu];
-    let mut stays: Vec<(usize, f64, f64)> = Vec::new();
-    let mut entry = first.entry_time;
-    let mut prev_entry = 0.0;
-    let mut prev_duration: Option<usize> = None;
-    let service_dim = first.services.dim();
-
-    // Roll until the trajectory covers the horizon.  Representative dwells
-    // are ≥ 1 day, so a one-week horizon needs at most 8 hops; the cap is a
-    // loud safety valve against a degenerate dwell model, not a silent
-    // truncation point — a capped rollout would quietly drop the patient
-    // from the tail of the census, the same bug class as an unflagged
-    // thinning truncation.
-    const MAX_ROLLOUT_STAYS: usize = 64;
-    let horizon = CENSUS_DAYS as f64;
-    while entry <= horizon {
-        assert!(
-            stays.len() < MAX_ROLLOUT_STAYS,
-            "census rollout for patient {} exceeded {MAX_ROLLOUT_STAYS} stays \
-             before covering the {horizon}-day horizon (degenerate dwell model)",
-            patient.id
-        );
-        let sample = RawSample {
-            patient_id: patient.id,
-            profile: patient.profile.clone(),
-            history: history.clone(),
-            cu_history: cu_history.clone(),
-            prev_duration_class: prev_duration,
-            t_eval: entry + pfp_core::features::EVAL_OFFSET_DAYS,
-            t_prev: prev_entry,
-            cu_label: 0,
-            duration_label: 0,
-        };
-        let prediction = predictor.predict_sample(&sample);
-        let dwell = representative_dwell_days(prediction.duration, num_durations);
-        let current_cu = *cu_history.last().expect("non-empty history");
-        stays.push((current_cu, entry, dwell));
-
-        let next_entry = entry + dwell;
-        prev_entry = entry;
-        prev_duration = Some(prediction.duration);
-        entry = next_entry;
-        cu_history.push(prediction.cu);
-        history.push(HistoryStay {
-            entry_time: next_entry,
-            services: SparseVec::new(service_dim),
-        });
-    }
-    stays
 }
 
 #[cfg(test)]
@@ -250,6 +249,17 @@ mod tests {
 
     fn dataset() -> Dataset {
         Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(131)))
+    }
+
+    /// Stays of `(cu, entry, dwell)`.
+    fn stays(triples: &[(usize, f64, f64)]) -> Vec<Stay> {
+        let stay = |&(cu, entry_time, dwell_days)| Stay {
+            cu,
+            entry_time,
+            dwell_days,
+            services: SparseVec::new(0),
+        };
+        triples.iter().map(stay).collect()
     }
 
     #[test]
@@ -304,7 +314,7 @@ mod tests {
         // Entry exactly at the day-1 boundary, 2-day dwell: occupies days 1
         // and 2 only — the day-0 probe (0.5) precedes the entry, and the
         // day-3 probe (3.5) is past the exit at 3.0.
-        occupancy(&[(0, 1.0, 2.0)], &mut census);
+        occupancy(&stays(&[(0, 1.0, 2.0)]), &mut census);
         assert_eq!(census[0], vec![0, 1, 1, 0, 0, 0, 0]);
         assert_eq!(census[1], vec![0; CENSUS_DAYS]);
     }
@@ -314,7 +324,7 @@ mod tests {
         let mut census = vec![vec![0usize; CENSUS_DAYS]; 1];
         // The stay covers [0, 1.5): the day-1 probe at exactly 1.5 is outside
         // the half-open interval, so only day 0 counts.
-        occupancy(&[(0, 0.0, 1.5)], &mut census);
+        occupancy(&stays(&[(0, 0.0, 1.5)]), &mut census);
         assert_eq!(census[0], vec![1, 0, 0, 0, 0, 0, 0]);
     }
 
@@ -323,7 +333,10 @@ mod tests {
         let mut census = vec![vec![0usize; CENSUS_DAYS]; 3];
         // Three contiguous stays inside day 0; only the one covering the
         // midpoint probe is counted, and exactly one unit gets the patient.
-        occupancy(&[(0, 0.0, 0.4), (1, 0.4, 0.2), (2, 0.6, 6.4)], &mut census);
+        occupancy(
+            &stays(&[(0, 0.0, 0.4), (1, 0.4, 0.2), (2, 0.6, 6.4)]),
+            &mut census,
+        );
         let day0: usize = (0..3).map(|cu| census[cu][0]).sum();
         assert_eq!(day0, 1, "a patient must be in at most one CU per day");
         assert_eq!(census[1][0], 1, "the midpoint-covering stay wins");
@@ -336,7 +349,7 @@ mod tests {
         let mut census = vec![vec![0usize; CENSUS_DAYS]; 1];
         // Exit at 2.4: probes 0.5 and 1.5 are inside, 2.5 is past the exit —
         // the discharged patient must not linger in the census.
-        occupancy(&[(0, 0.0, 2.4)], &mut census);
+        occupancy(&stays(&[(0, 0.0, 2.4)]), &mut census);
         assert_eq!(census[0], vec![1, 1, 0, 0, 0, 0, 0]);
     }
 

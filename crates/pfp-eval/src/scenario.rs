@@ -32,22 +32,19 @@
 //! (`branching < 1`), so it is finite and needs no event cap.
 
 use pfp_baselines::GenerativePredictor;
-use pfp_core::dataset::{Dataset, RawSample};
-use pfp_core::features::HistoryStay;
+use pfp_core::dataset::Dataset;
 use pfp_ehr::departments::CareUnit;
+use pfp_ehr::PatientRecord;
 use pfp_math::rng::{derive_seed, sample_categorical, seeded_rng};
 use pfp_math::Matrix;
-use pfp_math::SparseVec;
 use pfp_point_process::hawkes::MultivariateHawkes;
+use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::census::{census_errors_f64, occupancy, representative_dwell_days, CENSUS_DAYS};
-
-/// Hard cap on sampled stays per rollout trajectory.  With dwells clamped at
-/// [`MIN_DWELL_DAYS`] a week-long horizon needs at most `7 / 0.05 = 140`
-/// hops, so the cap only fires on a logic error — and fires loudly.
-const MAX_ROLLOUT_STAYS: usize = 4096;
+use crate::census::{
+    census_errors_f64, occupancy, representative_dwell_days, roll_forward, CENSUS_DAYS,
+};
 
 /// Floor on a perturbed dwell (days).  Keeps LOS-shift scenarios from
 /// producing zero-length stays that would spin the rollout loop forever.
@@ -341,80 +338,11 @@ impl CensusForecast {
     }
 }
 
-/// Roll one patient forward from admission, sampling every hop.
-#[allow(clippy::too_many_arguments)]
-fn rollout_sampled(
-    predictor: &dyn GenerativePredictor,
-    patient_id: usize,
-    profile: &SparseVec,
-    admit_cu: usize,
-    admit_services: &SparseVec,
-    admit_time: f64,
-    num_durations: usize,
-    resolved: &ResolvedScenario,
-    horizon: f64,
-    rng: &mut impl Rng,
-) -> Vec<(usize, f64, f64)> {
-    let mut history = vec![HistoryStay {
-        entry_time: admit_time,
-        services: admit_services.clone(),
-    }];
-    let mut cu_history = vec![resolved.reroute_admission(admit_cu)];
-    let mut stays: Vec<(usize, f64, f64)> = Vec::new();
-    let mut entry = admit_time;
-    let mut prev_entry = 0.0;
-    let mut prev_duration: Option<usize> = None;
-    let service_dim = admit_services.dim();
-
-    while entry <= horizon {
-        assert!(
-            stays.len() < MAX_ROLLOUT_STAYS,
-            "sampled rollout for patient {patient_id} exceeded {MAX_ROLLOUT_STAYS} \
-             stays before covering the {horizon}-day horizon"
-        );
-        let sample = RawSample {
-            patient_id,
-            profile: profile.clone(),
-            history: history.clone(),
-            cu_history: cu_history.clone(),
-            prev_duration_class: prev_duration,
-            t_eval: entry + pfp_core::features::EVAL_OFFSET_DAYS,
-            t_prev: prev_entry,
-            cu_label: 0,
-            duration_label: 0,
-        };
-        let (cu_probs, dur_probs) = predictor.predict_distribution(&sample);
-        let duration = sample_categorical(rng, &dur_probs);
-        let current_cu = *cu_history.last().expect("non-empty history");
-        let dwell = (representative_dwell_days(duration, num_durations)
-            * resolved.los_factor[current_cu])
-            .max(MIN_DWELL_DAYS);
-        stays.push((current_cu, entry, dwell));
-
-        let next_cu = resolved.sample_open_destination(rng, &cu_probs);
-        let next_entry = entry + dwell;
-        prev_entry = entry;
-        prev_duration = Some(duration);
-        entry = next_entry;
-        cu_history.push(next_cu);
-        history.push(HistoryStay {
-            entry_time: next_entry,
-            services: SparseVec::new(service_dim),
-        });
-    }
-    stays
-}
-
 /// The actual census of the held-out patients over `horizon_days`.
 pub fn actual_census(test: &Dataset, horizon_days: usize) -> Vec<Vec<usize>> {
     let mut census = vec![vec![0usize; horizon_days]; test.num_cus];
     for patient in &test.patients {
-        let stays: Vec<(usize, f64, f64)> = patient
-            .stays
-            .iter()
-            .map(|s| (s.cu, s.entry_time, s.dwell_days))
-            .collect();
-        occupancy(&stays, &mut census);
+        occupancy(&patient.stays, &mut census);
     }
     census
 }
@@ -456,42 +384,36 @@ pub fn forecast_census(
         let mut rng = seeded_rng(derive_seed(config.seed, rollout as u64));
         let mut counts = vec![vec![0usize; days]; test.num_cus];
 
+        // Roll a patient admitted at `admit_time` forward, sampling every
+        // hop, from `donor`'s profile and first stay (its unit rerouted if
+        // closed).
+        let mut roll = |donor: &PatientRecord, admit_time: f64, rng: &mut StdRng| {
+            let admit_cu = resolved.reroute_admission(donor.stays[0].cu);
+            let rollout = roll_forward(donor, admit_cu, admit_time, horizon, |sample| {
+                let (cu_probs, dur_probs) = predictor.predict_distribution(sample);
+                let duration = sample_categorical(rng, &dur_probs);
+                let current_cu = sample
+                    .history
+                    .last()
+                    .expect("a history ends at its stay")
+                    .cu;
+                let dwell = (representative_dwell_days(duration, test.num_durations)
+                    * resolved.los_factor[current_cu])
+                    .max(MIN_DWELL_DAYS);
+                let next_cu = resolved.sample_open_destination(rng, &cu_probs);
+                (duration, dwell, next_cu)
+            });
+            occupancy(&rollout.stays, &mut counts);
+        };
         for patient in &test.patients {
-            let first = &patient.stays[0];
-            let stays = rollout_sampled(
-                predictor,
-                patient.id,
-                &patient.profile,
-                first.cu,
-                &first.services,
-                first.entry_time,
-                test.num_durations,
-                &resolved,
-                horizon,
-                &mut rng,
-            );
-            occupancy(&stays, &mut counts);
+            roll(patient, patient.stays[0].entry_time, &mut rng);
         }
-
         if let Some(admissions) = &config.admissions {
             let arrivals =
                 admissions.simulate_admissions(resolved.admission_scale, horizon, &mut rng);
             for arrival_time in arrivals {
                 let donor = &test.patients[rng.gen_range(0..test.patients.len())];
-                let first = &donor.stays[0];
-                let stays = rollout_sampled(
-                    predictor,
-                    donor.id,
-                    &donor.profile,
-                    first.cu,
-                    &first.services,
-                    arrival_time,
-                    test.num_durations,
-                    &resolved,
-                    horizon,
-                    &mut rng,
-                );
-                occupancy(&stays, &mut counts);
+                roll(donor, arrival_time, &mut rng);
             }
         }
         per_rollout.push(counts);
@@ -593,6 +515,7 @@ pub fn evaluate_scenarios(
 mod tests {
     use super::*;
     use pfp_baselines::{FlowPredictor, MarkovPredictor, MethodId, Prediction};
+    use pfp_core::dataset::RawSample;
     use pfp_ehr::{generate_cohort, CohortConfig};
 
     /// Deterministic test double with fixed predictive distributions.

@@ -1,11 +1,18 @@
-//! Heap cost of splitting a dataset: a holdout split and k folds share their
-//! parent's patient records and raw samples, so they allocate only the
-//! pointer vectors of each side and the set of held-out patient ids.  A
-//! split that deep-copies its records pays every sample's profile, history
-//! and service vectors again — hundreds of bytes and several allocations per
-//! sample — and blows through the bounds below.  Bytes allocated are a
-//! noise-free counter, so the bound is exact where a timing could only be
-//! statistical.
+//! Heap cost of building and splitting a dataset.
+//!
+//! [`Dataset::from_cohort`] copies the cohort's records once into `Arc`s and
+//! adds one `Arc<RawSample>` per transition, a view of its record; a sample
+//! that copied its history would pay every earlier stay's service vector
+//! again, about `k²/2` vectors for a patient of `k` stays.  It may allocate
+//! what that record copy allocates, measured here, plus one `Arc<RawSample>`
+//! per sample (its pointer and its heap block), plus, in allocations, a
+//! logarithmic term for two growing vectors.
+//!
+//! A holdout split and k folds share their parent's patient records and raw
+//! samples, so they allocate only the pointer vectors of each side and the
+//! set of held-out patient ids.  A split that deep-copies its records blows
+//! through the bounds below.  Bytes allocated are a noise-free counter, so
+//! the bound is exact where a timing could only be statistical.
 //!
 //! The bounds, per sample and per patient of the parent, for one split (a
 //! holdout split, or one fold's `(train, validation)` pair):
@@ -21,8 +28,12 @@
 //!   under 24 bytes per patient of the parent either way.
 //!
 //! Measured on this fixture (`CohortConfig::small(11)`: 972 samples, 1,200
-//! patients, bound 98,304 bytes per split): the holdout split allocates
-//! 59,152 bytes in 35 allocations, the five folds 261,180 bytes in 202.
+//! patients): `from_cohort` allocates 877,368 bytes in 7,718 allocations,
+//! the record copy 776,280 bytes in 6,745 (bound 877,368 bytes, met exactly
+//! as the sample vector is allocated at its final size, and 7,737
+//! allocations); the holdout split allocates 59,152 bytes in 35
+//! allocations, the five folds 261,180 bytes in 202 (bound 98,304 bytes
+//! per split).
 //!
 //! The allocation count must stay logarithmic in the record count: at most
 //! [`ALLOCATIONS_PER_SPLIT`] for a split, against one or more per sample for
@@ -31,8 +42,10 @@
 //! The binary installs the counting global allocator and holds exactly one
 //! `#[test]`: a concurrently running test would pollute the counters.
 
+use std::mem::size_of;
 use std::sync::Arc;
 
+use patient_flow::core::dataset::RawSample;
 use patient_flow::core::Dataset;
 use patient_flow::ehr::{generate_cohort, CohortConfig};
 use pfp_bench::mem;
@@ -93,8 +106,27 @@ fn assert_shares_parent(parent: &Dataset, (train, test): &(Dataset, Dataset), wh
 
 #[test]
 fn splits_and_folds_allocate_only_pointers_and_the_id_set() {
-    let ds = Dataset::from_cohort(&generate_cohort(&CohortConfig::small(11)));
+    let cohort = generate_cohort(&CohortConfig::small(11));
+    let copy = || Vec::from_iter(cohort.patients.iter().cloned().map(Arc::new));
+    let (_, copy_bytes, copy_count) = allocated_by(copy);
+    let (ds, dataset_bytes, dataset_count) = allocated_by(|| Dataset::from_cohort(&cohort));
     let (samples, patients) = (ds.len(), ds.patients.len());
+    let arc_sample = size_of::<Arc<RawSample>>() + size_of::<RawSample>() + 2 * size_of::<usize>();
+    let dataset_bound = (copy_bytes + arc_sample * samples, copy_count + samples);
+    let log_term = 2 * (samples.ilog2() as usize + 1);
+    eprintln!(
+        "from_cohort {dataset_bytes} B in {dataset_count} allocations (record copy \
+         {copy_bytes} B in {copy_count}); bound {dataset_bound:?} + {log_term} allocations"
+    );
+    assert!(
+        dataset_bytes <= dataset_bound.0,
+        "from_cohort: {dataset_bytes} B"
+    );
+    assert!(
+        dataset_count <= dataset_bound.1 + log_term,
+        "from_cohort: {dataset_count} allocations"
+    );
+
     let bound = BYTES_PER_SAMPLE * samples + BYTES_PER_PATIENT * patients;
 
     let (holdout, holdout_bytes, holdout_count) = allocated_by(|| ds.split_holdout(0.25, 3));

@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 
-use patient_flow::core::features::{FeatureMapKind, HistoryFeaturizer, HistoryStay};
+use patient_flow::core::features::{FeatureMapKind, HistoryFeaturizer};
 use patient_flow::ehr::departments::{duration_class, NUM_DURATION_CLASSES};
+use patient_flow::ehr::patient::Stay;
 use patient_flow::math::dense::solve_linear_system;
 use patient_flow::math::softmax::{
     argmax, cross_entropy, cross_entropy_softmax_in_place, softmax, softmax_in_place,
@@ -184,8 +185,8 @@ proptest! {
         );
         let profile = SparseVec::binary(16, profile_idx);
         let history = vec![
-            HistoryStay { entry_time: 0.0, services: SparseVec::binary(24, service_idx.clone()) },
-            HistoryStay { entry_time: t_gap, services: SparseVec::binary(24, service_idx) },
+            Stay { cu: 0, entry_time: 0.0, dwell_days: t_gap, services: SparseVec::binary(24, service_idx.clone()) },
+            Stay { cu: 1, entry_time: t_gap, dwell_days: 1.0, services: SparseVec::binary(24, service_idx) },
         ];
         let f = featurizer.featurize(&profile, &history, t_gap + 0.5, 0.0);
         prop_assert_eq!(f.dim(), 40);
