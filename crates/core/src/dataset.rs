@@ -8,7 +8,10 @@
 //! exactly the same underlying information.
 //!
 //! A sample copies nothing of its record: its profile and its history are
-//! the record's own, behind [`Arc`].
+//! the record's own, behind [`Arc`].  The records themselves are the
+//! cohort's: the generator puts each behind an [`Arc`], and
+//! [`Dataset::from_cohort`] shares them, so one copy of every record serves
+//! the cohort, the dataset and its samples.
 //!
 //! Splitting (hold-out and k-fold) is done **by patient** so that no patient
 //! contributes samples to both the training and test sides, and so the
@@ -121,8 +124,8 @@ pub struct Sample {
 /// The raw dataset: per-patient transition samples plus the patient records
 /// themselves (needed by the sequence baselines and the census simulation).
 ///
-/// Records and samples are shared, not owned: [`Dataset::from_cohort`] copies
-/// the cohort once, and [`Dataset::split_holdout`], [`Dataset::k_folds`],
+/// Records and samples are shared, not owned: [`Dataset::from_cohort`] shares
+/// the cohort's records, and [`Dataset::split_holdout`], [`Dataset::k_folds`],
 /// [`Dataset::filter_by_patient`] and `Clone` hand out the same records
 /// behind new pointer vectors.  A `&Arc<RawSample>` derefs to `&RawSample`
 /// wherever one is taken; edit a sample in place with [`Arc::make_mut`],
@@ -148,11 +151,11 @@ pub struct Dataset {
 impl Dataset {
     /// Extract raw samples from a cohort: one per transition, the transfer
     /// out of stay `i` labelled with stay `i + 1`'s unit and stay `i`'s
-    /// duration class, each a view of its patient's record, which is copied
-    /// once.
+    /// duration class, each a view of its patient's record.  The records are
+    /// the cohort's own, shared, not copied: the dataset allocates only its
+    /// two pointer vectors and one `Arc<RawSample>` per sample.
     pub fn from_cohort(cohort: &Cohort) -> Self {
-        let patients: Vec<Arc<PatientRecord>> =
-            cohort.patients.iter().cloned().map(Arc::new).collect();
+        let patients = cohort.patients.clone();
         let mut samples = Vec::with_capacity(cohort.total_transitions());
         for record in &patients {
             let stays = &record.stays;

@@ -89,21 +89,46 @@ impl ImbalanceStrategy {
 
 /// Per-sample weights `w_i = 1 / log(1 + #{(c_i, d_i)})`.
 pub fn sample_weights(samples: &[Sample], num_cus: usize, num_durations: usize) -> Vec<f64> {
-    let counts = joint_class_counts(samples, num_cus, num_durations);
-    samples
-        .iter()
-        .map(|s| {
-            let c = counts[s.cu_label * num_durations + s.duration_label].max(1);
-            1.0 / (1.0 + c as f64).ln()
-        })
-        .collect()
+    label_weights(sample_labels(samples), num_cus, num_durations)
 }
 
 /// Counts of each joint `(c, d)` class.
 pub fn joint_class_counts(samples: &[Sample], num_cus: usize, num_durations: usize) -> Vec<usize> {
+    label_counts(sample_labels(samples), num_cus, num_durations)
+}
+
+/// The `(c, d)` labels of `samples`, in order.
+fn sample_labels(samples: &[Sample]) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+    samples.iter().map(|s| (s.cu_label, s.duration_label))
+}
+
+/// The weights of [`sample_weights`] from the samples' `(c, d)` labels alone,
+/// in their order: one pass counts the joint classes, a second weighs each
+/// sample.  Every weighted source computes its weights here, so they agree
+/// bitwise.
+pub(crate) fn label_weights(
+    labels: impl Iterator<Item = (usize, usize)> + Clone,
+    num_cus: usize,
+    num_durations: usize,
+) -> Vec<f64> {
+    let counts = label_counts(labels.clone(), num_cus, num_durations);
+    let mut weights = Vec::with_capacity(counts.iter().sum());
+    weights.extend(labels.map(|(c, d)| {
+        let n = counts[c * num_durations + d].max(1);
+        1.0 / (1.0 + n as f64).ln()
+    }));
+    weights
+}
+
+/// Counts of each joint `(c, d)` class among `labels`.
+pub(crate) fn label_counts(
+    labels: impl Iterator<Item = (usize, usize)>,
+    num_cus: usize,
+    num_durations: usize,
+) -> Vec<usize> {
     let mut counts = vec![0usize; num_cus * num_durations];
-    for s in samples {
-        counts[s.cu_label * num_durations + s.duration_label] += 1;
+    for (c, d) in labels {
+        counts[c * num_durations + d] += 1;
     }
     counts
 }

@@ -27,14 +27,16 @@
 //! [`TrainSource::Stream`](crate::train::TrainSource::Stream).
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use pfp_ehr::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
 use pfp_ehr::{generate_patient_services_into, CohortConfig, PatientRecord};
 use pfp_math::parallel::intersect_ranges;
 use pfp_math::CsrMatrix;
 
-use crate::dataset::Sample;
+use crate::dataset::{RawSample, Sample};
 use crate::features::{FeatureMapKind, HistoryFeaturizer, EVAL_OFFSET_DAYS};
+use crate::imbalance::{label_counts, label_weights};
 use crate::loss::{Objective, SampleSource};
 use crate::train::{ModelLayout, TrainError};
 
@@ -57,6 +59,28 @@ pub struct SampleShard {
     pub duration_labels: Vec<u32>,
 }
 
+/// How sample `index` falls outside a layout of `num_cus` × `num_durations`
+/// classes, if it does: its features do not fit (`dims_fit` false), or a
+/// label is out of range.
+fn check_sample(
+    index: usize,
+    dims_fit: bool,
+    (cu_label, duration_label): (usize, usize),
+    num_cus: usize,
+    num_durations: usize,
+) -> Result<(), TrainError> {
+    let fault = if !dims_fit {
+        "feature dimension mismatch"
+    } else if cu_label >= num_cus {
+        "destination label out of range"
+    } else if duration_label >= num_durations {
+        "duration label out of range"
+    } else {
+        return Ok(());
+    };
+    Err(TrainError::SampleOutsideLayout { index, fault })
+}
+
 /// Check that every sample fits a layout of `num_features` features and
 /// `num_cus` × `num_durations` classes, as [`SampleShard::pack`] requires.
 ///
@@ -68,19 +92,11 @@ pub(crate) fn check_samples(
     num_cus: usize,
     num_durations: usize,
 ) -> Result<(), TrainError> {
-    for (index, s) in samples.iter().enumerate() {
-        let fault = if s.features.dim() != num_features {
-            "feature dimension mismatch"
-        } else if s.cu_label >= num_cus {
-            "destination label out of range"
-        } else if s.duration_label >= num_durations {
-            "duration label out of range"
-        } else {
-            continue;
-        };
-        return Err(TrainError::SampleOutsideLayout { index, fault });
-    }
-    Ok(())
+    samples.iter().enumerate().try_for_each(|(index, s)| {
+        let dims_fit = s.features.dim() == num_features;
+        let labels = (s.cu_label, s.duration_label);
+        check_sample(index, dims_fit, labels, num_cus, num_durations)
+    })
 }
 
 impl SampleShard {
@@ -94,6 +110,60 @@ impl SampleShard {
             cu_labels: samples.iter().map(|s| s.cu_label as u32).collect(),
             duration_labels: samples.iter().map(|s| s.duration_label as u32).collect(),
         }
+    }
+
+    /// Pack raw samples into one block starting at sample 0, featurizing
+    /// each under `layout`'s map straight into the CSR block
+    /// ([`HistoryFeaturizer::featurize_into`]) from its own profile,
+    /// history and times: the rows [`SampleShard::pack`] packs from the
+    /// samples [`Dataset::featurize`] makes, bit for bit, with no feature
+    /// vector per sample in between.
+    ///
+    /// # Errors
+    /// [`TrainError::SampleOutsideLayout`] for the first sample whose profile
+    /// or service vectors are not the layout's width or whose label is out of
+    /// range, as [`check_samples`] names it for the featurized sample.
+    ///
+    /// [`Dataset::featurize`]: crate::dataset::Dataset::featurize
+    pub(crate) fn pack_raw(
+        samples: &[Arc<RawSample>],
+        layout: &ModelLayout,
+    ) -> Result<Self, TrainError> {
+        let featurizer = layout.featurizer();
+        let mut block = Self::empty(0, layout.num_features());
+        block.cu_labels.reserve_exact(samples.len());
+        block.duration_labels.reserve_exact(samples.len());
+        for (index, raw) in samples.iter().enumerate() {
+            let dims_fit = raw.profile.dim() == layout.profile_dim
+                && raw
+                    .history
+                    .iter()
+                    .all(|s| s.services.dim() == layout.service_dim);
+            let labels = (raw.cu_label, raw.duration_label);
+            check_sample(
+                index,
+                dims_fit,
+                labels,
+                layout.num_cus,
+                layout.num_durations,
+            )?;
+            featurizer.featurize_into(
+                &raw.profile,
+                &raw.history,
+                raw.t_eval,
+                raw.t_prev,
+                &mut block.csr,
+            );
+            block.cu_labels.push(raw.cu_label as u32);
+            block.duration_labels.push(raw.duration_label as u32);
+        }
+        Ok(block)
+    }
+
+    /// The samples' `(c, d)` labels, in order.
+    pub(crate) fn labels(&self) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+        let labels = self.cu_labels.iter().zip(&self.duration_labels);
+        labels.map(|(&c, &d)| (c as usize, d as usize))
     }
 
     /// Number of samples in the shard.
@@ -304,29 +374,21 @@ impl ShardedSamples {
     /// labels.  Same counts as
     /// [`crate::imbalance::joint_class_counts`] on the materialized samples.
     pub fn joint_class_counts(&self) -> Vec<usize> {
-        let num_durations = self.layout.num_durations;
-        let mut counts = vec![0usize; self.layout.num_cus * num_durations];
-        for shard in &self.shards {
-            for (&c, &d) in shard.cu_labels.iter().zip(&shard.duration_labels) {
-                counts[c as usize * num_durations + d as usize] += 1;
-            }
-        }
-        counts
+        let (c, d) = (self.layout.num_cus, self.layout.num_durations);
+        label_counts(self.labels(), c, d)
     }
 
     /// The weighted-data (WDMCP) per-sample weights, `w_i = 1 / ln(1 +
     /// #{(c_i, d_i)})`, in global sample order — bitwise the same values as
     /// [`crate::imbalance::sample_weights`] on the materialized samples.
     pub fn sample_weights(&self) -> Vec<f64> {
-        let counts = self.joint_class_counts();
-        let mut weights = Vec::with_capacity(self.total_samples());
-        for shard in &self.shards {
-            for (&c, &d) in shard.cu_labels.iter().zip(&shard.duration_labels) {
-                let n = counts[c as usize * self.layout.num_durations + d as usize].max(1);
-                weights.push(1.0 / (1.0 + n as f64).ln());
-            }
-        }
-        weights
+        let (c, d) = (self.layout.num_cus, self.layout.num_durations);
+        label_weights(self.labels(), c, d)
+    }
+
+    /// Every shard's labels, in global sample order.
+    fn labels(&self) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+        self.shards.iter().flat_map(SampleShard::labels)
     }
 }
 

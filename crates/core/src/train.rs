@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::dataset::{Dataset, Sample};
 use crate::features::{FeatureMapKind, HistoryFeaturizer};
-use crate::imbalance::ImbalanceStrategy;
+use crate::imbalance::{label_weights, synthesize_minority_samples, ImbalanceStrategy};
 use crate::loss::{Objective, SampleSource};
 use crate::model::DmcpModel;
 use crate::stream::{check_samples, CohortStream, SampleShard, ShardedSamples};
@@ -266,8 +266,8 @@ pub enum TrainError {
     },
     /// The carried warm start does not fit the objective.
     WarmStart(WarmStartError),
-    /// Sample `index` of a `Featurized` source lies outside the declared
-    /// layout; `fault` names how: `"feature dimension mismatch"`,
+    /// Sample `index` of a `Featurized` or `Dataset` source lies outside the
+    /// declared layout; `fault` names how: `"feature dimension mismatch"`,
     /// `"destination label out of range"` or `"duration label out of range"`.
     SampleOutsideLayout { index: usize, fault: &'static str },
     /// A `Stream` source was given `shard_size == 0`.
@@ -318,8 +318,8 @@ impl From<WarmStartError> for TrainError {
 /// # Errors
 /// A [`TrainError`] if the source holds no samples or cannot apply
 /// `config.imbalance`, a pre-featurized source's map differs from
-/// `config.feature_map`, a `Featurized` sample has a label or feature
-/// dimension outside the declared layout, a `Stream` source's `shard_size`
+/// `config.feature_map`, a `Featurized` or `Dataset` sample has a label or
+/// feature dimension outside the declared layout, a `Stream` source's `shard_size`
 /// is zero, or `warm` does not fit the objective.
 pub fn train<'a>(
     source: impl Into<TrainSource<'a>>,
@@ -333,15 +333,27 @@ pub fn train<'a>(
     match source.into() {
         TrainSource::Dataset(dataset) => {
             let kind = config.feature_map.unwrap_or(dataset.default_mcp_kind());
-            let source = TrainSource::Featurized {
-                samples: dataset.featurize(kind),
+            if let ImbalanceStrategy::Synthetic { .. } = config.imbalance {
+                // Synthesis draws new feature vectors from the featurized ones.
+                let source = TrainSource::Featurized {
+                    samples: dataset.featurize(kind),
+                    kind,
+                    profile_dim: dataset.profile_dim,
+                    service_dim: dataset.service_dim,
+                    num_cus: dataset.num_cus,
+                    num_durations: dataset.num_durations,
+                };
+                return train(source, config, warm);
+            }
+            let layout = ModelLayout {
                 kind,
                 profile_dim: dataset.profile_dim,
                 service_dim: dataset.service_dim,
                 num_cus: dataset.num_cus,
                 num_durations: dataset.num_durations,
             };
-            train(source, config, warm)
+            let block = SampleShard::pack_raw(&dataset.samples, &layout)?;
+            solve_block(layout, block, config, warm)
         }
         TrainSource::Featurized {
             samples,
@@ -358,14 +370,22 @@ pub fn train<'a>(
                 num_cus,
                 num_durations,
             };
-            // Before the imbalance strategy, which indexes by label.
+            // Before the synthesis, which indexes by label.
             check_samples(&samples, layout.num_features(), num_cus, num_durations)?;
-            let (samples, weights) =
-                config
-                    .imbalance
-                    .apply(samples, num_cus, num_durations, config.seed);
+            let samples = match config.imbalance {
+                ImbalanceStrategy::Synthetic { cap_per_class } => synthesize_minority_samples(
+                    samples,
+                    num_cus,
+                    num_durations,
+                    cap_per_class,
+                    config.seed,
+                ),
+                ImbalanceStrategy::None | ImbalanceStrategy::Weighted => samples,
+            };
             let block = SampleShard::pack(0, &samples, layout.num_features());
-            solve(layout, block, weights.as_deref(), config, warm)
+            // The block holds every row now: free the vectors before the solve.
+            drop(samples);
+            solve_block(layout, block, config, warm)
         }
         TrainSource::Shards(shards) => {
             let weights = match config.imbalance {
@@ -424,6 +444,19 @@ impl ModelLayout {
     }
 }
 
+/// [`solve`] over one packed block starting at sample 0, weighted from its
+/// labels under [`ImbalanceStrategy::Weighted`] as the shards source is.
+fn solve_block(
+    layout: ModelLayout,
+    block: SampleShard,
+    config: &TrainConfig,
+    warm: Option<&WarmStart>,
+) -> Result<TrainReport, TrainError> {
+    let weights = (config.imbalance == ImbalanceStrategy::Weighted)
+        .then(|| label_weights(block.labels(), layout.num_cus, layout.num_durations));
+    solve(layout, block, weights.as_deref(), config, warm)
+}
+
 /// The one solve behind every source: check the source, build the objective,
 /// run the ADMM solve cold or warm and assemble the model.
 fn solve<S: SampleSource>(
@@ -479,6 +512,7 @@ mod tests {
     use super::*;
     use pfp_ehr::{generate_cohort, CohortConfig};
     use pfp_math::SparseVec;
+    use std::sync::Arc;
 
     fn dataset() -> Dataset {
         Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(31)))
@@ -816,6 +850,55 @@ mod tests {
                 assert_eq!(err.to_string(), format!("featurized sample 1: {fault}"));
             }
         }
+    }
+
+    /// The dataset source packs raw samples without featurizing them first,
+    /// so it checks them itself: a label out of range is named with the
+    /// index and fault the featurized source names, under every strategy.
+    #[test]
+    fn dataset_samples_outside_the_layout_are_rejected_as_featurized_ones_are() {
+        let ds = dataset();
+        let bad = ds.len() / 2;
+        let strategies = [
+            ImbalanceStrategy::None,
+            ImbalanceStrategy::Weighted,
+            ImbalanceStrategy::synthetic(),
+        ];
+        for (cu_offset, duration_offset, fault) in [
+            (ds.num_cus, 0, "destination label out of range"),
+            (0, ds.num_durations, "duration label out of range"),
+        ] {
+            let mut broken = ds.clone();
+            let raw = Arc::make_mut(&mut broken.samples[bad]);
+            raw.cu_label += cu_offset;
+            raw.duration_label += duration_offset;
+            let kind = broken.default_mcp_kind();
+            for strategy in strategies {
+                let config = TrainConfig::fast().with_imbalance(strategy);
+                let featurized = TrainSource::Featurized {
+                    samples: broken.featurize(kind),
+                    kind,
+                    profile_dim: broken.profile_dim,
+                    service_dim: broken.service_dim,
+                    num_cus: broken.num_cus,
+                    num_durations: broken.num_durations,
+                };
+                let expected = TrainError::SampleOutsideLayout { index: bad, fault };
+                assert_eq!(train(featurized, &config, None).unwrap_err(), expected);
+                assert_eq!(train(&broken, &config, None).unwrap_err(), expected);
+            }
+        }
+        // A profile wider than the declared block is refused before any row
+        // is merged from it.
+        let mut narrow = ds.clone();
+        narrow.profile_dim -= 1;
+        assert_eq!(
+            train(&narrow, &TrainConfig::fast(), None).unwrap_err(),
+            TrainError::SampleOutsideLayout {
+                index: 0,
+                fault: "feature dimension mismatch"
+            }
+        );
     }
 
     #[test]

@@ -240,12 +240,16 @@ impl CohortConfig {
 }
 
 /// A generated cohort: the patients plus the configuration that produced them.
+///
+/// Each record is shared behind an [`Arc`] from the moment it is generated,
+/// so a dataset built from the cohort, and its splits, hold the same records
+/// rather than copies; `Clone` copies only the pointers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cohort {
     /// Generator configuration (kept for provenance and feature layout).
     pub config: CohortConfig,
-    /// Patient records.
-    pub patients: Vec<PatientRecord>,
+    /// Patient records, each shared.
+    pub patients: Vec<Arc<PatientRecord>>,
     /// Archetype assigned to each patient (parallel to `patients`).
     pub archetypes: Vec<Archetype>,
 }
@@ -285,11 +289,15 @@ pub fn generate_cohort(config: &CohortConfig) -> Cohort {
 /// generating its predecessors — the property that makes [`CohortShards`]
 /// resumable from an arbitrary shard.  [`generate_cohort`] is exactly this
 /// call in a loop, so streamed and materialized cohorts are identical.  It is
-/// [`generate_patient_into`] on a fresh record.
-pub fn generate_patient_record(config: &CohortConfig, id: usize) -> (PatientRecord, Archetype) {
+/// [`generate_patient_into`] on a fresh record, which is then put behind an
+/// [`Arc`] so every holder of the patient shares it.
+pub fn generate_patient_record(
+    config: &CohortConfig,
+    id: usize,
+) -> (Arc<PatientRecord>, Archetype) {
     let mut record = PatientRecord::default();
     let archetype = generate_patient_into(config, id, &mut record);
-    (record, archetype)
+    (Arc::new(record), archetype)
 }
 
 /// Generate patient `id` of the cohort described by `config` into `record`,
@@ -350,8 +358,9 @@ pub fn generate_patient_services_into(
 pub struct CohortShard {
     /// Id of the first patient in the shard (`patients[k].id == start_id + k`).
     pub start_id: usize,
-    /// Patient records (at most `shard_size` of them).
-    pub patients: Vec<PatientRecord>,
+    /// Patient records (at most `shard_size` of them), each shared as
+    /// [`Cohort::patients`] shares them.
+    pub patients: Vec<Arc<PatientRecord>>,
     /// Archetype assigned to each patient (parallel to `patients`).
     pub archetypes: Vec<Archetype>,
 }
@@ -1418,7 +1427,7 @@ mod tests {
             CohortConfig::scaled(0.01, 3),
             CohortConfig::scaled(0.01, 8),
         ] {
-            let fresh: Vec<(PatientRecord, Archetype)> = (0..config.num_patients)
+            let fresh: Vec<(Arc<PatientRecord>, Archetype)> = (0..config.num_patients)
                 .map(|id| generate_patient_record(&config, id))
                 .collect();
             // The two largest patients: most stays, then most entries.
@@ -1461,7 +1470,7 @@ mod tests {
             (CohortConfig::scaled(0.01, 5), 306),
             (CohortConfig::paper_scale(8), 120),
         ] {
-            let fresh: Vec<(PatientRecord, Archetype)> = (0..patients)
+            let fresh: Vec<(Arc<PatientRecord>, Archetype)> = (0..patients)
                 .map(|id| generate_patient_record(&config, id))
                 .collect();
             let size = |p: &PatientRecord| {

@@ -271,7 +271,7 @@ fn fresh_thread_records(config: &CohortConfig) -> Vec<PatientRecord> {
     let config = config.clone();
     std::thread::spawn(move || {
         (0..MEMO_ISOLATION_PATIENTS)
-            .map(|id| generate_patient_record(&config, id).0)
+            .map(|id| std::sync::Arc::unwrap_or_clone(generate_patient_record(&config, id).0))
             .collect()
     })
     .join()

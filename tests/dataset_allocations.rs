@@ -1,12 +1,14 @@
 //! Heap cost of building and splitting a dataset.
 //!
-//! [`Dataset::from_cohort`] copies the cohort's records once into `Arc`s and
-//! adds one `Arc<RawSample>` per transition, a view of its record; a sample
-//! that copied its history would pay every earlier stay's service vector
-//! again, about `k²/2` vectors for a patient of `k` stays.  It may allocate
-//! what that record copy allocates, measured here, plus one `Arc<RawSample>`
-//! per sample (its pointer and its heap block), plus, in allocations, a
-//! logarithmic term for two growing vectors.
+//! [`Dataset::from_cohort`] shares the cohort's records, which the generator
+//! put behind `Arc`s, and adds one `Arc<RawSample>` per transition, a view
+//! of its record; a sample that copied its history would pay every earlier
+//! stay's service vector again, about `k²/2` vectors for a patient of `k`
+//! stays, and a dataset that copied the records would pay every stay's
+//! service vector once more.  It may allocate one `Arc<RawSample>` per
+//! sample (its pointer and its heap block) and one record pointer per
+//! patient, in one allocation per sample plus the two pointer vectors, both
+//! allocated at their final size.
 //!
 //! A holdout split and k folds share their parent's patient records and raw
 //! samples, so they allocate only the pointer vectors of each side and the
@@ -28,12 +30,11 @@
 //!   under 24 bytes per patient of the parent either way.
 //!
 //! Measured on this fixture (`CohortConfig::small(11)`: 972 samples, 1,200
-//! patients): `from_cohort` allocates 877,368 bytes in 7,718 allocations,
-//! the record copy 776,280 bytes in 6,745 (bound 877,368 bytes, met exactly
-//! as the sample vector is allocated at its final size, and 7,737
-//! allocations); the holdout split allocates 59,152 bytes in 35
-//! allocations, the five folds 261,180 bytes in 202 (bound 98,304 bytes
-//! per split).
+//! patients): `from_cohort` allocates 110,688 bytes in 974 allocations,
+//! both bounds met exactly (it allocated 877,368 bytes in 7,718 when it
+//! copied the records, 776,280 bytes in 6,745 of them the copy); the
+//! holdout split allocates 59,152 bytes in 35 allocations, the five folds
+//! 261,180 bytes in 202 (bound 98,304 bytes per split).
 //!
 //! The allocation count must stay logarithmic in the record count: at most
 //! [`ALLOCATIONS_PER_SPLIT`] for a split, against one or more per sample for
@@ -107,25 +108,23 @@ fn assert_shares_parent(parent: &Dataset, (train, test): &(Dataset, Dataset), wh
 #[test]
 fn splits_and_folds_allocate_only_pointers_and_the_id_set() {
     let cohort = generate_cohort(&CohortConfig::small(11));
-    let copy = || Vec::from_iter(cohort.patients.iter().cloned().map(Arc::new));
-    let (_, copy_bytes, copy_count) = allocated_by(copy);
     let (ds, dataset_bytes, dataset_count) = allocated_by(|| Dataset::from_cohort(&cohort));
     let (samples, patients) = (ds.len(), ds.patients.len());
-    let arc_sample = size_of::<Arc<RawSample>>() + size_of::<RawSample>() + 2 * size_of::<usize>();
-    let dataset_bound = (copy_bytes + arc_sample * samples, copy_count + samples);
-    let log_term = 2 * (samples.ilog2() as usize + 1);
+    let pointer = size_of::<usize>();
+    let arc_sample = size_of::<Arc<RawSample>>() + size_of::<RawSample>() + 2 * pointer;
+    let dataset_bound = (arc_sample * samples + pointer * patients, samples + 2);
     eprintln!(
-        "from_cohort {dataset_bytes} B in {dataset_count} allocations (record copy \
-         {copy_bytes} B in {copy_count}); bound {dataset_bound:?} + {log_term} allocations"
+        "from_cohort {dataset_bytes} B in {dataset_count} allocations; bound {dataset_bound:?}"
     );
     assert!(
         dataset_bytes <= dataset_bound.0,
         "from_cohort: {dataset_bytes} B"
     );
     assert!(
-        dataset_count <= dataset_bound.1 + log_term,
+        dataset_count <= dataset_bound.1,
         "from_cohort: {dataset_count} allocations"
     );
+    assert!(shares_records(&cohort.patients, &ds.patients));
 
     let bound = BYTES_PER_SAMPLE * samples + BYTES_PER_PATIENT * patients;
 
@@ -156,7 +155,6 @@ fn splits_and_folds_allocate_only_pointers_and_the_id_set() {
         "{FOLDS} folds: {fold_count} allocations"
     );
     // A clone copies the two pointer vectors at their exact lengths.
-    let pointer = std::mem::size_of::<usize>();
     assert_eq!(clone_bytes, pointer * (samples + patients));
 
     assert_shares_parent(&ds, &holdout, "holdout");
