@@ -30,9 +30,10 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use pfp_ehr::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
+use pfp_ehr::patient::Stay;
 use pfp_ehr::{generate_patient_services_into, CohortConfig, PatientRecord};
 use pfp_math::parallel::intersect_ranges;
-use pfp_math::CsrMatrix;
+use pfp_math::{CsrMatrix, SparseVec};
 
 use crate::dataset::{RawSample, Sample};
 use crate::features::{FeatureMapKind, HistoryFeaturizer, EVAL_OFFSET_DAYS};
@@ -147,15 +148,13 @@ impl SampleShard {
                 layout.num_cus,
                 layout.num_durations,
             )?;
-            featurizer.featurize_into(
+            block.push_row(
+                &featurizer,
                 &raw.profile,
                 &raw.history,
-                raw.t_eval,
-                raw.t_prev,
-                &mut block.csr,
+                (raw.t_eval, raw.t_prev),
+                labels,
             );
-            block.cu_labels.push(raw.cu_label as u32);
-            block.duration_labels.push(raw.duration_label as u32);
         }
         Ok(block)
     }
@@ -217,15 +216,30 @@ impl SampleShard {
         let stays = &patient.stays;
         let t_prev = if i == 0 { 0.0 } else { stays[i - 1].entry_time };
         let t_eval = stays[i].entry_time + EVAL_OFFSET_DAYS;
-        featurizer.featurize_into(
+        let labels = (stays[i + 1].cu, stays[i].duration_class());
+        self.push_row(
+            featurizer,
             &patient.profile,
             &stays[..=i],
-            t_eval,
-            t_prev,
-            &mut self.csr,
+            (t_eval, t_prev),
+            labels,
         );
-        self.cu_labels.push(stays[i + 1].cu as u32);
-        self.duration_labels.push(stays[i].duration_class() as u32);
+    }
+
+    /// Append one sample: the row `featurizer` merges from `profile` and
+    /// `history` at times `(t_eval, t_prev)` into the CSR block, and its
+    /// `(c, d)` labels.
+    fn push_row(
+        &mut self,
+        featurizer: &HistoryFeaturizer,
+        profile: &SparseVec,
+        history: &[Stay],
+        (t_eval, t_prev): (f64, f64),
+        (cu, duration): (usize, usize),
+    ) {
+        featurizer.featurize_into(profile, history, t_eval, t_prev, &mut self.csr);
+        self.cu_labels.push(cu as u32);
+        self.duration_labels.push(duration as u32);
     }
 }
 

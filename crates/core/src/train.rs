@@ -286,7 +286,7 @@ impl std::fmt::Display for TrainError {
             }
             TrainError::WarmStart(err) => write!(f, "{err}"),
             TrainError::SampleOutsideLayout { index, fault } => {
-                write!(f, "featurized sample {index}: {fault}")
+                write!(f, "sample {index}: {fault}")
             }
             TrainError::ZeroShardSize => {
                 write!(f, "the stream source's shard_size must be positive")
@@ -847,7 +847,7 @@ mod tests {
                 let config = TrainConfig::fast().with_imbalance(strategy);
                 let err = train(source, &config, None).unwrap_err();
                 assert_eq!(err, TrainError::SampleOutsideLayout { index: 1, fault });
-                assert_eq!(err.to_string(), format!("featurized sample 1: {fault}"));
+                assert_eq!(err.to_string(), format!("sample 1: {fault}"));
             }
         }
     }
